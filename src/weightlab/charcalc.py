@@ -8,12 +8,11 @@ explicitly only where needed (tensor decomposition, brute-force checks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor
 
 import numpy as np
 
-from .rootdata import RootDatum, Weight, root_coordinates
-from .weyl import make_dominant, orbit, orbit_size
+from .rootdata import RootDatum, Weight
+from .weyl import _dominant_representative, orbit, orbit_size
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,14 @@ def dominant_weights_below(datum: RootDatum, lam: Weight) -> list[Weight]:
 def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple[int, ...]]]:
     """Dominant weights below lam, each with the root coordinates of lam - mu.
 
-    BFS subtracting simple roots; a branch is pruned once some root
-    coordinate of lam - mu exceeds that of lam, which cannot happen on the
-    way to a dominant weight (the inverse Cartan matrix is entrywise >= 0 on
-    each factor).
+    Walks dominant weights only: from each dominant mu subtract every
+    positive root alpha and keep mu - alpha when it is dominant, one level
+    deeper by alpha's root coordinates.  The walk is complete by Stembridge,
+    *The partial order of dominant weights* (Adv. Math. 136, 1998): when one
+    dominant weight covers another in dominance order, the two differ by a
+    positive root, so every dominant mu <= lam is reached from lam through
+    dominant weights.  Sorted by total depth (decreasing height of mu), then
+    by weight.
     """
     lam = datum.check_weight(lam)
     if any(x < 0 for x in lam):
@@ -62,28 +65,21 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
     cached = datum._below_cache.get(key)
     if cached is not None:
         return cached
-    bound = [floor(k) for k in root_coordinates(datum, lam)]
-    rank = datum.rank
-    cols = datum.cartan_columns
-    zero_depth = (0,) * rank
-    seen: dict[Weight, tuple[int, ...]] = {lam: zero_depth}
+    roots = [(alpha.fund, alpha.rc) for alpha in datum.positive_roots]
+    seen: dict[Weight, tuple[int, ...]] = {lam: (0,) * datum.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for w in frontier:
             depth = seen[w]
-            for i in range(rank):
-                if depth[i] + 1 > bound[i]:
+            for fund, rc in roots:
+                nw = tuple(x - a for x, a in zip(w, fund))
+                if min(nw) < 0 or nw in seen:
                     continue
-                nw = tuple(x - c for x, c in zip(w, cols[i]))
-                if nw in seen:
-                    continue
-                nd = tuple(d + (1 if j == i else 0) for j, d in enumerate(depth))
-                seen[nw] = nd
+                seen[nw] = tuple(d + r for d, r in zip(depth, rc))
                 nxt.append(nw)
         frontier = nxt
-    out = [(w, d) for w, d in seen.items() if all(x >= 0 for x in w)]
-    out.sort(key=lambda item: (sum(item[1]), item[0]))
+    out = sorted(seen.items(), key=lambda item: (sum(item[1]), item[0]))
     datum._below_cache[key] = out
     return out
 
@@ -101,26 +97,35 @@ def character(datum: RootDatum, lam: Weight) -> Character:
     table: dict[Weight, int] = {lam: 1}
     dom_set = {w for w, _ in below}
     sym = datum.symmetrizer
-    rho = datum.weyl_vector
+    # per positive root: its fundamental coordinates, the vector v with
+    # v . nu = (alpha, nu), and (alpha, alpha) = v . alpha
+    strings = []
+    for alpha in datum.positive_roots:
+        pair = tuple(r * d for r, d in zip(alpha.rc, sym))
+        strings.append((alpha.fund, pair, sum(p * a for p, a in zip(pair, alpha.fund))))
+    dominant_of: dict[Weight, Weight] = {}
     for mu, depth in below[1:]:
         # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
         mid = tuple(a + b + 2 for a, b in zip(lam, mu))
         denom = sum(k * d * f for k, d, f in zip(depth, sym, mid))
         assert denom > 0
         total = 0
-        for alpha in datum.positive_roots:
-            k = 1
+        for fund, pair, norm in strings:
+            # nu runs over mu + k alpha, k >= 1, with prod = (alpha, nu)
+            nu = mu
+            prod = sum(p * x for p, x in zip(pair, mu))
             while True:
-                nu = tuple(x + k * a for x, a in zip(mu, alpha.fund))
-                nu_dom = make_dominant(datum, nu).dominant
+                nu = tuple(x + a for x, a in zip(nu, fund))
+                prod += norm
+                nu_dom = dominant_of.get(nu)
+                if nu_dom is None:
+                    nu_dom = dominant_of[nu] = _dominant_representative(datum, nu)
                 n = table.get(nu_dom)
                 if n is None:
                     if nu_dom not in dom_set:
                         break  # left the weight system; the string is contiguous
                     raise AssertionError("multiplicity requested before computed")
-                total += n * sum(r * d * f
-                                 for r, d, f in zip(alpha.rc, sym, nu))
-                k += 1
+                total += n * prod
         num = 2 * total
         assert num % denom == 0
         mult = num // denom

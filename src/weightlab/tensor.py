@@ -52,15 +52,16 @@ def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight,
     if any(x < 0 for x in lam) or any(x < 0 for x in mu):
         raise ValueError("tensor factors must be dominant")
     key = (lam, mu) if lam <= mu else (mu, lam)
+    big, small = key
+    if weyl_dimension(datum, big) < weyl_dimension(datum, small):
+        big, small = small, big
+    # checked before the cache, so a tighter budget holds for cached pairs too
+    if max_expanded is not None and weyl_dimension(datum, small) > max_expanded:
+        raise TensorBudgetError(
+            f"expanded weight system of {small} has size "
+            f"{weyl_dimension(datum, small)} > budget {max_expanded}")
     cached = datum._tensor_cache.get(key)
     if cached is None:
-        big, small = key
-        if weyl_dimension(datum, big) < weyl_dimension(datum, small):
-            big, small = small, big
-        if max_expanded is not None and weyl_dimension(datum, small) > max_expanded:
-            raise TensorBudgetError(
-                f"expanded weight system of {small} has size "
-                f"{weyl_dimension(datum, small)} > budget {max_expanded}")
         summands = _klimyk(datum, big, small)
         cached = (summands,)
         datum._tensor_cache[key] = cached

@@ -63,6 +63,19 @@ def make_dominant(datum: RootDatum, lam: Weight) -> DominantResult:
     return DominantResult(lam, word, all(x > 0 for x in lam))
 
 
+def _dominant_representative(datum: RootDatum, lam: Weight) -> Weight:
+    """Dominant representative of an already checked weight, without the
+    word.  Any order of reflections in negative coordinates ends at the same
+    representative, so this reflects in the most negative one."""
+    cols = datum.cartan_columns
+    low = min(lam)
+    while low < 0:
+        i = lam.index(low)
+        lam = tuple(x - low * a for x, a in zip(lam, cols[i]))
+        low = min(lam)
+    return lam
+
+
 def _batch_make_dominant(datum: RootDatum, arr: np.ndarray):
     """Vectorized make_dominant for an (N, rank) int array.
 
@@ -125,20 +138,40 @@ def dominance_leq(datum: RootDatum, mu: Weight, lam: Weight) -> bool:
 
 
 def orbit(datum: RootDatum, lam: Weight) -> frozenset[Weight]:
-    """Full W-orbit of a weight (exponential in rank; small data only)."""
-    lam = datum.check_weight(lam)
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(1, datum.rank + 1):
-                r = reflect(datum, i, w)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return frozenset(seen)
+    """Full W-orbit of a weight (exponential in rank; small data only).
+
+    Walks the tree that :func:`make_dominant` climbs: the parent of a
+    non-dominant x is s_i(x) for the first negative coordinate i of x.
+    Read downwards from the dominant representative, x has the child s_i(x)
+    iff x_i > 0 and s_i(x) has no negative coordinate before i, so each
+    orbit element is produced exactly once and no visited set is needed.
+    The first negative coordinate f of x is the i that made it (f = rank at
+    the dominant root of the tree).  For i < f
+    the child always qualifies; for i > f it can only if s_i changes
+    coordinate f, that is if f is a neighbour of i in the Dynkin diagram.
+    """
+    top = make_dominant(datum, lam).dominant
+    rank = datum.rank
+    cols = datum.cartan_columns
+    neighbors = datum.neighbors
+    out = [top]
+    stack = [(top, rank)]
+    while stack:
+        x, f = stack.pop()
+        for i in range(rank):
+            c = x[i]
+            if c > 0 and (i < f or cols[i][f]):
+                # s_i(x) = x - c alpha_i moves only coordinate i and its neighbours
+                y = list(x)
+                y[i] = -c
+                col = cols[i]
+                for j in neighbors[i]:
+                    y[j] -= c * col[j]
+                if i < f or min(y[:i]) >= 0:
+                    y = tuple(y)
+                    out.append(y)
+                    stack.append((y, i))
+    return frozenset(out)
 
 
 def orbit_size(datum: RootDatum, lam: Weight) -> int:

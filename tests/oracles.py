@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: multiplicities
 come from a Kostant-style alternating sum over the whole Weyl group with a
-brute-force vector partition count, and tensor products from multiplying
-fully expanded weight systems and stripping highest weights.
+brute-force vector partition count, tensor products from multiplying
+fully expanded weight systems and stripping highest weights, the dominant
+weights below a highest weight from a walk over the whole root-coordinate
+box, and orbits from a breadth-first search over simple reflections.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import floor
 
-from weightlab import (apply_word, character, expand_character, root_coordinates,
-                       weyl_group_elements, word_sign)
+from weightlab import (apply_word, character, expand_character, reflect,
+                       root_coordinates, weyl_group_elements, word_sign)
 from weightlab.rootdata import wadd, wsub
 
 
@@ -89,3 +92,56 @@ def brute_tensor(datum, lam, mu) -> dict:
 
 def random_dominant(rng, rank: int, max_coord: int):
     return tuple(rng.randrange(max_coord + 1) for _ in range(rank))
+
+
+def box_below_with_depth(datum, lam):
+    """Dominant weights below lam, each with the root coordinates of lam - mu.
+
+    BFS subtracting simple roots; a branch is pruned once some root
+    coordinate of lam - mu exceeds that of lam, which cannot happen on the
+    way to a dominant weight (the inverse Cartan matrix is entrywise >= 0 on
+    each factor).
+    """
+    lam = datum.check_weight(lam)
+    if any(x < 0 for x in lam):
+        raise ValueError(f"expected a dominant weight, got {lam}")
+    bound = [floor(k) for k in root_coordinates(datum, lam)]
+    rank = datum.rank
+    cols = datum.cartan_columns
+    zero_depth = (0,) * rank
+    seen = {lam: zero_depth}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            depth = seen[w]
+            for i in range(rank):
+                if depth[i] + 1 > bound[i]:
+                    continue
+                nw = tuple(x - c for x, c in zip(w, cols[i]))
+                if nw in seen:
+                    continue
+                nd = tuple(d + (1 if j == i else 0) for j, d in enumerate(depth))
+                seen[nw] = nd
+                nxt.append(nw)
+        frontier = nxt
+    out = [(w, d) for w, d in seen.items() if all(x >= 0 for x in w)]
+    out.sort(key=lambda item: (sum(item[1]), item[0]))
+    return out
+
+
+def bfs_orbit(datum, lam) -> frozenset:
+    """Full W-orbit of a weight (exponential in rank; small data only)."""
+    lam = datum.check_weight(lam)
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(1, datum.rank + 1):
+                r = reflect(datum, i, w)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return frozenset(seen)

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from weightlab import (DominanceRegimeError, TensorBudgetError, prv_component,
-                       stable_multiplicity_check, tensor_decompose, weyl_dimension,
-                       weyl_group_elements, x_support)
+from weightlab import (DominanceRegimeError, TensorBudgetError, build_root_datum,
+                       prv_component, stable_multiplicity_check, tensor_decompose,
+                       weyl_dimension, weyl_group_elements, x_support)
 from conftest import get_datum
 from oracles import brute_tensor, cg_closed_form, random_dominant
 
@@ -139,9 +139,23 @@ def test_stable_multiplicity_transfers_inner_multiplicities():
 
 
 def test_budget_enforced():
-    # the budget guards the expansion cost; a cached result is returned as-is,
-    # so probe with a product far too large for anything to have cached
+    # the budget guards the expansion cost of the smaller factor, here far
+    # beyond anything the suite decomposes
     e6 = get_datum("E6")
     rho = e6.weyl_vector
     with pytest.raises(TensorBudgetError):
         tensor_decompose(e6, rho, rho, max_expanded=1000)
+
+
+def test_budget_applies_to_cached_pairs():
+    # a pair decomposed once without a budget must still refuse a later,
+    # tighter one; a fresh datum keeps other tests' cache entries out
+    a2 = build_root_datum("A2")
+    lam, mu = (2, 1), (1, 1)
+    tensor_decompose(a2, lam, mu)
+    with pytest.raises(TensorBudgetError):
+        tensor_decompose(a2, lam, mu, max_expanded=1)
+    with pytest.raises(TensorBudgetError):
+        tensor_decompose(a2, mu, lam, max_expanded=1)
+    assert tensor_decompose(a2, lam, mu, max_expanded=8).summands == \
+        tensor_decompose(a2, lam, mu).summands
