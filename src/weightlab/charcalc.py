@@ -167,14 +167,13 @@ def expand_character(datum: RootDatum, char: Character) -> dict[Weight, int]:
 
 
 def expanded_weight_table(datum: RootDatum, char: Character):
-    """Numpy form of the expanded weight system: (rows, mults) arrays."""
-    rows = []
-    mults = []
-    for w, m in char.sorted_items():
-        orb = sorted(orbit(datum, w))
-        rows.extend(orb)
-        mults.extend([m] * len(orb))
-    return np.array(rows, dtype=np.int64), np.array(mults, dtype=np.int64)
+    """Numpy form of the expanded weight system: (rows, mults) arrays, one
+    orbit after another in no particular order within an orbit."""
+    orbits = [orbit(datum, w) for w in char.entries]
+    rows = np.array([v for orb in orbits for v in orb], dtype=np.int64)
+    mults = np.repeat(np.array(list(char.entries.values()), dtype=np.int64),
+                      [len(orb) for orb in orbits])
+    return rows, mults
 
 
 def is_saturated_weight_set(datum: RootDatum, weights) -> bool:

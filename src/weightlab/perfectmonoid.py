@@ -10,8 +10,6 @@ classification side is exact and symbolic.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 from math import lcm
@@ -150,14 +148,6 @@ class _BoxEnvelope:
         return cached
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("WEIGHTLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
     """Least fixed point, inside the box, of adding sums and all tensor
     summands of pairs.  This is the box truncation of the true closure:
@@ -170,35 +160,20 @@ def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
     members: set[Weight] = {(0,) * datum.rank, *spec.generators}
     processed: set[tuple[Weight, Weight]] = set()
     envelope = _BoxEnvelope(datum, box)
-    threads = _thread_count()
-
-    def absorb(pair, support):
-        processed.add(pair)
-        members.update(w for w in support if w in box)
-
     while True:
         before = len(members)
         pairs = sorted(combinations_with_replacement(sorted(members), 2),
                        key=lambda p: (sum(p[0]) + sum(p[1]), p))
-        pending = []
         for pair in pairs:
             if pair in processed:
                 continue
+            processed.add(pair)
             if envelope.below(wadd(*pair)) <= members:
                 # every summand this pair could produce is already present,
                 # and membership only grows: the pair is settled for good
-                processed.add(pair)
                 continue
-            if threads > 1:
-                pending.append(pair)
-            else:
-                absorb(pair, tensor_decompose(datum, *pair).support())
-        if pending:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = pool.map(
-                    lambda p: (p, tensor_decompose(datum, *p).support()), pending)
-            for pair, support in results:
-                absorb(pair, support)
+            support = tensor_decompose(datum, *pair).support()
+            members.update(w for w in support if w in box)
         if len(members) == before:
             break
     return members

@@ -1,9 +1,19 @@
 """Tensor product decomposition, PRV components and structural checks.
 
-The decomposition iterates the expanded weight system of the smaller factor
-and folds each shifted weight to the dominant chamber with its sign
-(Brauer-Klimyk); accumulation is exact in machine integers because totals
-are bounded by the expanded size.
+The decomposition is a Brauer-Klimyk fold over the expanded weight system of
+the smaller factor.  Each weight nu gives x = nu + lam + rho.  Rows with a
+zero coordinate lie on a wall; every W-image of such a row lies on a wall
+too, so it contributes nothing and is dropped before any reflection and
+again after each sweep.  A sweep reflects, for each i in turn, every row
+with x_i < 0 in place and negates its multiplicity; any order of reflections
+in negative coordinates takes a regular weight to its dominant
+representative in exactly l(w) steps, so the sign is (-1)^l(w).  The rows
+left, minus rho, are sorted once with ``np.lexsort`` and equal rows are
+summed with ``np.add.reduceat``.
+
+All of this is int64.  ``_check_int64`` refuses, before anything is
+allocated, a pair for which a coordinate or a running total could leave
+int64.
 """
 
 from __future__ import annotations
@@ -14,7 +24,9 @@ import numpy as np
 
 from .charcalc import character, expanded_weight_table, expand_character, weyl_dimension
 from .rootdata import RootDatum, Weight, wadd
-from .weyl import _batch_make_dominant, apply_word, make_dominant
+from .weyl import apply_word, make_dominant
+
+INT64_MAX = np.iinfo(np.int64).max
 
 
 class TensorBudgetError(RuntimeError):
@@ -76,24 +88,53 @@ def _expanded_table(datum: RootDatum, mu: Weight):
     return table
 
 
+def _check_int64(datum: RootDatum, lam: Weight, mu: Weight) -> None:
+    """Refuse a fold whose int64 arithmetic could overflow.
+
+    Every coordinate the fold meets is <x, beta^vee> for x = nu + lam + rho,
+    nu a weight of L(mu) and beta^vee a coroot, so it is at most h (max lam
+    + max mu + 1) in absolute value, with h the height of the highest
+    coroot; a reflection multiplies it by a Cartan entry first.  Running
+    totals are at most dim L(mu), the sum of the table's multiplicities.
+    """
+    height = max(sum(alpha.coroot) for alpha in datum.positive_roots)
+    entry = max(abs(a) for row in datum.cartan for a in row)
+    coord = height * (max(lam) + max(mu) + 1)
+    if entry * coord > INT64_MAX or weyl_dimension(datum, mu) > INT64_MAX:
+        raise ValueError(
+            f"tensor product of {lam} and {mu} is out of int64 range for the fold")
+
+
 def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
+    _check_int64(datum, lam, mu)
     rows, mults = _expanded_table(datum, mu)
+    # column k of x is table row k shifted by lam + rho; x[i] holds
+    # coordinate i of every row, contiguous
     shift = np.array(wadd(lam, datum.weyl_vector), dtype=np.int64)
-    xi = rows + shift[None, :]
-    dom, signs = _batch_make_dominant(datum, xi)
-    regular = (dom > 0).all(axis=1)
-    dom = dom[regular] - 1  # subtract rho
-    contrib = signs[regular] * mults[regular]
-    uniq, inverse = np.unique(dom, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).reshape(-1)
-    totals = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(totals, inverse, contrib)
-    out: dict[Weight, int] = {}
-    for row, total in zip(uniq.tolist(), totals.tolist()):
-        assert total >= 0, "negative accumulated tensor multiplicity"
-        if total:
-            out[tuple(row)] = total
-    return out
+    x = np.ascontiguousarray(rows.T) + shift[:, None]
+    cols = datum._np_cartan_cols  # cols[:, i] = alpha_i
+    while True:
+        # compress copies, so the cached table is never written
+        regular = (x != 0).all(axis=0)
+        x, mults = x.compress(regular, axis=1), mults.compress(regular)
+        if not (x < 0).any():
+            break
+        for i in range(datum.rank):
+            # s_i x = x - x_i alpha_i on the rows with x_i < 0
+            c = np.minimum(x[i], 0)
+            x -= cols[:, i, None] * c
+            np.negative(mults, out=mults, where=c < 0)
+    dom = x - 1  # subtract rho
+    # nonnegative now; the narrowest dtype that holds them sorts fastest
+    dom = dom.astype(np.min_scalar_type(dom.max()))
+    order = np.lexsort(dom[::-1])
+    dom, mults = dom[:, order], mults[order]
+    changed = (dom[:, 1:] != dom[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], changed)))
+    totals = np.add.reduceat(mults, starts)
+    assert (totals >= 0).all(), "negative accumulated tensor multiplicity"
+    kept = totals > 0
+    return dict(zip(map(tuple, dom[:, starts[kept]].T.tolist()), totals[kept].tolist()))
 
 
 def x_support(datum: RootDatum, lam: Weight, mu: Weight,

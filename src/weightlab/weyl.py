@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .rootdata import RootDatum, Weight, root_coordinates, wneg, wsub
 
 WeylWord = tuple[int, ...]
@@ -74,32 +72,6 @@ def _dominant_representative(datum: RootDatum, lam: Weight) -> Weight:
         lam = tuple(x - low * a for x, a in zip(lam, cols[i]))
         low = min(lam)
     return lam
-
-
-def _batch_make_dominant(datum: RootDatum, arr: np.ndarray):
-    """Vectorized make_dominant for an (N, rank) int array.
-
-    Returns (dominant rows, signs) where sign = (-1)^(number of reflections).
-    Rows are modified in place.
-    """
-    cols = datum._np_cartan_cols  # cols[:, i] = alpha_i
-    sign = np.ones(len(arr), dtype=np.int64)
-    active = np.arange(len(arr))
-    while len(active):
-        sub = arr[active]
-        negmask = sub < 0
-        has_neg = negmask.any(axis=1)
-        active = active[has_neg]
-        if not len(active):
-            break
-        sub = arr[active]
-        first = (sub < 0).argmax(axis=1)
-        for i in np.unique(first):
-            rows = active[first == i]
-            coef = arr[rows, i]
-            arr[rows] -= coef[:, None] * cols[:, i][None, :]
-            sign[rows] = -sign[rows]
-    return arr, sign
 
 
 def w0_action(datum: RootDatum, lam: Weight) -> Weight:

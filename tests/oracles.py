@@ -5,7 +5,9 @@ come from a Kostant-style alternating sum over the whole Weyl group with a
 brute-force vector partition count, tensor products from multiplying
 fully expanded weight systems and stripping highest weights, the dominant
 weights below a highest weight from a walk over the whole root-coordinate
-box, and orbits from a breadth-first search over simple reflections.
+box, orbits from a breadth-first search over simple reflections, and the
+Brauer-Klimyk fold from its earlier implementation (leftmost-negative
+reflection rounds, then ``np.unique`` over rows).
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import floor
 
+import numpy as np
+
 from weightlab import (apply_word, character, expand_character, reflect,
                        root_coordinates, weyl_group_elements, word_sign)
 from weightlab.rootdata import wadd, wsub
+from weightlab.tensor import _expanded_table
 
 
 def cg_closed_form(a: int, b: int) -> dict[tuple[int], int]:
@@ -145,3 +150,51 @@ def bfs_orbit(datum, lam) -> frozenset:
                     nxt.append(r)
         frontier = nxt
     return frozenset(seen)
+
+
+def unique_klimyk(datum, lam, mu) -> dict:
+    """Brauer-Klimyk fold of L(lam) (x) L(mu) over the expanded weights of mu,
+    as weightlab computed it before the sort-based fold."""
+    rows, mults = _expanded_table(datum, mu)
+    shift = np.array(wadd(lam, datum.weyl_vector), dtype=np.int64)
+    xi = rows + shift[None, :]
+    dom, signs = batch_make_dominant(datum, xi)
+    regular = (dom > 0).all(axis=1)
+    dom = dom[regular] - 1  # subtract rho
+    contrib = signs[regular] * mults[regular]
+    uniq, inverse = np.unique(dom, axis=0, return_inverse=True)
+    inverse = np.asarray(inverse).reshape(-1)
+    totals = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(totals, inverse, contrib)
+    out: dict = {}
+    for row, total in zip(uniq.tolist(), totals.tolist()):
+        assert total >= 0, "negative accumulated tensor multiplicity"
+        if total:
+            out[tuple(row)] = total
+    return out
+
+
+def batch_make_dominant(datum, arr: np.ndarray):
+    """Vectorized make_dominant for an (N, rank) int array.
+
+    Returns (dominant rows, signs) where sign = (-1)^(number of reflections).
+    Rows are modified in place.
+    """
+    cols = datum._np_cartan_cols  # cols[:, i] = alpha_i
+    sign = np.ones(len(arr), dtype=np.int64)
+    active = np.arange(len(arr))
+    while len(active):
+        sub = arr[active]
+        negmask = sub < 0
+        has_neg = negmask.any(axis=1)
+        active = active[has_neg]
+        if not len(active):
+            break
+        sub = arr[active]
+        first = (sub < 0).argmax(axis=1)
+        for i in np.unique(first):
+            rows = active[first == i]
+            coef = arr[rows, i]
+            arr[rows] -= coef[:, None] * cols[:, i][None, :]
+            sign[rows] = -sign[rows]
+    return arr, sign

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weightlab
 from weightlab.cli import run
 
 
@@ -136,3 +141,18 @@ def test_text_format(capsys):
                              "--type", "A1", "--weight", "2")
     assert status == 0
     assert "dimension: 3" in out
+
+
+@pytest.mark.parametrize("lhs", ["9223372036854775806", "9223372036854775808"])
+def test_decompose_out_of_int64_range_is_input_error(lhs):
+    # a subprocess with a timeout, so that a fold that never returns fails
+    src = str(Path(weightlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "weightlab.cli", "decompose", "--type", "A1",
+                           "--lhs", lhs, "--rhs", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "input"

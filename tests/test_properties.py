@@ -1,16 +1,19 @@
-"""Property tests on hypothesis-drawn weights: the dominant-weight walk and
-the orbit walk against the oracles in oracles.py, orbit sizes, and
-conservation of dimension."""
+"""Property tests on hypothesis-drawn weights: the dominant-weight walk, the
+orbit walk and the Brauer-Klimyk fold against the oracles in oracles.py,
+orbit sizes, commutativity of tensor products, and conservation of
+dimension."""
 
 from math import floor
 
 import pytest
 from hypothesis import given, strategies as st
 
-from weightlab import character, orbit, orbit_size, root_coordinates, weyl_dimension
+from weightlab import (character, orbit, orbit_size, root_coordinates, tensor_decompose,
+                       weyl_dimension)
 from weightlab.charcalc import _below_with_depth
+from weightlab.tensor import _expanded_table, _klimyk
 from conftest import get_datum
-from oracles import bfs_orbit, box_below_with_depth
+from oracles import bfs_orbit, box_below_with_depth, brute_tensor, unique_klimyk
 
 # every simple type of rank <= 6, and two products
 TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
@@ -19,6 +22,9 @@ TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
 # the BFS oracle visits the whole orbit, so keep |W| in the low thousands
 SMALL_WEYL = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D3",
               "D4", "D5", "F4", "G2", "A1xA2", "B2xG2"]
+# every simple type of rank <= 4, and two products
+RANK4 = (["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
+          "F4", "G2", "A1xA2", "B2xG2"])
 
 
 def box_volume(datum, lam) -> int:
@@ -80,3 +86,76 @@ def test_character_conserves_dimension(type_string, data):
     char = character(datum, lam)
     assert sum(m * orbit_size(datum, w) for w, m in char.entries.items()) \
         == weyl_dimension(datum, lam)
+
+
+def dominant_pairs(datum, max_lam: int, max_mu: int, max_dim: int):
+    """Pairs (lam, mu) of dominant weights with coordinates <= max_lam and
+    <= max_mu, lowered coordinate by coordinate in a drawn order until
+    dim lam * dim mu <= max_dim."""
+    def fit(drawn):
+        lam, mu, order = list(drawn[0]), list(drawn[1]), drawn[2]
+        for w, i in order:
+            w = mu if w else lam
+            while w[i] and weyl_dimension(datum, lam) * weyl_dimension(datum, mu) > max_dim:
+                w[i] -= 1
+        return tuple(lam), tuple(mu)
+    slots = [(w, i) for i in range(datum.rank) for w in (1, 0)]
+    return st.tuples(st.tuples(*[st.integers(0, max_lam)] * datum.rank),
+                     st.tuples(*[st.integers(0, max_mu)] * datum.rank),
+                     st.permutations(slots)).map(fit)
+
+
+def wall_rows(datum, lam, mu) -> int:
+    """Rows of the expanded table of mu that lam + rho moves onto a wall."""
+    rows, _ = _expanded_table(datum, mu)
+    return int((rows + [x + 1 for x in lam] == 0).any(axis=1).sum())
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_fold_matches_oracles(type_string, data):
+    datum = get_datum(type_string)
+    lam, mu = data.draw(dominant_pairs(datum, 2, 2, 400), label="pair")
+    fold = _klimyk(datum, lam, mu)
+    assert fold == unique_klimyk(datum, lam, mu)
+    assert fold == brute_tensor(datum, lam, mu)
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_fold_with_many_wall_rows(type_string, data):
+    # a small lam against a larger mu puts many rows of mu's table on walls
+    datum = get_datum(type_string)
+    lam, mu = data.draw(dominant_pairs(datum, 1, 3, 10 ** 5), label="pair")
+    assert _klimyk(datum, lam, mu) == unique_klimyk(datum, lam, mu)
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+def test_fold_of_trivial_factor(type_string):
+    datum = get_datum(type_string)
+    zero = (0,) * datum.rank
+    # mu_1 = 1, so s_1(mu) + rho has a zero coordinate
+    mu = ((1, 2) + zero)[:datum.rank]
+    assert wall_rows(datum, zero, mu) > 0
+    assert _klimyk(datum, zero, mu) == unique_klimyk(datum, zero, mu) == {mu: 1}
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_tensor_product_commutes(type_string, data):
+    datum = get_datum(type_string)
+    lam, mu = data.draw(dominant_pairs(datum, 3, 3, 10 ** 5), label="pair")
+    # folding over either factor gives the same decomposition
+    assert _klimyk(datum, lam, mu) == _klimyk(datum, mu, lam)
+    assert tensor_decompose(datum, lam, mu).summands \
+        == tensor_decompose(datum, mu, lam).summands
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_tensor_product_conserves_dimension(type_string, data):
+    datum = get_datum(type_string)
+    lam, mu = data.draw(dominant_pairs(datum, 4, 4, 10 ** 7), label="pair")
+    summands = tensor_decompose(datum, lam, mu).summands
+    assert sum(m * weyl_dimension(datum, nu) for nu, m in summands.items()) \
+        == weyl_dimension(datum, lam) * weyl_dimension(datum, mu)

@@ -5,6 +5,7 @@ import pytest
 from weightlab import (DominanceRegimeError, TensorBudgetError, build_root_datum,
                        prv_component, stable_multiplicity_check, tensor_decompose,
                        weyl_dimension, weyl_group_elements, x_support)
+from weightlab.tensor import INT64_MAX
 from conftest import get_datum
 from oracles import brute_tensor, cg_closed_form, random_dominant
 
@@ -159,3 +160,21 @@ def test_budget_applies_to_cached_pairs():
         tensor_decompose(a2, mu, lam, max_expanded=1)
     assert tensor_decompose(a2, lam, mu, max_expanded=8).summands == \
         tensor_decompose(a2, lam, mu).summands
+
+
+def test_fold_is_exact_up_to_the_int64_guard():
+    a1 = get_datum("A1")
+    # A1: coroot height 1 and Cartan entry 2, so lam + 2 <= INT64_MAX // 2
+    top = INT64_MAX // 2 - 2
+    assert tensor_decompose(a1, (top,), (1,)).summands == cg_closed_form(top, 1)
+    for lam in (top + 1, 2 ** 63):
+        with pytest.raises(ValueError, match="int64"):
+            tensor_decompose(a1, (lam,), (1,))
+
+
+def test_int64_guard_precedes_the_expansion():
+    # the huge factor is the smaller one: refused before its character exists
+    a1 = get_datum("A1")
+    with pytest.raises(ValueError, match="int64"):
+        tensor_decompose(a1, (2 ** 63,), (2 ** 64,))
+    assert (2 ** 63,) not in a1._char_cache
