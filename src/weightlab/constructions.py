@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .charcalc import character, expand_character
 from .rootdata import RootDatum, Weight, wadd, wneg
-from .tensor import TensorBudgetError, tensor_decompose
-from .weyl import apply_word, make_dominant, w0_action
+from .tensor import TensorBudgetError, prv_component, tensor_decompose
+from .weyl import w0_action
 
 
 class ConstructionError(ValueError):
@@ -89,8 +89,7 @@ class _TraceBuilder:
 
     def prv(self, i: int, word, j: int) -> int:
         word = tuple(word)
-        shifted = apply_word(self.datum, word, self.weight(j))
-        w = make_dominant(self.datum, wadd(self.weight(i), shifted)).dominant
+        w = prv_component(self.datum, self.weight(i), self.weight(j), word)
         return self._append(TraceStep(w, "prv", left=i, word=word, right=j))
 
     def build(self) -> ConstructionTrace:
@@ -349,7 +348,7 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace,
                 failures.append(f"step {idx}: recorded sum {step.weight} != {wadd(lw, rw)}")
             continue
         prv_steps += 1
-        expected = make_dominant(datum, wadd(lw, apply_word(datum, step.word, rw))).dominant
+        expected = prv_component(datum, lw, rw, step.word)
         if step.weight != expected:
             failures.append(f"step {idx}: recorded weight {step.weight} != replay {expected}")
             continue

@@ -20,6 +20,9 @@ from . import latticecalc
 from .rootdata import RootDatum, LatticeSpec, Weight, build_root_datum, in_lattice, wadd
 from .tensor import tensor_decompose
 
+# most weights Box.region lists; refused before anything is allocated
+MAX_REGION = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Box:
@@ -35,6 +38,10 @@ class Box:
         return all(0 <= x <= self.bound for x in lam)
 
     def region(self, datum: RootDatum) -> list[Weight]:
+        size = (self.bound + 1) ** datum.rank
+        if size > MAX_REGION:
+            raise ValueError(f"box bound {self.bound} on rank {datum.rank} spans {size} "
+                             f"weights, more than {MAX_REGION}")
         return [tuple(w) for w in product(range(self.bound + 1), repeat=datum.rank)]
 
 
@@ -148,6 +155,17 @@ class _BoxEnvelope:
         return cached
 
 
+def _pair_adds(envelope: _BoxEnvelope, members, a: Weight, b: Weight) -> list[Weight]:
+    """In-box summands of L(a) (x) L(b) missing from ``members``.  When the
+    envelope below a + b lies in ``members``, no summand can be missing and
+    the pair is not decomposed."""
+    if envelope.below(wadd(a, b)) <= members:
+        return []
+    box = envelope.box
+    return [w for w in tensor_decompose(envelope.datum, a, b).support()
+            if w in box and w not in members]
+
+
 def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
     """Least fixed point, inside the box, of adding sums and all tensor
     summands of pairs.  This is the box truncation of the true closure:
@@ -168,12 +186,8 @@ def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
             if pair in processed:
                 continue
             processed.add(pair)
-            if envelope.below(wadd(*pair)) <= members:
-                # every summand this pair could produce is already present,
-                # and membership only grows: the pair is settled for good
-                continue
-            support = tensor_decompose(datum, *pair).support()
-            members.update(w for w in support if w in box)
+            # membership only grows, so a pair that adds nothing now never will
+            members.update(_pair_adds(envelope, members, *pair))
         if len(members) == before:
             break
     return members
@@ -189,16 +203,8 @@ def is_perfect_in_box(datum: RootDatum, members, box: Box) -> bool:
         if w not in box:
             raise ValueError(f"member {w} lies outside the box")
     envelope = _BoxEnvelope(datum, box)
-    for a, b in combinations_with_replacement(sorted(members), 2):
-        total = wadd(a, b)
-        if envelope.below(total) <= members:
-            continue
-        if total in box and total not in members:
-            return False
-        support = tensor_decompose(datum, a, b).support()
-        if any(w in box and w not in members for w in support):
-            return False
-    return True
+    return not any(_pair_adds(envelope, members, a, b)
+                   for a, b in combinations_with_replacement(sorted(members), 2))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
@@ -18,9 +17,7 @@ Weight = tuple[int, ...]
 
 _FACTOR_RE = re.compile(r"^([A-G])([0-9]+)$")
 
-# Classical data per family: positive-root counts and Weyl group orders.
-_EXCEPTIONAL_WEYL_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-                           ("F", 4): 1152, ("G", 2): 12}
+# Positive-root counts of the exceptional types; checked against the roots built.
 _EXCEPTIONAL_ROOT_COUNT = {("E", 6): 36, ("E", 7): 63, ("E", 8): 120,
                            ("F", 4): 24, ("G", 2): 6}
 
@@ -37,16 +34,6 @@ def positive_root_count(family: str, rank: int) -> int:
     if family == "D":
         return rank * (rank - 1)
     return _EXCEPTIONAL_ROOT_COUNT[(family, rank)]
-
-
-def weyl_group_order(family: str, rank: int) -> int:
-    if family == "A":
-        return factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2 ** rank * factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return _EXCEPTIONAL_WEYL_ORDER[(family, rank)]
 
 
 @dataclass(frozen=True)
@@ -226,9 +213,11 @@ class RootDatum:
         self.positive_roots = _generate_positive_roots(self)
         expected = sum(positive_root_count(f, r) for f, r in ctype.factors)
         assert len(self.positive_roots) == expected
-        self.weyl_order = 1
-        for family, r in ctype.factors:
-            self.weyl_order *= weyl_group_order(family, r)
+        # (support bitmask over the simple roots, height) of each positive root
+        self.root_supports = tuple(
+            (sum(1 << i for i, k in enumerate(alpha.rc) if k), alpha.height)
+            for alpha in self.positive_roots)
+        self.weyl_order = parabolic_order(self, (1 << self.rank) - 1)
         # adjacency of the Dynkin diagram (global coordinates)
         self.neighbors = tuple(
             tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
@@ -357,6 +346,20 @@ def _generate_positive_roots(datum: RootDatum) -> tuple[PositiveRoot, ...]:
             roots.append(PositiveRoot(fund, rc, tuple(coroot), sum(rc)))
     roots.sort(key=lambda r: (r.height, r.rc))
     return tuple(roots)
+
+
+def parabolic_order(datum: RootDatum, nodes: int) -> int:
+    """Order of the parabolic subgroup W_J, J the simple roots in the
+    bitmask ``nodes``, by Kostant's height formula: the product of
+    (ht + 1) / ht over the positive roots supported in J."""
+    num = den = 1
+    for support, height in datum.root_supports:
+        if support & ~nodes == 0:
+            num *= height + 1
+            den *= height
+    order, rest = divmod(num, den)
+    assert rest == 0
+    return order
 
 
 def build_root_datum(type_string: str, lattice: LatticeSpec | None = None) -> RootDatum:

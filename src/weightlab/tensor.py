@@ -72,12 +72,11 @@ def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight,
         raise TensorBudgetError(
             f"expanded weight system of {small} has size "
             f"{weyl_dimension(datum, small)} > budget {max_expanded}")
-    cached = datum._tensor_cache.get(key)
-    if cached is None:
+    summands = datum._tensor_cache.get(key)
+    if summands is None:
         summands = _klimyk(datum, big, small)
-        cached = (summands,)
-        datum._tensor_cache[key] = cached
-    return TensorDecomposition(datum, lam, mu, dict(cached[0]))
+        datum._tensor_cache[key] = summands
+    return TensorDecomposition(datum, lam, mu, dict(summands))
 
 
 def _expanded_table(datum: RootDatum, mu: Weight):

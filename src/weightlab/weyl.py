@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .rootdata import RootDatum, Weight, root_coordinates, wneg, wsub
+from .rootdata import RootDatum, Weight, parabolic_order, root_coordinates, wneg, wsub
 
 WeylWord = tuple[int, ...]
+
+# largest Weyl group weyl_group_elements lists
+MAX_WEYL_ELEMENTS = 100000
 
 
 class DominantResult(NamedTuple):
@@ -147,98 +150,22 @@ def orbit(datum: RootDatum, lam: Weight) -> frozenset[Weight]:
 
 
 def orbit_size(datum: RootDatum, lam: Weight) -> int:
-    """|W . lam| for dominant lam, via the parabolic stabilizer W_J, J = zeros."""
+    """|W . lam| for dominant lam: |W| / |W_J| with J the zero coordinates
+    of lam, whose stabilizer is the parabolic subgroup W_J."""
     lam = datum.check_weight(lam)
     if any(x < 0 for x in lam):
         raise ValueError("orbit_size expects a dominant weight")
-    zero_nodes = [i for i, x in enumerate(lam) if x == 0]
-    stab = 1
-    for comp in _connected_components(datum, zero_nodes):
-        stab *= _component_weyl_order(datum, comp)
+    stab = parabolic_order(datum, sum(1 << i for i, x in enumerate(lam) if x == 0))
     assert datum.weyl_order % stab == 0
     return datum.weyl_order // stab
 
 
-def _connected_components(datum: RootDatum, nodes) -> list[list[int]]:
-    nodes = set(nodes)
-    comps = []
-    while nodes:
-        start = min(nodes)
-        comp, stack = [], [start]
-        nodes.discard(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in datum.neighbors[v]:
-                if u in nodes:
-                    nodes.discard(u)
-                    stack.append(u)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _component_weyl_order(datum: RootDatum, comp: list[int]) -> int:
-    """Weyl order of an irreducible induced subdiagram, classified by shape."""
-    from .rootdata import weyl_group_order
-
-    n = len(comp)
-    if n == 1:
-        return 2
-    inside = set(comp)
-    deg = {i: sum(1 for j in datum.neighbors[i] if j in inside) for i in comp}
-    bonds = [(i, j) for i in comp for j in comp
-             if i < j and datum.cartan[i][j] * datum.cartan[j][i] > 1]
-    triple = any(datum.cartan[i][j] * datum.cartan[j][i] == 3 for i, j in bonds)
-    if triple:
-        return weyl_group_order("G", 2)
-    if bonds:
-        i, j = bonds[0]
-        if deg[i] == 1 or deg[j] == 1:
-            return weyl_group_order("B", n)
-        return weyl_group_order("F", 4)
-    branch = [i for i in comp if deg[i] == 3]
-    if not branch:
-        return weyl_group_order("A", n)
-    arms = sorted(_arm_lengths(datum, branch[0], inside))
-    if arms[0] == 1 and arms[1] == 1:
-        return weyl_group_order("D", n)
-    return weyl_group_order("E", n)
-
-
-def _arm_lengths(datum: RootDatum, center: int, inside: set[int]) -> list[int]:
-    lengths = []
-    for start in datum.neighbors[center]:
-        if start not in inside:
-            continue
-        length, prev, cur = 1, center, start
-        while True:
-            nxt = [u for u in datum.neighbors[cur] if u in inside and u != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return lengths
-
-
-def weyl_group_elements(datum: RootDatum, max_order: int = 100000) -> list[WeylWord]:
-    """One word per Weyl group element, by BFS on the orbit of the Weyl
-    vector.  Guarded by max_order; meant for small groups."""
-    if datum.weyl_order > max_order:
-        raise ValueError(f"Weyl group of order {datum.weyl_order} exceeds bound {max_order}")
-    rho = datum.weyl_vector
-    words = {rho: ()}
-    frontier = [rho]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            base = words[w]
-            for i in range(1, datum.rank + 1):
-                r = reflect(datum, i, w)
-                if r not in words:
-                    # s_i applied after the word reaching w
-                    words[r] = (i,) + base
-                    nxt.append(r)
-        frontier = nxt
-    assert len(words) == datum.weyl_order
-    return sorted(words.values(), key=lambda w: (len(w), w))
+def weyl_group_elements(datum: RootDatum) -> list[WeylWord]:
+    """One word per Weyl group element: the word :func:`make_dominant`
+    records for each point of the orbit of the Weyl vector, which is regular,
+    so its points and W are in bijection.  Meant for small groups."""
+    if datum.weyl_order > MAX_WEYL_ELEMENTS:
+        raise ValueError(
+            f"Weyl group of order {datum.weyl_order} exceeds bound {MAX_WEYL_ELEMENTS}")
+    return sorted((make_dominant(datum, x).word for x in orbit(datum, datum.weyl_vector)),
+                  key=lambda w: (len(w), w))

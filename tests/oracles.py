@@ -5,9 +5,11 @@ come from a Kostant-style alternating sum over the whole Weyl group with a
 brute-force vector partition count, tensor products from multiplying
 fully expanded weight systems and stripping highest weights, the dominant
 weights below a highest weight from a walk over the whole root-coordinate
-box, orbits from a breadth-first search over simple reflections, and the
-Brauer-Klimyk fold from its earlier implementation (leftmost-negative
-reflection rounds, then ``np.unique`` over rows).
+box, orbits and Weyl group elements from breadth-first searches over simple
+reflections, orbit sizes from the Dynkin shape of each stabilizer and the
+classical table of Weyl group orders, determinants from cofactor expansion,
+and the Brauer-Klimyk fold from its earlier implementation
+(leftmost-negative reflection rounds, then ``np.unique`` over rows).
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
+from math import factorial, floor
 
 import numpy as np
 
 from weightlab import (apply_word, character, expand_character, reflect,
-                       root_coordinates, weyl_group_elements, word_sign)
+                       root_coordinates, word_sign)
 from weightlab.rootdata import wadd, wsub
 from weightlab.tensor import _expanded_table
 
@@ -59,7 +61,7 @@ def kostant_multiplicity(datum, lam, mu) -> int:
     """Weight multiplicity n_mu(lam) as an alternating sum over W."""
     rho = datum.weyl_vector
     total = 0
-    for word in weyl_group_elements(datum):
+    for word in bfs_weyl_group_elements(datum):
         shifted = wsub(apply_word(datum, word, wadd(lam, rho)), wadd(mu, rho))
         rc = root_coordinates(datum, shifted)
         if any(k.denominator != 1 or k < 0 for k in rc):
@@ -198,3 +200,139 @@ def batch_make_dominant(datum, arr: np.ndarray):
             arr[rows] -= coef[:, None] * cols[:, i][None, :]
             sign[rows] = -sign[rows]
     return arr, sign
+
+
+def bfs_weyl_group_elements(datum, max_order: int = 100000):
+    """One word per Weyl group element, by BFS on the orbit of the Weyl
+    vector.  Guarded by max_order; meant for small groups."""
+    if datum.weyl_order > max_order:
+        raise ValueError(f"Weyl group of order {datum.weyl_order} exceeds bound {max_order}")
+    rho = datum.weyl_vector
+    words = {rho: ()}
+    frontier = [rho]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            base = words[w]
+            for i in range(1, datum.rank + 1):
+                r = reflect(datum, i, w)
+                if r not in words:
+                    # s_i applied after the word reaching w
+                    words[r] = (i,) + base
+                    nxt.append(r)
+        frontier = nxt
+    assert len(words) == datum.weyl_order
+    return sorted(words.values(), key=lambda w: (len(w), w))
+
+
+_EXCEPTIONAL_WEYL_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+                           ("F", 4): 1152, ("G", 2): 12}
+
+
+def weyl_group_order(family: str, rank: int) -> int:
+    """Order of the Weyl group of a simple type, from the classical table."""
+    if family == "A":
+        return factorial(rank + 1)
+    if family in ("B", "C"):
+        return 2 ** rank * factorial(rank)
+    if family == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return _EXCEPTIONAL_WEYL_ORDER[(family, rank)]
+
+
+def table_weyl_order(datum) -> int:
+    order = 1
+    for family, r in datum.ctype.factors:
+        order *= weyl_group_order(family, r)
+    return order
+
+
+def classifier_orbit_size(datum, lam) -> int:
+    """|W . lam| for dominant lam, via the parabolic stabilizer W_J, J = zeros,
+    each component of J classified by its Dynkin shape."""
+    lam = datum.check_weight(lam)
+    if any(x < 0 for x in lam):
+        raise ValueError("orbit_size expects a dominant weight")
+    zero_nodes = [i for i, x in enumerate(lam) if x == 0]
+    stab = 1
+    for comp in _connected_components(datum, zero_nodes):
+        stab *= _component_weyl_order(datum, comp)
+    order = table_weyl_order(datum)
+    assert order % stab == 0
+    return order // stab
+
+
+def _connected_components(datum, nodes) -> list[list[int]]:
+    nodes = set(nodes)
+    comps = []
+    while nodes:
+        start = min(nodes)
+        comp, stack = [], [start]
+        nodes.discard(start)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in datum.neighbors[v]:
+                if u in nodes:
+                    nodes.discard(u)
+                    stack.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _component_weyl_order(datum, comp: list[int]) -> int:
+    """Weyl order of an irreducible induced subdiagram, classified by shape."""
+    n = len(comp)
+    if n == 1:
+        return 2
+    inside = set(comp)
+    deg = {i: sum(1 for j in datum.neighbors[i] if j in inside) for i in comp}
+    bonds = [(i, j) for i in comp for j in comp
+             if i < j and datum.cartan[i][j] * datum.cartan[j][i] > 1]
+    triple = any(datum.cartan[i][j] * datum.cartan[j][i] == 3 for i, j in bonds)
+    if triple:
+        return weyl_group_order("G", 2)
+    if bonds:
+        i, j = bonds[0]
+        if deg[i] == 1 or deg[j] == 1:
+            return weyl_group_order("B", n)
+        return weyl_group_order("F", 4)
+    branch = [i for i in comp if deg[i] == 3]
+    if not branch:
+        return weyl_group_order("A", n)
+    arms = sorted(_arm_lengths(datum, branch[0], inside))
+    if arms[0] == 1 and arms[1] == 1:
+        return weyl_group_order("D", n)
+    return weyl_group_order("E", n)
+
+
+def _arm_lengths(datum, center: int, inside: set[int]) -> list[int]:
+    lengths = []
+    for start in datum.neighbors[center]:
+        if start not in inside:
+            continue
+        length, prev, cur = 1, center, start
+        while True:
+            nxt = [u for u in datum.neighbors[cur] if u in inside and u != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        lengths.append(length)
+    return lengths
+
+
+def int_det(matrix) -> int:
+    """Exact determinant by fraction-free expansion (small matrices only)."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    if n == 1:
+        return matrix[0][0]
+    total = 0
+    for j in range(n):
+        if matrix[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+        total += (-1) ** j * matrix[0][j] * int_det(minor)
+    return total

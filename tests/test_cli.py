@@ -156,3 +156,18 @@ def test_decompose_out_of_int64_range_is_input_error(lhs):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "input"
+
+
+def test_verify_oversized_box_is_input_error():
+    # a subprocess with a timeout, so that a run that starts building the
+    # whole box (2.1e8 weights) fails instead of hanging the suite
+    src = str(Path(weightlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "weightlab.cli", "verify", "--type", "E8",
+                           "--generators", "1,0,0,0,0,0,0,0", "--box", "10"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "input"

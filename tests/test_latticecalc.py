@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -6,6 +7,7 @@ from weightlab import (Subgroup, annihilator, enumerate_subgroups, fundamental_g
                        project_to_cocenter, quotient_subgroups, smith_normal_form,
                        weight_kills_subgroup)
 from conftest import get_datum
+from oracles import int_det
 
 KNOWN_COCENTERS = {
     "A1": (2,), "A2": (3,), "A3": (4,), "A4": (5,), "A5": (6,), "A6": (7,),
@@ -162,3 +164,12 @@ def test_annihilator_index():
         for H in enumerate_subgroups(g):
             ann = annihilator(g, H)
             assert ann.order * H.order == g.order
+
+
+@pytest.mark.parametrize("type_string", [f"A{n}" for n in range(1, 9)]
+                         + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(2, 9)]
+                         + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+def test_smith_diagonal_is_cartan_determinant(type_string):
+    cartan = get_datum(type_string).cartan
+    s, _, _ = smith_normal_form(cartan)
+    assert prod(s[i][i] for i in range(len(cartan))) == abs(int_det(cartan))

@@ -225,3 +225,17 @@ def test_monoid_spec_validation():
         MonoidSpec(a2, ((1, 0),))  # not in the adjoint lattice
     with pytest.raises(ValueError):
         MonoidSpec(get_datum("A2"), ((-1, 0),))
+
+
+def test_box_region_refuses_oversized_boxes(monkeypatch):
+    # 11^8 = 2.1e8 weights would exhaust memory; refused before allocating
+    with pytest.raises(ValueError):
+        Box(10).region(get_datum("E8"))
+    with pytest.raises(ValueError):
+        verify_classification(MonoidSpec(get_datum("E8"), ((1, 0, 0, 0, 0, 0, 0, 0),)),
+                              Box(10))
+    # the cap itself is inclusive
+    monkeypatch.setattr(perfectmonoid, "MAX_REGION", 100)
+    assert len(Box(9).region(get_datum("A2"))) == 100
+    with pytest.raises(ValueError):
+        Box(10).region(get_datum("A2"))

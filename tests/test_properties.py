@@ -1,19 +1,20 @@
 """Property tests on hypothesis-drawn weights: the dominant-weight walk, the
-orbit walk and the Brauer-Klimyk fold against the oracles in oracles.py,
-orbit sizes, commutativity of tensor products, and conservation of
-dimension."""
+orbit walk, orbit sizes, Weyl group orders and elements, and the
+Brauer-Klimyk fold against the oracles in oracles.py, commutativity of
+tensor products, and conservation of dimension."""
 
 from math import floor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weightlab import (character, orbit, orbit_size, root_coordinates, tensor_decompose,
-                       weyl_dimension)
+                       weyl_dimension, weyl_group_elements)
 from weightlab.charcalc import _below_with_depth
 from weightlab.tensor import _expanded_table, _klimyk
 from conftest import get_datum
-from oracles import bfs_orbit, box_below_with_depth, brute_tensor, unique_klimyk
+from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
+                     classifier_orbit_size, table_weyl_order, unique_klimyk)
 
 # every simple type of rank <= 6, and two products
 TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
@@ -25,6 +26,12 @@ SMALL_WEYL = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "C4", "D3",
 # every simple type of rank <= 4, and two products
 RANK4 = (["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
           "F4", "G2", "A1xA2", "B2xG2"])
+# every simple type of rank <= 8, and three products
+RANK8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+         + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+         + ["E6", "E7", "E8", "F4", "G2", "A1xA2", "B2xG2", "A3xD4"])
+# the types above whose Weyl group has at most 2000 elements, and A1xA1
+WEYL_2000 = [t for t in RANK8 if table_weyl_order(get_datum(t)) <= 2000] + ["A1xA1"]
 
 
 def box_volume(datum, lam) -> int:
@@ -76,6 +83,31 @@ def test_orbit_matches_bfs_oracle(type_string, data):
     dominant = [w for w in orb if min(w) >= 0]
     assert len(dominant) == 1
     assert len(orb) == orbit_size(datum, dominant[0])
+
+
+@pytest.mark.parametrize("type_string", RANK8)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_orbit_size_matches_classifier_on_every_zero_pattern(type_string, data):
+    # the orbit size depends only on which coordinates are zero; the drawn
+    # values fill the others
+    datum = get_datum(type_string)
+    values = data.draw(st.tuples(*[st.integers(1, 5)] * datum.rank), label="values")
+    for zeros in range(1 << datum.rank):
+        lam = tuple(0 if zeros >> i & 1 else v for i, v in enumerate(values))
+        assert orbit_size(datum, lam) == classifier_orbit_size(datum, lam)
+
+
+@pytest.mark.parametrize("type_string", RANK8)
+def test_weyl_order_matches_table(type_string):
+    datum = get_datum(type_string)
+    assert datum.weyl_order == table_weyl_order(datum)
+
+
+@pytest.mark.parametrize("type_string", WEYL_2000)
+def test_weyl_group_elements_match_bfs_oracle(type_string):
+    datum = get_datum(type_string)
+    assert weyl_group_elements(datum) == bfs_weyl_group_elements(datum)
 
 
 @pytest.mark.parametrize("type_string", TYPES)

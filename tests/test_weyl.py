@@ -5,6 +5,7 @@ import pytest
 from weightlab import (apply_word, dominance_leq, dual_weight, make_dominant,
                        orbit, orbit_size, reflect, w0_action, weyl_group_elements,
                        word_sign)
+from weightlab import weyl
 from weightlab.rootdata import wneg
 from conftest import get_datum
 
@@ -168,3 +169,13 @@ def test_weyl_group_elements_counts():
     assert len(weyl_group_elements(get_datum("B2"))) == 8
     assert len(weyl_group_elements(get_datum("A1xA1"))) == 4
     assert len(weyl_group_elements(get_datum("G2"))) == 12
+
+
+def test_weyl_group_elements_refuses_large_groups(monkeypatch):
+    with pytest.raises(ValueError):
+        weyl_group_elements(get_datum("E7"))
+    # the cap itself is inclusive
+    monkeypatch.setattr(weyl, "MAX_WEYL_ELEMENTS", 8)
+    assert len(weyl_group_elements(get_datum("B2"))) == 8
+    with pytest.raises(ValueError):
+        weyl_group_elements(get_datum("A3"))
