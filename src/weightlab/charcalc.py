@@ -159,11 +159,8 @@ def weyl_dimension(datum: RootDatum, lam: Weight) -> int:
 
 def expand_character(datum: RootDatum, char: Character) -> dict[Weight, int]:
     """Full W-invariant multiplicity map underlying a character."""
-    out: dict[Weight, int] = {}
-    for w, m in char.entries.items():
-        for v in orbit(datum, w):
-            out[v] = m
-    return out
+    rows, mults = expanded_weight_table(datum, char)
+    return dict(zip(map(tuple, rows.tolist()), mults.tolist()))
 
 
 def expanded_weight_table(datum: RootDatum, char: Character):

@@ -16,6 +16,9 @@ from math import prod
 
 from .rootdata import RootDatum, Weight
 
+# largest group whose subgroups enumerate_subgroups lists
+MAX_SUBGROUP_ORDER = 256
+
 
 def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (S, U, V) with S = U * matrix * V diagonal, d_i | d_{i+1},
@@ -255,10 +258,10 @@ class Subgroup:
                 "elements": [list(e) for e in self.members]}
 
 
-def enumerate_subgroups(group: FinAbGroup, max_order: int = 256) -> list[Subgroup]:
+def enumerate_subgroups(group: FinAbGroup) -> list[Subgroup]:
     """Every subgroup exactly once, canonically ordered."""
-    if group.order > max_order:
-        raise ValueError(f"group of order {group.order} exceeds bound {max_order}")
+    if group.order > MAX_SUBGROUP_ORDER:
+        raise ValueError(f"group of order {group.order} exceeds bound {MAX_SUBGROUP_ORDER}")
     elements = group.elements()
     found: dict[tuple, Subgroup] = {}
     trivial = Subgroup.generated(group, ())
@@ -279,10 +282,9 @@ def enumerate_subgroups(group: FinAbGroup, max_order: int = 256) -> list[Subgrou
     return sorted(found.values(), key=lambda s: (s.order, s.members))
 
 
-def quotient_subgroups(group: FinAbGroup, zprime: Subgroup,
-                       max_order: int = 256) -> list[Subgroup]:
+def quotient_subgroups(group: FinAbGroup, zprime: Subgroup) -> list[Subgroup]:
     """Subgroups containing zprime; these biject with subgroups of the quotient."""
-    return [s for s in enumerate_subgroups(group, max_order) if zprime <= s]
+    return [s for s in enumerate_subgroups(group) if zprime <= s]
 
 
 def weight_kills_subgroup(group: FinAbGroup, lam: Weight, dual_subgroup: Subgroup) -> bool:

@@ -175,21 +175,16 @@ def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
     for g in spec.generators:
         if g not in box:
             raise ValueError(f"generator {g} lies outside the box (bound {box.bound})")
-    members: set[Weight] = {(0,) * datum.rank, *spec.generators}
-    processed: set[tuple[Weight, Weight]] = set()
+    order = sorted({(0,) * datum.rank, *spec.generators})
+    members = set(order)
     envelope = _BoxEnvelope(datum, box)
-    while True:
-        before = len(members)
-        pairs = sorted(combinations_with_replacement(sorted(members), 2),
-                       key=lambda p: (sum(p[0]) + sum(p[1]), p))
-        for pair in pairs:
-            if pair in processed:
-                continue
-            processed.add(pair)
-            # membership only grows, so a pair that adds nothing now never will
-            members.update(_pair_adds(envelope, members, *pair))
-        if len(members) == before:
-            break
+    # each pair is settled once, when its later member b is reached; members
+    # only grow, so a pair that adds nothing then never will
+    for j, b in enumerate(order):
+        for a in order[:j + 1]:
+            adds = _pair_adds(envelope, members, a, b)
+            members.update(adds)
+            order.extend(adds)
     return members
 
 
@@ -245,8 +240,7 @@ def verify_classification(spec: MonoidSpec, box: Box) -> ClassificationReport:
         box=box)
 
 
-def enumerate_perfect(datum: RootDatum, support,
-                      max_order: int = 256) -> list[PerfectDescriptor]:
+def enumerate_perfect(datum: RootDatum, support) -> list[PerfectDescriptor]:
     """All perfect submonoids with the given component support, one
     descriptor per admissible cocenter subgroup (those whose classes the
     chosen lattice actually contains)."""
@@ -262,7 +256,7 @@ def enumerate_perfect(datum: RootDatum, support,
         if all(x == 0 for x in cocenter.restrict_element(
             h, frozenset(range(1, datum.n_factors + 1)) - support))}
     admissible = latticecalc.Subgroup(restricted, tuple(sorted(lattice_classes)))
-    subs = latticecalc.enumerate_subgroups(restricted, max_order)
+    subs = latticecalc.enumerate_subgroups(restricted)
     return [PerfectDescriptor(support, s) for s in subs if s <= admissible]
 
 

@@ -167,9 +167,14 @@ class LatticeSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "LatticeSpec":
-        mode = obj.get("mode", "sc")
-        gens = tuple(tuple(int(x) for x in g) for g in obj.get("generators", ()))
-        return LatticeSpec(mode, gens)
+        if not isinstance(obj, dict):
+            raise RootDataError(f"lattice spec must be a JSON object, got {obj!r}")
+        gens = obj.get("generators", [])
+        # bool is a subclass of int, so true would pass as 1
+        if not (isinstance(gens, list) and all(
+                isinstance(g, list) and all(type(x) is int for x in g) for g in gens)):
+            raise RootDataError(f"lattice generators must be lists of integers, got {gens!r}")
+        return LatticeSpec(obj.get("mode", "sc"), tuple(tuple(g) for g in gens))
 
 
 @dataclass(frozen=True)

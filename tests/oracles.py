@@ -3,13 +3,14 @@
 Everything here deliberately avoids the code paths under test: multiplicities
 come from a Kostant-style alternating sum over the whole Weyl group with a
 brute-force vector partition count, tensor products from multiplying
-fully expanded weight systems and stripping highest weights, the dominant
+weight systems expanded by BFS orbits and stripping highest weights, the dominant
 weights below a highest weight from a walk over the whole root-coordinate
 box, orbits and Weyl group elements from breadth-first searches over simple
 reflections, orbit sizes from the Dynkin shape of each stabilizer and the
 classical table of Weyl group orders, determinants from cofactor expansion,
-and the Brauer-Klimyk fold from its earlier implementation
-(leftmost-negative reflection rounds, then ``np.unique`` over rows).
+the Brauer-Klimyk fold from its earlier implementation
+(leftmost-negative reflection rounds, then ``np.unique`` over rows), and
+box closures from the earlier sweep-until-stable loop.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import factorial, floor
 
 import numpy as np
 
-from weightlab import (apply_word, character, expand_character, reflect,
-                       root_coordinates, word_sign)
-from weightlab.rootdata import wadd, wsub
+from weightlab import apply_word, character, reflect, root_coordinates, word_sign
+from weightlab.perfectmonoid import _BoxEnvelope, _pair_adds
+from weightlab.rootdata import Weight, wadd, wsub
 from weightlab.tensor import _expanded_table
 
 
@@ -71,7 +73,9 @@ def kostant_multiplicity(datum, lam, mu) -> int:
 
 
 def expanded(datum, lam) -> dict:
-    return expand_character(datum, character(datum, lam))
+    """Full weight system of L(lam), each dominant weight's orbit by BFS."""
+    return {v: m for w, m in character(datum, lam).entries.items()
+            for v in bfs_orbit(datum, w)}
 
 
 def brute_tensor(datum, lam, mu) -> dict:
@@ -336,3 +340,29 @@ def int_det(matrix) -> int:
         minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
         total += (-1) ** j * matrix[0][j] * int_det(minor)
     return total
+
+
+def sweep_perfect_closure(spec, box) -> set:
+    """Box closure as weightlab computed it before the one-pass loop: sweeps
+    over every pair of members, sorted by total height, skipping pairs
+    already processed, until a sweep adds nothing."""
+    datum = spec.datum
+    for g in spec.generators:
+        if g not in box:
+            raise ValueError(f"generator {g} lies outside the box (bound {box.bound})")
+    members: set[Weight] = {(0,) * datum.rank, *spec.generators}
+    processed: set[tuple[Weight, Weight]] = set()
+    envelope = _BoxEnvelope(datum, box)
+    while True:
+        before = len(members)
+        pairs = sorted(combinations_with_replacement(sorted(members), 2),
+                       key=lambda p: (sum(p[0]) + sum(p[1]), p))
+        for pair in pairs:
+            if pair in processed:
+                continue
+            processed.add(pair)
+            # membership only grows, so a pair that adds nothing now never will
+            members.update(_pair_adds(envelope, members, *pair))
+        if len(members) == before:
+            break
+    return members

@@ -17,9 +17,11 @@ from weightlab.rootdata import wneg
 from conftest import get_datum
 from oracles import brute_tensor, random_dominant
 
-# Expanded-weight-system cap for tensor confirmations inside chain checks.
-# 2e6 rows decompose in ~0.3 s; the unreachable steps sit at 1.4e9 (D5 stage
-# two) and 6.9e10 (E6 at the all-ones weight), far beyond any exact method.
+# Cap on the smaller factor's dimension for tensor confirmations inside chain
+# checks. It skips 1 of 2 PRV steps of D5, 6 of 6 of E6, 18 of 20 of A5 and
+# 30 of 30 of A6. The cap counts dimension, not distinct weights: D5 stage
+# two has dimension 1.4e9 but 276,689 distinct weights and is confirmed
+# exactly in under 2 s with no budget.
 TENSOR_BUDGET = 2_000_000
 
 RANK_LE_3 = ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "D3", "G2"]

@@ -171,3 +171,23 @@ def test_verify_oversized_box_is_input_error():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "input"
+
+
+@pytest.mark.parametrize("lattice", [
+    '{"mode": "subgroup", "generators": [2]}',
+    '{"mode": "subgroup", "generators": [[1.5]]}',
+    '{"mode": "subgroup", "generators": [[true]]}',
+])
+def test_malformed_lattice_json_is_usage_error(lattice):
+    # exit 1 is reserved for verification failures; a generator that is no
+    # list of integers is an input error, neither a traceback nor truncated
+    src = str(Path(weightlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "weightlab.cli", "closure", "--type", "A3",
+                           "--lattice", lattice, "--generators", "0,1,0", "--box", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "usage"

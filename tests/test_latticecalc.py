@@ -3,6 +3,7 @@ from math import prod
 
 import pytest
 
+from weightlab import latticecalc
 from weightlab import (Subgroup, annihilator, enumerate_subgroups, fundamental_group,
                        project_to_cocenter, quotient_subgroups, smith_normal_form,
                        weight_kills_subgroup)
@@ -115,9 +116,18 @@ def test_cyclic_subgroup_count_is_divisor_count():
         assert len(enumerate_subgroups(group)) == tau(n + 1)
 
 
-def test_enumeration_bound():
+def test_enumeration_bound(monkeypatch):
+    monkeypatch.setattr(latticecalc, "MAX_SUBGROUP_ORDER", 5)
     with pytest.raises(ValueError):
-        enumerate_subgroups(get_datum("A6").cocenter, max_order=5)
+        enumerate_subgroups(get_datum("A6").cocenter)
+
+
+def test_enumeration_bound_is_inclusive(monkeypatch):
+    # Z/7 has exactly the trivial group and itself
+    monkeypatch.setattr(latticecalc, "MAX_SUBGROUP_ORDER", 7)
+    assert len(enumerate_subgroups(get_datum("A6").cocenter)) == 2
+    with pytest.raises(ValueError):
+        enumerate_subgroups(get_datum("A7").cocenter)
 
 
 def test_quotient_subgroups():

@@ -1,6 +1,6 @@
 import pytest
 
-from weightlab import (Box, LatticeSpec, MonoidSpec, bounded_perfect_closure,
+from weightlab import (Box, LatticeSpec, MonoidSpec, RootDataError, bounded_perfect_closure,
                        build_root_datum, classify, component_support, dominant_weights_below,
                        enumerate_perfect, is_perfect_in_box, is_saturated_monoid,
                        predicted_members, root_coordinates, tensor_decompose,
@@ -197,9 +197,9 @@ def members_key(members):
 
 
 def test_closure_settles_most_pairs_without_decomposing(monkeypatch):
-    # serial absorption lets the envelope settle a pair as soon as its
-    # summands are present; a sweep that queued every unsettled pair before
-    # absorbing any made 38,051 decompositions here instead of 325
+    # each pair is settled when its later member is reached, after the
+    # summands of every earlier pair were absorbed, so the envelope settles
+    # all but 243 of the 58,996 pairs here without decomposing them
     calls = []
 
     def counting(datum, lam, mu):
@@ -209,7 +209,23 @@ def test_closure_settles_most_pairs_without_decomposing(monkeypatch):
     monkeypatch.setattr(perfectmonoid, "tensor_decompose", counting)
     members = bounded_perfect_closure(MonoidSpec(get_datum("A3"), ((1, 0, 0),)), Box(6))
     assert len(members) == 343
-    assert len(calls) <= 325
+    assert len(calls) <= 243
+
+
+def test_closure_settles_each_pair_once(monkeypatch):
+    calls = []
+
+    def counting(envelope, members, a, b):
+        calls.append((a, b))
+        return pair_adds(envelope, members, a, b)
+
+    pair_adds = perfectmonoid._pair_adds
+    monkeypatch.setattr(perfectmonoid, "_pair_adds", counting)
+    members = bounded_perfect_closure(MonoidSpec(get_datum("A3"), ((1, 0, 0),)), Box(6))
+    m = len(members)
+    assert m == 343
+    assert len(calls) == m * (m + 1) // 2
+    assert len({frozenset(pair) for pair in calls}) == len(calls)
 
 
 def test_spec_json_round_trip():
@@ -217,6 +233,12 @@ def test_spec_json_round_trip():
     again = MonoidSpec.from_json(spec.to_json())
     assert again.generators == spec.generators
     assert str(again.datum.ctype) == "A2"
+
+
+def test_spec_from_json_rejects_malformed_lattice():
+    with pytest.raises(RootDataError):
+        MonoidSpec.from_json({"type": "A3", "generators": [[0, 1, 0]],
+                              "lattice": {"mode": "subgroup", "generators": [[1.5]]}})
 
 
 def test_monoid_spec_validation():

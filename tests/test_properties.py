@@ -1,20 +1,23 @@
 """Property tests on hypothesis-drawn weights: the dominant-weight walk, the
-orbit walk, orbit sizes, Weyl group orders and elements, and the
-Brauer-Klimyk fold against the oracles in oracles.py, commutativity of
-tensor products, and conservation of dimension."""
+orbit walk, orbit sizes, Weyl group orders and elements, expanded weight
+systems, the Brauer-Klimyk fold and box closures against the oracles in
+oracles.py, commutativity of tensor products, and conservation of
+dimension."""
 
 from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightlab import (character, orbit, orbit_size, root_coordinates, tensor_decompose,
-                       weyl_dimension, weyl_group_elements)
+from weightlab import (Box, MonoidSpec, bounded_perfect_closure, character, expand_character,
+                       in_lattice, is_perfect_in_box, orbit, orbit_size, root_coordinates,
+                       tensor_decompose, weyl_dimension, weyl_group_elements)
 from weightlab.charcalc import _below_with_depth
 from weightlab.tensor import _expanded_table, _klimyk
 from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
-                     classifier_orbit_size, table_weyl_order, unique_klimyk)
+                     classifier_orbit_size, expanded, sweep_perfect_closure, table_weyl_order,
+                     unique_klimyk)
 
 # every simple type of rank <= 6, and two products
 TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
@@ -32,6 +35,8 @@ RANK8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
          + ["E6", "E7", "E8", "F4", "G2", "A1xA2", "B2xG2", "A3xD4"])
 # the types above whose Weyl group has at most 2000 elements, and A1xA1
 WEYL_2000 = [t for t in RANK8 if table_weyl_order(get_datum(t)) <= 2000] + ["A1xA1"]
+# small types whose box closures the sweep oracle recomputes
+CLOSURE_TYPES = ["A1", "A2", "B2", "G2", "A1xA1", "A3"]
 
 
 def box_volume(datum, lam) -> int:
@@ -108,6 +113,14 @@ def test_weyl_order_matches_table(type_string):
 def test_weyl_group_elements_match_bfs_oracle(type_string):
     datum = get_datum(type_string)
     assert weyl_group_elements(datum) == bfs_weyl_group_elements(datum)
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_expand_character_matches_bfs_expansion(type_string, data):
+    datum = get_datum(type_string)
+    lam = data.draw(dominant_weights(datum, max_box=500), label="lam")
+    assert expand_character(datum, character(datum, lam)) == expanded(datum, lam)
 
 
 @pytest.mark.parametrize("type_string", TYPES)
@@ -191,3 +204,18 @@ def test_tensor_product_conserves_dimension(type_string, data):
     summands = tensor_decompose(datum, lam, mu).summands
     assert sum(m * weyl_dimension(datum, nu) for nu, m in summands.items()) \
         == weyl_dimension(datum, lam) * weyl_dimension(datum, mu)
+
+
+@pytest.mark.parametrize("mode", ["sc", "adjoint"])
+@pytest.mark.parametrize("type_string", CLOSURE_TYPES)
+@given(data=st.data())
+def test_closure_matches_sweep_oracle(type_string, mode, data):
+    datum = get_datum(type_string, mode)
+    in_lattice_weights = [w for w in Box(2).region(datum) if in_lattice(datum, w)]
+    gens = data.draw(st.lists(st.sampled_from(in_lattice_weights), min_size=1, max_size=2),
+                     label="generators")
+    box = Box(data.draw(st.integers(2, 5), label="box"))
+    spec = MonoidSpec(datum, tuple(gens))
+    closure = bounded_perfect_closure(spec, box)
+    assert closure == sweep_perfect_closure(spec, box)
+    assert is_perfect_in_box(datum, closure, box)

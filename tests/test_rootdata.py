@@ -212,6 +212,30 @@ def test_bad_subgroup_generator_arity():
         build_root_datum("A2", LatticeSpec("subgroup", ((1, 0),)))
 
 
+def test_lattice_spec_json_round_trip():
+    for spec in [LatticeSpec("sc"), LatticeSpec("adjoint"), LatticeSpec("subgroup", ((2,),)),
+                 LatticeSpec("subgroup", ((1, 1), (0, 1)))]:
+        assert LatticeSpec.from_json(spec.to_json()) == spec
+    assert LatticeSpec.from_json({}) == LatticeSpec("sc")
+
+
+@pytest.mark.parametrize("obj", [
+    {"mode": "subgroup", "generators": [2]},         # a generator that is no list
+    {"mode": "subgroup", "generators": [[1.5]]},     # not to be truncated to [[1]]
+    {"mode": "subgroup", "generators": [[True]]},    # not to be read as [[1]]
+    {"mode": "subgroup", "generators": [["1"]]},
+    {"mode": "subgroup", "generators": [[None]]},
+    {"mode": "subgroup", "generators": 2},
+    {"mode": "subgroup", "generators": "12"},
+    {"mode": "subgroup", "generators": {"0": [1]}},
+    [["subgroup"]],
+    "sc",
+])
+def test_lattice_spec_from_json_rejects_malformed(obj):
+    with pytest.raises(RootDataError):
+        LatticeSpec.from_json(obj)
+
+
 def test_weight_length_validation():
     datum = get_datum("A2")
     with pytest.raises(RootDataError):
