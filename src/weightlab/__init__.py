@@ -11,7 +11,7 @@ from .weyl import (apply_word, dominance_leq, dual_weight, make_dominant, orbit,
                    orbit_size, reflect, w0_action, weyl_group_elements, word_sign)
 from .charcalc import (Character, character, dominant_weights_below,
                        expand_character, is_saturated_weight_set, weyl_dimension)
-from .tensor import (DominanceRegimeError, TensorBudgetError, TensorDecomposition,
+from .tensor import (DominanceRegimeError, TensorDecomposition, tensor_multiplicity,
                      prv_component, stable_multiplicity_check, tensor_decompose,
                      x_support)
 from .latticecalc import (FinAbGroup, Subgroup, annihilator, enumerate_subgroups,

@@ -148,7 +148,6 @@ def build_parser() -> _Parser:
     p.add_argument("--factor", type=int, default=0,
                    help="run the single-factor recipe on this 1-based factor")
     p.add_argument("--check", action="store_true", help="replay and verify the chain")
-    p.add_argument("--tensor-budget", type=int, default=None)
 
     p = subs.add_parser("prv-check", help="randomized summand-membership property run")
     _add_common(p)
@@ -224,7 +223,7 @@ def _cmd_construct(args) -> int:
     payload = {"params": _params(args), **trace.to_json()}
     status = 0
     if args.check:
-        report = check_prv_chain(datum, trace, tensor_budget=args.tensor_budget)
+        report = check_prv_chain(datum, trace)
         payload["check"] = {"ok": report.ok, "prv_steps": report.prv_steps,
                             "tensor_checked": report.tensor_checked,
                             "failures": list(report.failures)}

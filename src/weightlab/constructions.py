@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import weyl
 from .charcalc import character, expand_character
-from .rootdata import RootDatum, Weight, wadd, wneg
-from .tensor import TensorBudgetError, prv_component, tensor_decompose
+from .rootdata import RootDataError, RootDatum, Weight, is_int_list, wadd, wneg
+from .tensor import prv_component, tensor_multiplicity
+# unused here; the perfbench tracer wraps constructions.tensor_decompose by name
+from .tensor import tensor_decompose  # noqa: F401
 from .weyl import w0_action
 
 
@@ -41,11 +44,13 @@ class TraceStep:
 
     @staticmethod
     def from_json(obj: dict) -> "TraceStep":
-        word = obj.get("word")
-        return TraceStep(tuple(int(x) for x in obj["weight"]), obj["kind"],
-                         left=obj.get("left"),
-                         word=None if word is None else tuple(int(x) for x in word),
-                         right=obj.get("right"))
+        weight, word = obj["weight"], obj.get("word")
+        left, right = obj.get("left"), obj.get("right")
+        if not is_int_list(weight) or not (word is None or is_int_list(word)) \
+                or any(i is not None and type(i) is not int for i in (left, right)):
+            raise RootDataError(f"malformed trace step {obj!r}")
+        return TraceStep(tuple(weight), obj["kind"], left=left,
+                         word=None if word is None else tuple(word), right=right)
 
 
 @dataclass(frozen=True)
@@ -321,14 +326,14 @@ class ChainReport:
         return self.tensor_checked == self.prv_steps
 
 
-def check_prv_chain(datum: RootDatum, trace: ConstructionTrace,
-                    tensor_budget: int | None = None) -> ChainReport:
+def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
     """Replay a trace exactly: sums literal, PRV weights recomputed, and each
     PRV step confirmed as a tensor summand of its parents.
 
-    The tensor confirmation expands the smaller factor's weight system; with
-    a budget, oversized steps keep the exact arithmetic checks but skip the
-    expansion (reported via ``tensor_checked``).
+    The confirmation is one coefficient, ``tensor_multiplicity``, which walks
+    the |W| points of one regular orbit.  When |W| exceeds
+    ``weyl.MAX_WEYL_ELEMENTS`` the steps keep the exact arithmetic checks
+    but skip the confirmation (reported via ``tensor_checked``).
     """
     failures: list[str] = []
     prv_steps = 0
@@ -352,20 +357,17 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace,
         if step.weight != expected:
             failures.append(f"step {idx}: recorded weight {step.weight} != replay {expected}")
             continue
-        try:
-            decomposition = tensor_decompose(datum, lw, rw, max_expanded=tensor_budget)
-        except TensorBudgetError:
+        if datum.weyl_order > weyl.MAX_WEYL_ELEMENTS:
             continue
         tensor_checked += 1
-        if step.weight not in decomposition.summands:
+        if not tensor_multiplicity(datum, lw, rw, step.weight):
             failures.append(
                 f"step {idx}: {step.weight} is not a summand of {lw} (x) {rw}")
     return ChainReport(not failures, prv_steps, tensor_checked, tuple(failures))
 
 
-def verify_prv_chain(datum: RootDatum, trace: ConstructionTrace,
-                     tensor_budget: int | None = None) -> bool:
-    return check_prv_chain(datum, trace, tensor_budget).ok
+def verify_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> bool:
+    return check_prv_chain(datum, trace).ok
 
 
 def smallest_dominating_multiple(datum: RootDatum, lam: Weight, omega: Weight) -> int:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
-from math import lcm
 
 import numpy as np
 
 from . import latticecalc
-from .rootdata import RootDatum, LatticeSpec, Weight, build_root_datum, in_lattice, wadd
+from .rootdata import (LatticeSpec, RootDataError, RootDatum, Weight, build_root_datum,
+                       in_lattice, is_int_list, wadd)
 from .tensor import tensor_decompose
 
 # most weights Box.region lists; refused before anything is allocated
@@ -69,8 +69,10 @@ class MonoidSpec:
     @staticmethod
     def from_json(obj: dict) -> "MonoidSpec":
         datum = build_root_datum(obj["type"], LatticeSpec.from_json(obj.get("lattice", {})))
-        gens = tuple(tuple(int(x) for x in g) for g in obj.get("generators", ()))
-        return MonoidSpec(datum, gens)
+        gens = obj.get("generators", [])
+        if not (isinstance(gens, list) and all(is_int_list(g) for g in gens)):
+            raise RootDataError(f"generators must be lists of integers, got {gens!r}")
+        return MonoidSpec(datum, tuple(tuple(g) for g in gens))
 
 
 @dataclass(frozen=True)
@@ -130,26 +132,20 @@ def predicted_members(datum: RootDatum, desc: PerfectDescriptor, box: Box) -> se
 class _BoxEnvelope:
     """In-box dominant weights below a given Cartan weight in its coset --
     the superset every tensor summand must land in.  Vectorized over the box
-    with exact integer arithmetic (det * C^-1 is an integer matrix)."""
+    with exact integer arithmetic (:meth:`RootDatum.in_root_cone`)."""
 
     def __init__(self, datum: RootDatum, box: Box):
         self.datum = datum
         self.box = box
         self.region = box.region(datum)
         self._rows = np.array(self.region, dtype=np.int64)
-        frac_inv = datum.inverse_cartan
-        det = lcm(*(entry.denominator for row in frac_inv for entry in row))
-        self._det = det
-        self._adj = np.array(
-            [[int(entry * det) for entry in row] for row in frac_inv], dtype=np.int64)
         self._cache: dict[Weight, frozenset[Weight]] = {}
 
     def below(self, total: Weight) -> frozenset[Weight]:
         cached = self._cache.get(total)
         if cached is None:
             diff = np.asarray(total, dtype=np.int64)[None, :] - self._rows
-            coords = diff @ self._adj.T
-            mask = (coords >= 0).all(axis=1) & (coords % self._det == 0).all(axis=1)
+            mask = self.datum.in_root_cone(diff)
             cached = frozenset(self.region[i] for i in np.nonzero(mask)[0])
             self._cache[total] = cached
         return cached

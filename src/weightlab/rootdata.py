@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -143,6 +144,12 @@ def _symmetrizer_block(family: str, rank: int) -> list[int]:
     return [1] * rank
 
 
+def is_int_list(value) -> bool:
+    """Whether a JSON value is a list of plain ints; bool is a subclass of
+    int, so true would pass as 1, and int() would truncate 1.5."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Character lattice between Q and P.
@@ -170,9 +177,7 @@ class LatticeSpec:
         if not isinstance(obj, dict):
             raise RootDataError(f"lattice spec must be a JSON object, got {obj!r}")
         gens = obj.get("generators", [])
-        # bool is a subclass of int, so true would pass as 1
-        if not (isinstance(gens, list) and all(
-                isinstance(g, list) and all(type(x) is int for x in g) for g in gens)):
+        if not (isinstance(gens, list) and all(is_int_list(g) for g in gens)):
             raise RootDataError(f"lattice generators must be lists of integers, got {gens!r}")
         return LatticeSpec(obj.get("mode", "sc"), tuple(tuple(g) for g in gens))
 
@@ -214,6 +219,12 @@ class RootDatum:
             tuple(cartan[i][j] for i in range(self.rank)) for j in range(self.rank))
         self._np_cartan_cols = np.array(self.cartan, dtype=np.int64)  # [:, j] = alpha_j
         self.inverse_cartan = _invert_exact(self.cartan)
+        # det * C^-1 as an integer matrix, det the least common denominator
+        # of C^-1: lam has root coordinates (adjugate @ lam) / det
+        self._det = lcm(*(entry.denominator for row in self.inverse_cartan for entry in row))
+        self._np_adjugate = np.array(
+            [[int(entry * self._det) for entry in row] for row in self.inverse_cartan],
+            dtype=np.int64)
         self.weyl_vector: Weight = (1,) * self.rank
         self.positive_roots = _generate_positive_roots(self)
         expected = sum(positive_root_count(f, r) for f, r in ctype.factors)
@@ -286,11 +297,22 @@ class RootDatum:
         return self._lattice_subgroup
 
     def check_weight(self, lam) -> Weight:
-        lam = tuple(int(x) for x in lam)
+        lam = tuple(lam)
         if len(lam) != self.rank:
             raise RootDataError(
                 f"weight {lam} has length {len(lam)}, expected rank {self.rank}")
+        for x in lam:
+            # int() would truncate 1.5, and bool is a subclass of int
+            if type(x) is not int:
+                raise RootDataError(f"weight {lam} has a coordinate {x!r} that is not an int")
         return lam
+
+    def in_root_cone(self, diffs: np.ndarray) -> np.ndarray:
+        """Mask of the rows of an (N, rank) int64 array that are nonnegative
+        integer combinations of simple roots, exactly: lam >= mu iff
+        lam - mu is such a row."""
+        coords = diffs @ self._np_adjugate.T
+        return (coords >= 0).all(axis=1) & (coords % self._det == 0).all(axis=1)
 
     def __repr__(self):
         return f"RootDatum({self.ctype}, {self.lattice.mode})"

@@ -1,4 +1,5 @@
-"""Tensor product decomposition, PRV components and structural checks.
+"""Tensor product decomposition, single tensor coefficients, PRV components
+and structural checks.
 
 The decomposition is a Brauer-Klimyk fold over the expanded weight system of
 the smaller factor.  Each weight nu gives x = nu + lam + rho.  Rows with a
@@ -11,9 +12,14 @@ representative in exactly l(w) steps, so the sign is (-1)^l(w).  The rows
 left, minus rho, are sorted once with ``np.lexsort`` and equal rows are
 summed with ``np.add.reduceat``.
 
-All of this is int64.  ``_check_int64`` refuses, before anything is
-allocated, a pair for which a coordinate or a running total could leave
-int64.
+A single coefficient, the multiplicity of L(nu) in L(lam) (x) L(mu), is the
+same alternating sum read from the other side (Racah-Speiser): one term per
+point of the regular orbit W(nu + rho), so it costs |W| points whatever the
+weights are, and it is what a PRV chain check asks for.
+
+All of this is int64.  ``_check_int64`` and ``_check_coefficient`` refuse,
+before anything is allocated, inputs for which a coordinate, a product or a
+running total could leave int64.
 """
 
 from __future__ import annotations
@@ -22,15 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import weyl
 from .charcalc import character, expanded_weight_table, expand_character, weyl_dimension
 from .rootdata import RootDatum, Weight, wadd
-from .weyl import apply_word, make_dominant
+from .weyl import apply_word, make_dominant, orbit
 
 INT64_MAX = np.iinfo(np.int64).max
-
-
-class TensorBudgetError(RuntimeError):
-    """Raised when a decomposition would exceed the allowed expanded size."""
 
 
 class DominanceRegimeError(ValueError):
@@ -56,8 +59,7 @@ class TensorDecomposition:
                              for w, m in self.sorted_items()]}
 
 
-def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight,
-                     max_expanded: int | None = None) -> TensorDecomposition:
+def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight) -> TensorDecomposition:
     """Decompose L(lam) (x) L(mu) into irreducibles with exact multiplicities."""
     lam = datum.check_weight(lam)
     mu = datum.check_weight(mu)
@@ -67,11 +69,6 @@ def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight,
     big, small = key
     if weyl_dimension(datum, big) < weyl_dimension(datum, small):
         big, small = small, big
-    # checked before the cache, so a tighter budget holds for cached pairs too
-    if max_expanded is not None and weyl_dimension(datum, small) > max_expanded:
-        raise TensorBudgetError(
-            f"expanded weight system of {small} has size "
-            f"{weyl_dimension(datum, small)} > budget {max_expanded}")
     summands = datum._tensor_cache.get(key)
     if summands is None:
         summands = _klimyk(datum, big, small)
@@ -111,18 +108,13 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     # coordinate i of every row, contiguous
     shift = np.array(wadd(lam, datum.weyl_vector), dtype=np.int64)
     x = np.ascontiguousarray(rows.T) + shift[:, None]
-    cols = datum._np_cartan_cols  # cols[:, i] = alpha_i
     while True:
         # compress copies, so the cached table is never written
         regular = (x != 0).all(axis=0)
         x, mults = x.compress(regular, axis=1), mults.compress(regular)
         if not (x < 0).any():
             break
-        for i in range(datum.rank):
-            # s_i x = x - x_i alpha_i on the rows with x_i < 0
-            c = np.minimum(x[i], 0)
-            x -= cols[:, i, None] * c
-            np.negative(mults, out=mults, where=c < 0)
+        _sweep(datum, x, mults)
     dom = x - 1  # subtract rho
     # nonnegative now; the narrowest dtype that holds them sorts fastest
     dom = dom.astype(np.min_scalar_type(dom.max()))
@@ -136,10 +128,87 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     return dict(zip(map(tuple, dom[:, starts[kept]].T.tolist()), totals[kept].tolist()))
 
 
-def x_support(datum: RootDatum, lam: Weight, mu: Weight,
-              max_expanded: int | None = None) -> frozenset[Weight]:
+def x_support(datum: RootDatum, lam: Weight, mu: Weight) -> frozenset[Weight]:
     """Highest weights of the irreducible summands of L(lam) (x) L(mu)."""
-    return tensor_decompose(datum, lam, mu, max_expanded).support()
+    return tensor_decompose(datum, lam, mu).support()
+
+
+def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray | None = None) -> None:
+    """One sweep over i = 1..rank: reflect in place every column of x (one
+    coordinate per array row) with x_i < 0, negating its entry of signs."""
+    cols = datum._np_cartan_cols  # cols[:, i] = alpha_i
+    for i in range(datum.rank):
+        # s_i x = x - x_i alpha_i on the columns with x_i < 0
+        c = np.minimum(x[i], 0)
+        x -= cols[:, i, None] * c
+        if signs is not None:
+            np.negative(signs, out=signs, where=c < 0)
+
+
+def _check_coefficient(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> None:
+    """Refuse a coefficient whose orbit has more than
+    ``weyl.MAX_WEYL_ELEMENTS`` points, or whose int64 arithmetic could
+    overflow.
+
+    Let h be the height of the highest coroot, so |<x, beta^vee>| <= h max|x_i|
+    for every coroot beta^vee, and let M = h (max lam + max mu + max nu + 2).
+    - Orbit points: a coordinate of w(nu + rho) is its pairing with a coroot,
+      at most h (max nu + 1) <= M.  Its pairing with a positive coroot is
+      sum_k c_k x_k with c_k >= 0 and sum_k c_k <= h, so every partial sum
+      is at most h M.
+    - Fold: a W-image of y = w(nu + rho) - (lam + rho) is
+      w'w(nu + rho) - w'(lam + rho), so its coordinates are at most
+      h (max nu + 1) + h (max lam + 1) = M - h max mu; a reflection
+      multiplies one by a Cartan entry first.
+    - Dominance: for the dominant p reached, each |mu_j - p_j| is at most
+      max mu + M - h max mu <= M, so det C^-1 (mu - p) has partial sums at
+      most a M, with a the largest absolute row sum of det C^-1.
+    So max(h, largest Cartan entry, a) * M bounds every number met.
+    """
+    if datum.weyl_order > weyl.MAX_WEYL_ELEMENTS:
+        raise ValueError(f"Weyl group of order {datum.weyl_order} exceeds bound "
+                         f"{weyl.MAX_WEYL_ELEMENTS}")
+    height = max(sum(alpha.coroot) for alpha in datum.positive_roots)
+    entry = max(abs(a) for row in datum.cartan for a in row)
+    adj = int(abs(datum._np_adjugate).sum(axis=1).max())
+    bound = height * (max(lam) + max(mu) + max(nu) + 2)
+    if max(height, entry, adj) * bound > INT64_MAX:
+        raise ValueError(f"coefficient of {nu} in {lam} (x) {mu} is out of int64 range")
+
+
+def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> int:
+    """Multiplicity of L(nu) in L(lam) (x) L(mu), by the Racah-Speiser form
+    of the Brauer-Klimyk formula (Humphreys, *Introduction to Lie Algebras*,
+    section 24):
+
+        c = sum over w in W of eps(w) m_mu(w(nu + rho) - lam - rho).
+
+    nu + rho is regular, so its orbit has |W| points, and eps(w) is the
+    parity of the number of positive coroots that pair negatively with
+    w(nu + rho).  Every point minus lam + rho is folded into the dominant
+    chamber by the sweeps of the decomposition; only points whose dominant
+    representative p satisfies p <= mu carry a multiplicity.  It is 1 when
+    p = mu, and otherwise is read from ``character(datum, mu)``.  Refused
+    with ``ValueError`` when |W| > ``weyl.MAX_WEYL_ELEMENTS`` or when int64
+    could overflow (see ``_check_coefficient``).
+    """
+    lam, mu, nu = (datum.check_weight(w) for w in (lam, mu, nu))
+    if min(lam + mu + nu) < 0:
+        raise ValueError("tensor coefficient needs dominant weights")
+    _check_coefficient(datum, lam, mu, nu)
+    points = np.array(list(orbit(datum, wadd(nu, datum.weyl_vector))), dtype=np.int64)
+    coroots = np.array([alpha.coroot for alpha in datum.positive_roots], dtype=np.int64)
+    signs = 1 - 2 * ((points @ coroots.T < 0).sum(axis=1) & 1)
+    shift = np.array(wadd(lam, datum.weyl_vector), dtype=np.int64)
+    y = np.ascontiguousarray(points.T) - shift[:, None]
+    while (y < 0).any():
+        _sweep(datum, y)
+    kept = np.flatnonzero(datum.in_root_cone(np.array(mu, dtype=np.int64) - y.T))
+    total = 0
+    for p, sign in zip(map(tuple, y[:, kept].T.tolist()), signs[kept].tolist()):
+        total += sign * (1 if p == mu else character(datum, mu).entries[p])
+    assert total >= 0, "negative tensor coefficient"
+    return total
 
 
 def prv_component(datum: RootDatum, lam: Weight, mu: Weight, word) -> Weight:

@@ -13,7 +13,9 @@ from .rootdata import RootDatum, Weight, parabolic_order, root_coordinates, wneg
 
 WeylWord = tuple[int, ...]
 
-# largest Weyl group weyl_group_elements lists
+# largest Weyl group whose regular orbits are walked point by point: the
+# elements weyl_group_elements lists, and the orbit of nu + rho behind each
+# tensor.tensor_multiplicity (a PRV chain step above it is not confirmed)
 MAX_WEYL_ELEMENTS = 100000
 
 

@@ -17,12 +17,9 @@ from weightlab.rootdata import wneg
 from conftest import get_datum
 from oracles import brute_tensor, random_dominant
 
-# Cap on the smaller factor's dimension for tensor confirmations inside chain
-# checks. It skips 1 of 2 PRV steps of D5, 6 of 6 of E6, 18 of 20 of A5 and
-# 30 of 30 of A6. The cap counts dimension, not distinct weights: D5 stage
-# two has dimension 1.4e9 but 276,689 distinct weights and is confirmed
-# exactly in under 2 s with no budget.
-TENSOR_BUDGET = 2_000_000
+# Cap on the smaller factor's dimension in criterion 2, which keeps each
+# decomposition's expanded weight system small.
+MAX_FACTOR_DIM = 2_000_000
 
 RANK_LE_3 = ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "D3", "G2"]
 RANK_LE_4 = RANK_LE_3 + ["A4", "B4", "C4", "D4", "F4"]
@@ -66,7 +63,7 @@ def test_criterion_2_dimension_conservation():
             for _ in range(100):
                 lam = random_dominant(rng, datum.rank, cap)
                 mu = random_dominant(rng, datum.rank, cap)
-                while min(weyl_dimension(datum, lam), weyl_dimension(datum, mu)) > TENSOR_BUDGET:
+                while min(weyl_dimension(datum, lam), weyl_dimension(datum, mu)) > MAX_FACTOR_DIM:
                     target = lam if weyl_dimension(datum, lam) <= weyl_dimension(datum, mu) else mu
                     nz = [i for i, x in enumerate(target) if x]
                     target = tuple(0 if i == rng.choice(nz) else x
@@ -142,13 +139,10 @@ def test_criterion_6_membership_closed_under_weight_systems():
                                 assert mu in members, (ts, desc, lam, mu)
 
 
-FULLY_CHECKED = {"A1", "A2", "A3", "A4", "D3", "B2", "B3", "B4", "B5", "B6",
-                 "C2", "C3", "C4", "C5", "C6", "D4", "D6", "F4", "G2"}
-
-
 def test_criterion_7_antifixed_sequences():
     with criterion(7, "per-type sequences from the all-ones weight reach a"
-                      " w0-antifixed final through dominant steps, chains verified"):
+                      " w0-antifixed final through dominant steps, every PRV step"
+                      " tensor-confirmed"):
         for ts in RANK_LE_6:
             datum = get_datum(ts)
             rho = datum.weyl_vector
@@ -157,10 +151,9 @@ def test_criterion_7_antifixed_sequences():
             assert w0_action(datum, final) == wneg(final), ts
             for step in trace.steps:
                 assert all(x >= 0 for x in step.weight) and any(step.weight), ts
-            report = check_prv_chain(datum, trace, tensor_budget=TENSOR_BUDGET)
+            report = check_prv_chain(datum, trace)
             assert report.ok, (ts, report.failures)
-            if ts in FULLY_CHECKED:
-                assert report.fully_tensor_checked, ts
+            assert report.fully_tensor_checked, ts
             if ts == "E6":
                 assert all(x == 0 for i, x in enumerate(final) if i not in (1, 3)), final
                 assert final[1] > 0 and final[3] > 0

@@ -87,12 +87,23 @@ def test_pipe_separator_accepted(capsys):
 
 
 def test_construct_check(capsys):
-    status, out, _ = run_cli(capsys, "construct", "--type", "D5", "--check",
-                             "--tensor-budget", "1000")
+    status, out, _ = run_cli(capsys, "construct", "--type", "D5", "--check")
     assert status == 0
     payload = json.loads(out)
     assert payload["final"] == [4, 4, 8, 0, 0]
-    assert payload["check"]["ok"] is True
+    assert payload["check"] == {"ok": True, "prv_steps": 2, "tensor_checked": 2,
+                                "failures": []}
+
+
+def test_construct_refuses_the_removed_budget_flag(capsys):
+    # the chain check takes no budget, so this flag is a usage error
+    status, out, err = run_cli(capsys, "construct", "--type", "D5", "--check",
+                               "--tensor-budget", "5")
+    assert status == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == "usage"
 
 
 def test_construct_single_factor(capsys):

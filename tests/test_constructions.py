@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from weightlab import weyl
 from weightlab import (Box, ConstructionError, MonoidSpec, check_prv_chain, classify,
                        factor_antifixed_sequence, predicted_members,
                        smallest_dominating_multiple, support_growing_step,
@@ -81,7 +82,7 @@ def test_factor_sequence_d5_example():
     weights = [s.weight for s in trace.steps]
     assert weights == [(1, 1, 1, 1, 1), (2, 2, 3, 2, 0), (4, 4, 8, 0, 0)]
     assert w0_action(d5, trace.final) == wneg(trace.final)
-    assert verify_prv_chain(d5, trace, tensor_budget=2000)  # arithmetic replay only
+    assert verify_prv_chain(d5, trace)
 
 
 def test_factor_sequence_e6():
@@ -138,7 +139,7 @@ def test_chain_verification_small_types_full_tensor():
     for ts in ["A2", "A3", "D3"]:
         datum = get_datum(ts)
         trace = factor_antifixed_sequence(datum, 1, datum.weyl_vector)
-        report = check_prv_chain(datum, trace, tensor_budget=300_000)
+        report = check_prv_chain(datum, trace)
         assert report.ok
         assert report.fully_tensor_checked
 
@@ -156,6 +157,21 @@ def test_chain_verification_detects_corruption():
             break
     corrupted = ConstructionTrace(tuple(bad_steps))
     assert not verify_prv_chain(a2, corrupted)
+
+
+def test_chain_verification_skips_confirmation_above_the_weyl_cap(monkeypatch):
+    d5 = get_datum("D5")
+    trace = factor_antifixed_sequence(d5, 1, d5.weyl_vector)
+    monkeypatch.setattr(weyl, "MAX_WEYL_ELEMENTS", d5.weyl_order - 1)
+    report = check_prv_chain(d5, trace)
+    assert report.ok and report.prv_steps == 2 and report.tensor_checked == 0
+    # the arithmetic replay still runs on every step
+    steps = list(trace.steps)
+    steps[-1] = TraceStep((4, 4, 6, 1, 1), "prv", left=steps[-1].left,
+                          word=steps[-1].word, right=steps[-1].right)
+    report = check_prv_chain(d5, ConstructionTrace(tuple(steps)))
+    assert not report.ok and report.tensor_checked == 0
+    assert "replay" in report.failures[0]
 
 
 def test_chain_verification_single_generator():
@@ -181,7 +197,7 @@ def test_factor_recipes_at_block_offsets():
     pure = factor_antifixed_sequence(get_datum("D3"), 1, (1, 1, 1))
     assert [s.weight[2:] for s in shifted.steps] == [s.weight for s in pure.steps]
     assert all(s.weight[:2] == (0, 0) for s in shifted.steps)
-    assert verify_prv_chain(mixed, shifted, tensor_budget=100_000)
+    assert verify_prv_chain(mixed, shifted)
 
     tall = get_datum("A1xE6")
     trace = w0_antifixed_weight(tall, (1,) * 7, (0,) * 7)
@@ -201,7 +217,7 @@ def test_w0_antifixed_single_factor_products():
     assert w0_action(mixed, eta) == wneg(eta)
     assert eta[0] == eta[1] > 0  # collapsed first factor is symmetric
     assert eta[2] > 0 and eta[3] > 0  # second factor untouched up to scaling
-    assert verify_prv_chain(mixed, trace, tensor_budget=100_000)
+    assert verify_prv_chain(mixed, trace)
 
 
 def test_w0_antifixed_with_shift():
@@ -214,7 +230,7 @@ def test_w0_antifixed_with_shift():
     shadows = [s.weight for s in trace.steps[3:]]
     assert shadows[0] == (2, 2, 2, 2, 2)
     assert all(all(x >= 0 for x in w) for w in shadows)
-    assert verify_prv_chain(d5, trace, tensor_budget=2000)
+    assert verify_prv_chain(d5, trace)
 
 
 def test_w0_antifixed_preconditions():
@@ -268,4 +284,4 @@ def test_trace_json_round_trip():
     # serialized traces replay bit-exactly
     parsed = ConstructionTrace.from_json(json.loads(json.dumps(payload)))
     assert parsed == trace
-    assert verify_prv_chain(d5, parsed, tensor_budget=2000)
+    assert verify_prv_chain(d5, parsed)

@@ -1,17 +1,18 @@
 """Property tests on hypothesis-drawn weights: the dominant-weight walk, the
 orbit walk, orbit sizes, Weyl group orders and elements, expanded weight
-systems, the Brauer-Klimyk fold and box closures against the oracles in
-oracles.py, commutativity of tensor products, and conservation of
-dimension."""
+systems, the Brauer-Klimyk fold, single tensor coefficients and box closures
+against the oracles in oracles.py, commutativity of tensor products,
+conservation of dimension, and monotonicity of box closures in the box."""
 
 from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightlab import (Box, MonoidSpec, bounded_perfect_closure, character, expand_character,
-                       in_lattice, is_perfect_in_box, orbit, orbit_size, root_coordinates,
-                       tensor_decompose, weyl_dimension, weyl_group_elements)
+from weightlab import (Box, MonoidSpec, bounded_perfect_closure, character,
+                       dominant_weights_below, expand_character, in_lattice, is_perfect_in_box,
+                       orbit, orbit_size, root_coordinates, tensor_decompose,
+                       tensor_multiplicity, weyl_dimension, weyl_group_elements)
 from weightlab.charcalc import _below_with_depth
 from weightlab.tensor import _expanded_table, _klimyk
 from conftest import get_datum
@@ -206,6 +207,20 @@ def test_tensor_product_conserves_dimension(type_string, data):
         == weyl_dimension(datum, lam) * weyl_dimension(datum, mu)
 
 
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_coefficient_matches_decomposition(type_string, data):
+    datum = get_datum(type_string)
+    max_dim = data.draw(st.sampled_from([400, 10 ** 4]), label="max_dim")
+    lam, mu = data.draw(dominant_pairs(datum, 3, 3, max_dim), label="pair")
+    summands = tensor_decompose(datum, lam, mu).summands
+    if weyl_dimension(datum, lam) * weyl_dimension(datum, mu) <= 400:
+        assert summands == brute_tensor(datum, lam, mu)
+    # every dominant nu <= lam + mu: summands, zeros and non-extremal points
+    for nu in dominant_weights_below(datum, tuple(a + b for a, b in zip(lam, mu))):
+        assert tensor_multiplicity(datum, lam, mu, nu) == summands.get(nu, 0), nu
+
+
 @pytest.mark.parametrize("mode", ["sc", "adjoint"])
 @pytest.mark.parametrize("type_string", CLOSURE_TYPES)
 @given(data=st.data())
@@ -219,3 +234,20 @@ def test_closure_matches_sweep_oracle(type_string, mode, data):
     closure = bounded_perfect_closure(spec, box)
     assert closure == sweep_perfect_closure(spec, box)
     assert is_perfect_in_box(datum, closure, box)
+
+
+@pytest.mark.parametrize("mode", ["sc", "adjoint"])
+@pytest.mark.parametrize("type_string", CLOSURE_TYPES)
+@given(data=st.data())
+def test_closure_grows_with_the_box(type_string, mode, data):
+    # within box B, closure(B + 1) contains the generators and is closed, so
+    # it contains the least closed set, closure(B)
+    datum = get_datum(type_string, mode)
+    in_lattice_weights = [w for w in Box(2).region(datum) if in_lattice(datum, w)]
+    gens = data.draw(st.lists(st.sampled_from(in_lattice_weights), min_size=1, max_size=2),
+                     label="generators")
+    bound = data.draw(st.integers(2, 4), label="box")
+    spec = MonoidSpec(datum, tuple(gens))
+    box = Box(bound)
+    larger = bounded_perfect_closure(spec, Box(bound + 1))
+    assert bounded_perfect_closure(spec, box) <= {w for w in larger if w in box}

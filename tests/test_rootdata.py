@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from weightlab import (CartanType, LatticeSpec, RootDataError, build_root_datum,
-                       in_lattice, root_coordinates)
+from weightlab import (CartanType, LatticeSpec, MonoidSpec, RootDataError, TraceStep,
+                       build_root_datum, in_lattice, root_coordinates)
 from weightlab.rootdata import pairing, positive_root_count
 from conftest import get_datum
 
@@ -234,6 +234,46 @@ def test_lattice_spec_json_round_trip():
 def test_lattice_spec_from_json_rejects_malformed(obj):
     with pytest.raises(RootDataError):
         LatticeSpec.from_json(obj)
+
+
+# readers of weights from outside the library, each given a bad input
+READERS = {
+    "check_weight": lambda obj: get_datum("A2").check_weight(obj),
+    "MonoidSpec.from_json": lambda obj: MonoidSpec.from_json({"type": "A2", "generators": obj}),
+    "TraceStep.from_json": TraceStep.from_json,
+}
+
+
+@pytest.mark.parametrize("reader, obj", [
+    ("check_weight", (1.5, True)),                  # not to be truncated to (1, 1)
+    ("check_weight", (1, 2.0)),
+    ("check_weight", (False, 0)),
+    ("check_weight", ("1", 0)),
+    ("MonoidSpec.from_json", [[1.5, True]]),        # not to be read as ((1, 1),)
+    ("MonoidSpec.from_json", [3]),                  # a generator that is no list
+    ("MonoidSpec.from_json", [[1, None]]),
+    ("MonoidSpec.from_json", 3),
+    ("TraceStep.from_json", {"weight": [1.5, 1], "kind": "generator"}),
+    ("TraceStep.from_json", {"weight": [True, 1], "kind": "generator"}),
+    ("TraceStep.from_json", {"weight": 3, "kind": "generator"}),
+    ("TraceStep.from_json", {"weight": [2, 2], "kind": "sum", "left": "0", "right": 0}),
+    ("TraceStep.from_json", {"weight": [2, 2], "kind": "sum", "left": 0, "right": 0.0}),
+    ("TraceStep.from_json", {"weight": [2, 2], "kind": "prv", "left": 0, "right": 0,
+                             "word": [1.0]}),
+    ("TraceStep.from_json", {"weight": [2, 2], "kind": "prv", "left": 0, "right": True,
+                             "word": [1]}),
+])
+def test_readers_refuse_what_is_not_an_int(reader, obj):
+    with pytest.raises(RootDataError):
+        READERS[reader](obj)
+
+
+def test_readers_accept_plain_ints():
+    assert get_datum("A2").check_weight([1, 2]) == (1, 2)
+    assert MonoidSpec.from_json({"type": "A2", "generators": [[1, 0]]}).generators == ((1, 0),)
+    step = TraceStep.from_json({"weight": [2, 2], "kind": "prv", "left": 0, "right": 0,
+                                "word": [1]})
+    assert step == TraceStep((2, 2), "prv", left=0, word=(1,), right=0)
 
 
 def test_weight_length_validation():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from weightlab import (DominanceRegimeError, TensorBudgetError, build_root_datum,
-                       prv_component, stable_multiplicity_check, tensor_decompose,
-                       weyl_dimension, weyl_group_elements, x_support)
+from weightlab import weyl
+from weightlab import (DominanceRegimeError, prv_component, stable_multiplicity_check,
+                       tensor_decompose, tensor_multiplicity, weyl_dimension,
+                       weyl_group_elements, x_support)
 from weightlab.tensor import INT64_MAX
 from conftest import get_datum
 from oracles import brute_tensor, cg_closed_form, random_dominant
@@ -139,29 +140,6 @@ def test_stable_multiplicity_transfers_inner_multiplicities():
     assert tensor_decompose(b2, (4, 4), (0, 2)).summands[(4, 4)] == 2
 
 
-def test_budget_enforced():
-    # the budget guards the expansion cost of the smaller factor, here far
-    # beyond anything the suite decomposes
-    e6 = get_datum("E6")
-    rho = e6.weyl_vector
-    with pytest.raises(TensorBudgetError):
-        tensor_decompose(e6, rho, rho, max_expanded=1000)
-
-
-def test_budget_applies_to_cached_pairs():
-    # a pair decomposed once without a budget must still refuse a later,
-    # tighter one; a fresh datum keeps other tests' cache entries out
-    a2 = build_root_datum("A2")
-    lam, mu = (2, 1), (1, 1)
-    tensor_decompose(a2, lam, mu)
-    with pytest.raises(TensorBudgetError):
-        tensor_decompose(a2, lam, mu, max_expanded=1)
-    with pytest.raises(TensorBudgetError):
-        tensor_decompose(a2, mu, lam, max_expanded=1)
-    assert tensor_decompose(a2, lam, mu, max_expanded=8).summands == \
-        tensor_decompose(a2, lam, mu).summands
-
-
 def test_fold_is_exact_up_to_the_int64_guard():
     a1 = get_datum("A1")
     # A1: coroot height 1 and Cartan entry 2, so lam + 2 <= INT64_MAX // 2
@@ -178,3 +156,36 @@ def test_int64_guard_precedes_the_expansion():
     with pytest.raises(ValueError, match="int64"):
         tensor_decompose(a1, (2 ** 63,), (2 ** 64,))
     assert (2 ** 63,) not in a1._char_cache
+
+
+def test_coefficient_examples():
+    a2 = get_datum("A2")
+    # (1,1) is a weight of the adjoint module but not extremal, and carries 2
+    assert tensor_multiplicity(a2, (1, 1), (1, 1), (1, 1)) == 2
+    # (3,0) lies below (2,2) in its coset but is not a summand of 6 (x) 6bar
+    assert tensor_multiplicity(a2, (2, 0), (0, 2), (3, 0)) == 0
+    assert tensor_multiplicity(a2, (2, 0), (0, 2), (1, 1)) == 1
+    # a nu outside the coset of lam + mu
+    assert tensor_multiplicity(a2, (1, 0), (1, 0), (1, 0)) == 0
+    with pytest.raises(ValueError):
+        tensor_multiplicity(a2, (1, 0), (1, 0), (-1, 2))
+
+
+def test_coefficient_is_refused_above_the_weyl_cap(monkeypatch):
+    a3 = get_datum("A3")
+    assert tensor_multiplicity(a3, (1, 0, 0), (0, 0, 1), (1, 0, 1)) == 1
+    monkeypatch.setattr(weyl, "MAX_WEYL_ELEMENTS", a3.weyl_order - 1)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        tensor_multiplicity(a3, (1, 0, 0), (0, 0, 1), (1, 0, 1))
+
+
+def test_coefficient_is_exact_up_to_the_int64_guard():
+    a1 = get_datum("A1")
+    # A1: coroot height 1, Cartan entry 2 and det C^-1 = (1), so the guard
+    # accepts 2 (lam + mu + nu + 2) <= INT64_MAX
+    top = (INT64_MAX - 8) // 4
+    expected = cg_closed_form(top, 1)
+    for nu in (top - 1, top, top + 1):
+        assert tensor_multiplicity(a1, (top,), (1,), (nu,)) == expected.get((nu,), 0)
+    with pytest.raises(ValueError, match="int64"):
+        tensor_multiplicity(a1, (top + 1,), (1,), (top + 2,))
