@@ -44,12 +44,15 @@ class TraceStep:
 
     @staticmethod
     def from_json(obj: dict) -> "TraceStep":
-        weight, word = obj["weight"], obj.get("word")
+        if not isinstance(obj, dict):
+            raise RootDataError(f"malformed trace step {obj!r}")
+        weight, kind, word = obj.get("weight"), obj.get("kind"), obj.get("word")
         left, right = obj.get("left"), obj.get("right")
-        if not is_int_list(weight) or not (word is None or is_int_list(word)) \
+        if not is_int_list(weight) or not isinstance(kind, str) \
+                or not (word is None or is_int_list(word)) \
                 or any(i is not None and type(i) is not int for i in (left, right)):
             raise RootDataError(f"malformed trace step {obj!r}")
-        return TraceStep(tuple(weight), obj["kind"], left=left,
+        return TraceStep(tuple(weight), kind, left=left,
                          word=None if word is None else tuple(word), right=right)
 
 
@@ -67,7 +70,10 @@ class ConstructionTrace:
 
     @staticmethod
     def from_json(obj: dict) -> "ConstructionTrace":
-        return ConstructionTrace(tuple(TraceStep.from_json(s) for s in obj["steps"]))
+        steps = obj.get("steps") if isinstance(obj, dict) else None
+        if not (isinstance(steps, list) and steps):
+            raise RootDataError(f"a trace is a dict with a nonempty list of steps, got {obj!r}")
+        return ConstructionTrace(tuple(TraceStep.from_json(s) for s in steps))
 
 
 class _TraceBuilder:

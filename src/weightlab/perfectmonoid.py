@@ -6,18 +6,27 @@ A submonoid is perfect when it contains every highest weight of every
 tensor product of its members.  Such monoids are infinite; all set-level
 computation here is truncated to a finite coordinate box, while the
 classification side is exact and symbolic.
+
+The closure settles its pairs a row at a time.  The box is held in
+adjugate coordinates, det * C^-1 lam, grouped into coset classes by their
+residue mod det, with a mask of the weights not yet members.  When a
+member b is reached, one numpy test compares every total a + b of its row
+with the missing weights of the total's class, componentwise; a pair with
+nothing missing below its total cannot add a member and is settled.  The
+pairs the test flags are tested again, in order, against the members of
+that moment, and only those still flagged are decomposed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 import numpy as np
 
 from . import latticecalc
 from .rootdata import (LatticeSpec, RootDataError, RootDatum, Weight, build_root_datum,
-                       in_lattice, is_int_list, wadd)
+                       in_lattice, is_int_list)
 from .tensor import tensor_decompose
 
 # most weights Box.region lists; refused before anything is allocated
@@ -129,73 +138,148 @@ def predicted_members(datum: RootDatum, desc: PerfectDescriptor, box: Box) -> se
     return out
 
 
-class _BoxEnvelope:
-    """In-box dominant weights below a given Cartan weight in its coset --
-    the superset every tensor summand must land in.  Vectorized over the box
-    with exact integer arithmetic (:meth:`RootDatum.in_root_cone`)."""
+class _CosetRegion:
+    """The box's dominant weights in adjugate coordinates, det * C^-1 lam
+    (the coordinates :meth:`RootDatum.in_root_cone` tests), with a mask of
+    the weights that are not yet members.
+
+    Each weight's coset class is the residue of those coordinates mod det:
+    mu lies below a total t exactly when both have the same class and
+    adj(mu) <= adj(t) componentwise.  Every class of P/Q holds a weight with
+    coordinates 0 or 1 (0 or a sum of minuscule weights), so the class of
+    every total occurs in the region.
+
+    The coordinates stay inside int64.  A box within ``MAX_REGION`` has
+    2^rank <= (bound + 1)^rank <= 10^6, so rank <= 19 and bound < 10^6.
+    det divides det C, the product of the simple factors' determinants, each
+    at most r + 1 <= 2^r for rank r, so det <= 2^rank <= 10^6.  C^-1 is
+    nonnegative with row sums at most 189 up to rank 19 (C19), so a total of
+    two box weights, coordinates at most 2 * bound, has adjugate coordinates
+    at most det * 189 * 2 * bound < 2 * 10^6 * 10^6 * 189 < 2^63.
+    """
 
     def __init__(self, datum: RootDatum, box: Box):
-        self.datum = datum
         self.box = box
-        self.region = box.region(datum)
-        self._rows = np.array(self.region, dtype=np.int64)
-        self._cache: dict[Weight, frozenset[Weight]] = {}
+        rows = np.array(box.region(datum), dtype=np.int64).reshape(-1, datum.rank)
+        self._strides = tuple((box.bound + 1) ** (datum.rank - 1 - i) for i in range(datum.rank))
+        self._det = datum._det
+        self.adj = rows @ datum._np_adjugate.T
+        self._residues, cls = np.unique(self.adj % self._det, axis=0, return_inverse=True)
+        self.cls = cls.reshape(-1)
+        self._class_of = {tuple(r): c for c, r in enumerate(self._residues.tolist())}
+        by_class = np.argsort(self.cls, kind="stable")
+        self._class_rows = np.split(by_class, np.cumsum(np.bincount(self.cls))[:-1])
+        self.missing = np.ones(len(rows), dtype=bool)
 
-    def below(self, total: Weight) -> frozenset[Weight]:
-        cached = self._cache.get(total)
-        if cached is None:
-            diff = np.asarray(total, dtype=np.int64)[None, :] - self._rows
-            mask = self.datum.in_root_cone(diff)
-            cached = frozenset(self.region[i] for i in np.nonzero(mask)[0])
-            self._cache[total] = cached
-        return cached
+    def index(self, w: Weight) -> int:
+        return sum(x * s for x, s in zip(w, self._strides))
+
+    def missing_among(self, weights) -> list[Weight]:
+        """The in-box weights of a list that are not members, in list order."""
+        weights = list(weights)
+        rows = np.array(weights, dtype=np.int64).reshape(len(weights), -1)
+        inbox = np.flatnonzero((rows <= self.box.bound).all(axis=1))
+        keep = self.missing[rows[inbox] @ np.array(self._strides)]
+        return [weights[i] for i in inbox[keep].tolist()]
+
+    def _sum_class(self, ca: int, cb: int) -> int:
+        r = (self._residues[ca] + self._residues[cb]) % self._det
+        return self._class_of[tuple(r.tolist())]
+
+    def _missing_in(self, c: int) -> np.ndarray:
+        rows = self._class_rows[c]
+        return self.adj[rows[self.missing[rows]]]
+
+    def row_test(self, row: np.ndarray, b: int) -> list[int]:
+        """The positions in ``row``, region indices of members, whose total
+        with the member at region index b has a missing weight below it."""
+        totals = self.adj[row] + self.adj[b]
+        cls_row = self.cls[row]
+        cb = int(self.cls[b])
+        flagged = np.zeros(len(row), dtype=bool)
+        for ca in np.unique(cls_row).tolist():
+            missing = self._missing_in(self._sum_class(ca, cb))
+            if len(missing):
+                sel = np.flatnonzero(cls_row == ca)
+                flagged[sel] = _dominates_any(totals[sel], missing)
+        return np.flatnonzero(flagged).tolist()
+
+    def below_missing(self, a: int, b: int) -> bool:
+        """The row test for one pair, at region indices a and b."""
+        missing = self._missing_in(self._sum_class(int(self.cls[a]), int(self.cls[b])))
+        return bool((missing <= self.adj[a] + self.adj[b]).all(axis=1).any())
 
 
-def _pair_adds(envelope: _BoxEnvelope, members, a: Weight, b: Weight) -> list[Weight]:
-    """In-box summands of L(a) (x) L(b) missing from ``members``.  When the
-    envelope below a + b lies in ``members``, no summand can be missing and
-    the pair is not decomposed."""
-    if envelope.below(wadd(a, b)) <= members:
-        return []
-    box = envelope.box
-    return [w for w in tensor_decompose(envelope.datum, a, b).support()
-            if w in box and w not in members]
+# most elements one comparison in a row test holds: totals x missing x rank
+_ROW_TEST_ELEMENTS = 1 << 22
+
+
+def _dominates_any(totals: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """Per total, whether some row of ``missing`` is componentwise <= it."""
+    step = max(1, _ROW_TEST_ELEMENTS // missing.size)
+    return np.concatenate([
+        (missing[None, :, :] <= totals[s:s + step, None, :]).all(axis=2).any(axis=1)
+        for s in range(0, len(totals), step)])
+
+
+def _settle_pairs(datum: RootDatum, box: Box, members, grow: bool):
+    """One pass over the pairs of a member list, a row per later member b
+    (see the module docstring); members only grow, so a pair the row test
+    settles stays settled.  With ``grow`` the in-box summands of each
+    decomposed pair join the list and the final list is returned; without
+    it, None is returned as soon as one is missing from ``members``."""
+    order = sorted(members)
+    region = _CosetRegion(datum, box)
+    at = np.empty(len(region.missing), dtype=np.int64)   # region index of each member
+    at[:len(order)] = [region.index(w) for w in order]
+    region.missing[at[:len(order)]] = False
+    stats = datum.stats
+    for j, b in enumerate(order):
+        flagged = region.row_test(at[:j + 1], at[j])
+        stats["closure_pairs"] += j + 1
+        stats["closure_settled"] += j + 1 - len(flagged)
+        grown = len(order)
+        for k in flagged:
+            # untouched since the row test, the pair still fails it
+            if len(order) > grown and not region.below_missing(at[k], at[j]):
+                stats["closure_rechecked"] += 1
+                continue
+            stats["closure_decomposed"] += 1
+            adds = region.missing_among(tensor_decompose(datum, order[k], b).support())
+            if adds and not grow:
+                return None
+            for w in adds:
+                i = region.index(w)
+                region.missing[i] = False
+                at[len(order)] = i
+                order.append(w)
+    return order
 
 
 def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
     """Least fixed point, inside the box, of adding sums and all tensor
     summands of pairs.  This is the box truncation of the true closure:
     elements of the true closure outside the box are never represented, so
-    the result is a lower bound whose quality grows with the bound."""
+    the result is a lower bound whose quality grows with the bound.  Each
+    pair is settled once, by the row test or its recheck, or decomposed;
+    the counts land in ``datum.stats``."""
     datum = spec.datum
     for g in spec.generators:
         if g not in box:
             raise ValueError(f"generator {g} lies outside the box (bound {box.bound})")
-    order = sorted({(0,) * datum.rank, *spec.generators})
-    members = set(order)
-    envelope = _BoxEnvelope(datum, box)
-    # each pair is settled once, when its later member b is reached; members
-    # only grow, so a pair that adds nothing then never will
-    for j, b in enumerate(order):
-        for a in order[:j + 1]:
-            adds = _pair_adds(envelope, members, a, b)
-            members.update(adds)
-            order.extend(adds)
-    return members
+    return set(_settle_pairs(datum, box, {(0,) * datum.rank, *spec.generators}, grow=True))
 
 
 def is_perfect_in_box(datum: RootDatum, members, box: Box) -> bool:
     """Whether a finite set is closed, inside the box, under sums and under
-    taking all tensor summands of pairs."""
+    taking all tensor summands of pairs, by the closure's row test."""
     members = {datum.check_weight(w) for w in members}
     if (0,) * datum.rank not in members:
         raise ValueError("a perfect submonoid must contain 0")
     for w in members:
         if w not in box:
             raise ValueError(f"member {w} lies outside the box")
-    envelope = _BoxEnvelope(datum, box)
-    return not any(_pair_adds(envelope, members, a, b)
-                   for a, b in combinations_with_replacement(sorted(members), 2))
+    return _settle_pairs(datum, box, members, grow=False) is not None
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ exact -- ints for weights, ``fractions.Fraction`` for root coordinates.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -246,6 +247,10 @@ class RootDatum:
         self._below_cache: dict = {}
         self._tensor_cache: dict = {}
         self._table_cache: dict = {}
+        # work counts of bounded_perfect_closure and is_perfect_in_box:
+        # closure_pairs, each counted once as closure_settled (by the row
+        # test), closure_rechecked (flagged, then settled) or closure_decomposed
+        self.stats: Counter = Counter()
 
     # -- factor bookkeeping -------------------------------------------------
 

@@ -10,7 +10,8 @@ reflections, orbit sizes from the Dynkin shape of each stabilizer and the
 classical table of Weyl group orders, determinants from cofactor expansion,
 the Brauer-Klimyk fold from its earlier implementation
 (leftmost-negative reflection rounds, then ``np.unique`` over rows), and
-box closures from the earlier sweep-until-stable loop.
+box closures from the earlier sweep-until-stable loop and from the earlier
+one-pass loop that tests each pair alone against a frozenset envelope.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from math import factorial, floor
 import numpy as np
 
 from weightlab import apply_word, character, reflect, root_coordinates, word_sign
-from weightlab.perfectmonoid import _BoxEnvelope, _pair_adds
-from weightlab.rootdata import Weight, wadd, wsub
-from weightlab.tensor import _expanded_table
+from weightlab.perfectmonoid import Box
+from weightlab.rootdata import RootDatum, Weight, wadd, wsub
+from weightlab.tensor import _expanded_table, tensor_decompose
 
 
 def cg_closed_form(a: int, b: int) -> dict[tuple[int], int]:
@@ -342,6 +343,62 @@ def int_det(matrix) -> int:
     return total
 
 
+class _BoxEnvelope:
+    """In-box dominant weights below a given Cartan weight in its coset --
+    the superset every tensor summand must land in.  Vectorized over the box
+    with exact integer arithmetic (:meth:`RootDatum.in_root_cone`)."""
+
+    def __init__(self, datum: RootDatum, box: Box):
+        self.datum = datum
+        self.box = box
+        self.region = box.region(datum)
+        self._rows = np.array(self.region, dtype=np.int64)
+        self._cache: dict[Weight, frozenset[Weight]] = {}
+
+    def below(self, total: Weight) -> frozenset[Weight]:
+        cached = self._cache.get(total)
+        if cached is None:
+            diff = np.asarray(total, dtype=np.int64)[None, :] - self._rows
+            mask = self.datum.in_root_cone(diff)
+            cached = frozenset(self.region[i] for i in np.nonzero(mask)[0])
+            self._cache[total] = cached
+        return cached
+
+
+def _pair_adds(envelope: _BoxEnvelope, members, a: Weight, b: Weight) -> list[Weight]:
+    """In-box summands of L(a) (x) L(b) missing from ``members``.  When the
+    envelope below a + b lies in ``members``, no summand can be missing and
+    the pair is not decomposed."""
+    if envelope.below(wadd(a, b)) <= members:
+        return []
+    box = envelope.box
+    return [w for w in tensor_decompose(envelope.datum, a, b).support()
+            if w in box and w not in members]
+
+
+def pairwise_perfect_closure(spec, box: Box) -> set[Weight]:
+    """Box closure as weightlab computed it before the row test, one pair
+    at a time.  Least fixed point, inside the box, of adding sums and all tensor
+    summands of pairs.  This is the box truncation of the true closure:
+    elements of the true closure outside the box are never represented, so
+    the result is a lower bound whose quality grows with the bound."""
+    datum = spec.datum
+    for g in spec.generators:
+        if g not in box:
+            raise ValueError(f"generator {g} lies outside the box (bound {box.bound})")
+    order = sorted({(0,) * datum.rank, *spec.generators})
+    members = set(order)
+    envelope = _BoxEnvelope(datum, box)
+    # each pair is settled once, when its later member b is reached; members
+    # only grow, so a pair that adds nothing then never will
+    for j, b in enumerate(order):
+        for a in order[:j + 1]:
+            adds = _pair_adds(envelope, members, a, b)
+            members.update(adds)
+            order.extend(adds)
+    return members
+
+
 def sweep_perfect_closure(spec, box) -> set:
     """Box closure as weightlab computed it before the one-pass loop: sweeps
     over every pair of members, sorted by total height, skipping pairs
@@ -366,3 +423,11 @@ def sweep_perfect_closure(spec, box) -> set:
         if len(members) == before:
             break
     return members
+
+
+def pairwise_is_perfect_in_box(datum, members, box: Box) -> bool:
+    """Whether no pair of members, each tested alone against the frozenset
+    envelope, has an in-box summand outside the set."""
+    envelope = _BoxEnvelope(datum, box)
+    return not any(_pair_adds(envelope, members, a, b)
+                   for a, b in combinations_with_replacement(sorted(members), 2))

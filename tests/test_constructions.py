@@ -9,7 +9,7 @@ from weightlab import (Box, ConstructionError, MonoidSpec, check_prv_chain, clas
                        support_regular_weight, verify_prv_chain, w0_action,
                        w0_antifixed_weight, x_support)
 from weightlab.constructions import ConstructionTrace, TraceStep
-from weightlab.rootdata import wneg
+from weightlab.rootdata import RootDataError, wneg
 from conftest import get_datum
 
 RANK_LE_6 = (["A%d" % n for n in range(1, 7)]
@@ -285,3 +285,12 @@ def test_trace_json_round_trip():
     parsed = ConstructionTrace.from_json(json.loads(json.dumps(payload)))
     assert parsed == trace
     assert verify_prv_chain(d5, parsed)
+
+
+@pytest.mark.parametrize("payload", [
+    {"steps": 3}, [1], {}, {"steps": []}, {"steps": [{"kind": "generator"}]},
+    {"steps": [{"weight": [1, 0]}]}, {"steps": [3]},
+    {"steps": [{"weight": [1, 0], "kind": 7}]}])
+def test_trace_from_json_refuses_malformed_shapes(payload):
+    with pytest.raises(RootDataError):
+        ConstructionTrace.from_json(payload)

@@ -1,10 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from weightlab import (Box, LatticeSpec, MonoidSpec, RootDataError, bounded_perfect_closure,
                        build_root_datum, classify, component_support, dominant_weights_below,
                        enumerate_perfect, is_perfect_in_box, is_saturated_monoid,
-                       predicted_members, root_coordinates, tensor_decompose,
-                       verify_classification)
+                       predicted_members, root_coordinates, verify_classification)
 from weightlab import perfectmonoid
 from conftest import get_datum
 
@@ -196,36 +197,31 @@ def members_key(members):
     return tuple(sorted(members))
 
 
-def test_closure_settles_most_pairs_without_decomposing(monkeypatch):
+def closure_stats(datum, spec, box):
+    """The closure and the datum's closure counts it added."""
+    before = Counter(datum.stats)
+    members = bounded_perfect_closure(spec, box)
+    return members, Counter(datum.stats) - before
+
+
+def test_closure_settles_most_pairs_without_decomposing():
     # each pair is settled when its later member is reached, after the
-    # summands of every earlier pair were absorbed, so the envelope settles
-    # all but 243 of the 58,996 pairs here without decomposing them
-    calls = []
-
-    def counting(datum, lam, mu):
-        calls.append((lam, mu))
-        return tensor_decompose(datum, lam, mu)
-
-    monkeypatch.setattr(perfectmonoid, "tensor_decompose", counting)
-    members = bounded_perfect_closure(MonoidSpec(get_datum("A3"), ((1, 0, 0),)), Box(6))
+    # summands of every earlier pair were absorbed, so the row test and its
+    # recheck settle all but 243 of the 58,996 pairs here without decomposing
+    datum = get_datum("A3")
+    members, stats = closure_stats(datum, MonoidSpec(datum, ((1, 0, 0),)), Box(6))
     assert len(members) == 343
-    assert len(calls) <= 243
+    assert stats["closure_decomposed"] <= 243
 
 
-def test_closure_settles_each_pair_once(monkeypatch):
-    calls = []
-
-    def counting(envelope, members, a, b):
-        calls.append((a, b))
-        return pair_adds(envelope, members, a, b)
-
-    pair_adds = perfectmonoid._pair_adds
-    monkeypatch.setattr(perfectmonoid, "_pair_adds", counting)
-    members = bounded_perfect_closure(MonoidSpec(get_datum("A3"), ((1, 0, 0),)), Box(6))
+def test_closure_settles_each_pair_once():
+    datum = get_datum("A3")
+    members, stats = closure_stats(datum, MonoidSpec(datum, ((1, 0, 0),)), Box(6))
     m = len(members)
     assert m == 343
-    assert len(calls) == m * (m + 1) // 2
-    assert len({frozenset(pair) for pair in calls}) == len(calls)
+    assert stats["closure_pairs"] == m * (m + 1) // 2
+    assert stats["closure_settled"] + stats["closure_rechecked"] \
+        + stats["closure_decomposed"] == stats["closure_pairs"]
 
 
 def test_spec_json_round_trip():

@@ -1,23 +1,32 @@
 """Property tests on hypothesis-drawn weights: the dominant-weight walk, the
 orbit walk, orbit sizes, Weyl group orders and elements, expanded weight
-systems, the Brauer-Klimyk fold, single tensor coefficients and box closures
-against the oracles in oracles.py, commutativity of tensor products,
-conservation of dimension, and monotonicity of box closures in the box."""
+systems, the Brauer-Klimyk fold, single tensor coefficients, box closures
+and the perfectness predicate against the oracles in oracles.py,
+commutativity of tensor products, conservation of dimension, monotonicity
+of box closures in the box, and JSON round trips of traces, monoid specs
+and lattice specs."""
 
+import json
+from collections import Counter
 from math import floor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weightlab import (Box, MonoidSpec, bounded_perfect_closure, character,
+import oracles
+from weightlab import (Box, LatticeSpec, MonoidSpec, bounded_perfect_closure, character,
                        dominant_weights_below, expand_character, in_lattice, is_perfect_in_box,
-                       orbit, orbit_size, root_coordinates, tensor_decompose,
-                       tensor_multiplicity, weyl_dimension, weyl_group_elements)
+                       orbit, orbit_size, perfectmonoid, root_coordinates,
+                       support_regular_weight, tensor_decompose, tensor_multiplicity,
+                       w0_antifixed_weight, weyl_dimension, weyl_group_elements)
 from weightlab.charcalc import _below_with_depth
+from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.tensor import _expanded_table, _klimyk
 from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
-                     classifier_orbit_size, expanded, sweep_perfect_closure, table_weyl_order,
+                     classifier_orbit_size, expanded, pairwise_is_perfect_in_box,
+                     pairwise_perfect_closure, sweep_perfect_closure, table_weyl_order,
                      unique_klimyk)
 
 # every simple type of rank <= 6, and two products
@@ -221,19 +230,31 @@ def test_coefficient_matches_decomposition(type_string, data):
         assert tensor_multiplicity(datum, lam, mu, nu) == summands.get(nu, 0), nu
 
 
+# the strata of the sweep oracle test, and A1xA2 with generators on one factor
+ROW_TEST_STRATA = ([(t, mode, None) for t in CLOSURE_TYPES for mode in ("sc", "adjoint")]
+                   + [("A1xA2", mode, k) for mode in ("sc", "adjoint") for k in (1, 2)])
+
+
+def closure_spec(data, type_string, mode, factor=None):
+    """A monoid spec of one or two in-lattice generators from Box(2), all on
+    one factor when ``factor`` is given, and a box with bound 2 to 5."""
+    datum = get_datum(type_string, mode)
+    # box weights are dominant: zero off the factor iff its block holds the sum
+    weights = [w for w in Box(2).region(datum) if in_lattice(datum, w)
+               and (factor is None or sum(datum.project_factor(w, factor)) == sum(w))]
+    gens = data.draw(st.lists(st.sampled_from(weights), min_size=1, max_size=2),
+                     label="generators")
+    return MonoidSpec(datum, tuple(gens)), Box(data.draw(st.integers(2, 5), label="box"))
+
+
 @pytest.mark.parametrize("mode", ["sc", "adjoint"])
 @pytest.mark.parametrize("type_string", CLOSURE_TYPES)
 @given(data=st.data())
 def test_closure_matches_sweep_oracle(type_string, mode, data):
-    datum = get_datum(type_string, mode)
-    in_lattice_weights = [w for w in Box(2).region(datum) if in_lattice(datum, w)]
-    gens = data.draw(st.lists(st.sampled_from(in_lattice_weights), min_size=1, max_size=2),
-                     label="generators")
-    box = Box(data.draw(st.integers(2, 5), label="box"))
-    spec = MonoidSpec(datum, tuple(gens))
+    spec, box = closure_spec(data, type_string, mode)
     closure = bounded_perfect_closure(spec, box)
     assert closure == sweep_perfect_closure(spec, box)
-    assert is_perfect_in_box(datum, closure, box)
+    assert is_perfect_in_box(spec.datum, closure, box)
 
 
 @pytest.mark.parametrize("mode", ["sc", "adjoint"])
@@ -251,3 +272,100 @@ def test_closure_grows_with_the_box(type_string, mode, data):
     box = Box(bound)
     larger = bounded_perfect_closure(spec, Box(bound + 1))
     assert bounded_perfect_closure(spec, box) <= {w for w in larger if w in box}
+
+
+@pytest.mark.parametrize("type_string, mode, factor", ROW_TEST_STRATA)
+@given(data=st.data())
+def test_row_test_closure_matches_pairwise_oracle(type_string, mode, factor, data):
+    spec, box = closure_spec(data, type_string, mode, factor)
+    datum = spec.datum
+    before = Counter(datum.stats)
+    with mock.patch.object(perfectmonoid, "tensor_decompose", wraps=tensor_decompose) as row:
+        closure = bounded_perfect_closure(spec, box)
+    stats = Counter(datum.stats) - before
+    with mock.patch.object(oracles, "tensor_decompose", wraps=tensor_decompose) as pairwise:
+        assert closure == pairwise_perfect_closure(spec, box)
+    # the same pairs are decomposed, and the counts account for every pair
+    assert row.call_count == pairwise.call_count == stats["closure_decomposed"]
+    m = len(closure)
+    assert stats["closure_pairs"] == m * (m + 1) // 2
+    assert stats["closure_settled"] + stats["closure_rechecked"] \
+        + stats["closure_decomposed"] == stats["closure_pairs"]
+
+
+@pytest.mark.parametrize("type_string, mode, factor", ROW_TEST_STRATA)
+@given(data=st.data())
+def test_perfectness_matches_pairwise_oracle(type_string, mode, factor, data):
+    spec, box = closure_spec(data, type_string, mode, factor)
+    datum = spec.datum
+    closure = bounded_perfect_closure(spec, box)
+    assert is_perfect_in_box(datum, closure, box)
+    assert pairwise_is_perfect_in_box(datum, closure, box)
+    nonzero = sorted(w for w in closure if any(w))
+    if nonzero:
+        drop = data.draw(st.sampled_from(nonzero), label="dropped")
+        members = closure - {drop}
+        assert is_perfect_in_box(datum, members, box) \
+            == pairwise_is_perfect_in_box(datum, members, box)
+
+
+def round_trip(obj: dict) -> dict:
+    """What a reader gets back from the CLI's JSON output."""
+    return json.loads(json.dumps(obj))
+
+
+# small types whose construction traces stay short
+TRACE_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "A1xA2", "B2xG2"]
+
+
+@pytest.mark.parametrize("type_string", TRACE_TYPES)
+@given(data=st.data())
+def test_construction_trace_json_round_trip(type_string, data):
+    datum = get_datum(type_string)
+    lam = data.draw(st.tuples(*[st.integers(0, 3)] * datum.rank).filter(any), label="lam")
+    omega = data.draw(st.tuples(*[st.integers(1, 2)] * datum.rank), label="omega")
+    for trace in (support_regular_weight(datum, lam),
+                  w0_antifixed_weight(datum, omega, (0,) * datum.rank)):
+        assert ConstructionTrace.from_json(round_trip(trace.to_json())) == trace
+
+
+def drawn_step(weight, kind, left, right, word) -> TraceStep:
+    """A step of the given kind; a generator carries no indices, a sum no word."""
+    if kind == "generator":
+        return TraceStep(weight, kind)
+    return TraceStep(weight, kind, left=left, right=right, word=word if kind == "prv" else None)
+
+
+@given(steps=st.lists(st.builds(
+    drawn_step, weight=st.lists(st.integers(-10, 10), min_size=1, max_size=4).map(tuple),
+    kind=st.sampled_from(["generator", "sum", "prv"]), left=st.integers(0, 20),
+    right=st.integers(0, 20), word=st.lists(st.integers(1, 4), max_size=6).map(tuple)),
+    min_size=1, max_size=6))
+def test_drawn_trace_json_round_trip(steps):
+    trace = ConstructionTrace(tuple(steps))
+    assert ConstructionTrace.from_json(round_trip(trace.to_json())) == trace
+
+
+def lattice_specs(datum):
+    """The sc and adjoint lattices, and subgroup lattices generated by drawn
+    cocenter elements."""
+    elements = datum.cocenter.elements()
+    subgroup = st.lists(st.sampled_from(elements), max_size=2).map(
+        lambda gens: LatticeSpec("subgroup", tuple(gens)))
+    return st.one_of(st.sampled_from([LatticeSpec("sc"), LatticeSpec("adjoint")]), subgroup)
+
+
+@pytest.mark.parametrize("type_string", ["A1", "A3", "B2", "D4", "G2", "A1xA2", "A1xA1"])
+@given(data=st.data())
+def test_monoid_and_lattice_spec_json_round_trip(type_string, data):
+    lattice = data.draw(lattice_specs(get_datum(type_string)), label="lattice")
+    assert LatticeSpec.from_json(round_trip(lattice.to_json())) == lattice
+    datum = get_datum(type_string, lattice.mode, lattice.generators)
+    weights = [w for w in Box(3).region(datum) if in_lattice(datum, w)]
+    gens = data.draw(st.lists(st.sampled_from(weights), max_size=3), label="generators")
+    spec = MonoidSpec(datum, tuple(gens))
+    again = MonoidSpec.from_json(round_trip(spec.to_json()))
+    assert str(again.datum.ctype) == type_string
+    assert again.datum.lattice == lattice
+    assert again.generators == spec.generators
+    assert again.to_json() == spec.to_json()
