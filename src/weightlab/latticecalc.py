@@ -176,22 +176,20 @@ def _factorize(n: int) -> dict[int, int]:
 
 
 def fundamental_group(datum: RootDatum) -> FinAbGroup:
-    """P/Q of the simply connected cover, from per-factor Smith normal forms."""
+    """P/Q of the simply connected cover, from the per-factor Smith normal
+    forms the datum keeps: coordinate i of a factor is row i of its U modulo
+    its invariant factor d_i."""
     orders: list[int] = []
     coord_factor: list[int] = []
     proj_rows: list[tuple[int, ...]] = []
-    for k, ((family, r), (start, end)) in enumerate(
-            zip(datum.ctype.factors, datum.ctype.blocks), start=1):
-        block = [[datum.cartan[i][j] for j in range(start, end)]
-                 for i in range(start, end)]
-        s, u, _ = smith_normal_form(block)
-        for i in range(r):
-            d = s[i][i]
+    for k, ((start, end), (diagonal, u, _)) in enumerate(
+            zip(datum.ctype.blocks, datum._smith), start=1):
+        for d, urow in zip(diagonal, u):
             assert d > 0
             if d == 1:
                 continue
             row = [0] * datum.rank
-            row[start:end] = u[i]
+            row[start:end] = urow
             orders.append(d)
             coord_factor.append(k)
             proj_rows.append(tuple(row))

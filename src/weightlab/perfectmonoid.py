@@ -77,7 +77,9 @@ class MonoidSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "MonoidSpec":
-        datum = build_root_datum(obj["type"], LatticeSpec.from_json(obj.get("lattice", {})))
+        if not isinstance(obj, dict):
+            raise RootDataError(f"monoid spec must be a JSON object, got {obj!r}")
+        datum = build_root_datum(obj.get("type"), LatticeSpec.from_json(obj.get("lattice", {})))
         gens = obj.get("generators", [])
         if not (isinstance(gens, list) and all(is_int_list(g) for g in gens)):
             raise RootDataError(f"generators must be lists of integers, got {gens!r}")

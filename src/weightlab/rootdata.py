@@ -2,7 +2,10 @@
 
 A weight is a plain tuple of ints: the fundamental-weight coordinates of the
 simply connected cover, concatenated over simple factors.  All arithmetic is
-exact -- ints for weights, ``fractions.Fraction`` for root coordinates.
+exact -- ints for weights, ``fractions.Fraction`` for root coordinates.  The
+Cartan matrix C is eliminated once, by a Smith normal form of each simple
+factor: the cocenter P/Q and the integer matrix det C^-1 both come from it,
+and root coordinates are read from det C^-1 as Fractions over det.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ class CartanType:
 
     @staticmethod
     def parse(type_string: str) -> "CartanType":
+        if not isinstance(type_string, str):
+            raise RootDataError(f"Cartan type must be a string, got {type_string!r}")
         factors = []
         for part in type_string.strip().split("x"):
             m = _FACTOR_RE.match(part.strip())
@@ -219,17 +224,35 @@ class RootDatum:
         self.cartan_columns = tuple(
             tuple(cartan[i][j] for i in range(self.rank)) for j in range(self.rank))
         self._np_cartan_cols = np.array(self.cartan, dtype=np.int64)  # [:, j] = alpha_j
-        self.inverse_cartan = _invert_exact(self.cartan)
-        # det * C^-1 as an integer matrix, det the least common denominator
-        # of C^-1: lam has root coordinates (adjugate @ lam) / det
-        self._det = lcm(*(entry.denominator for row in self.inverse_cartan for entry in row))
-        self._np_adjugate = np.array(
-            [[int(entry * self._det) for entry in row] for row in self.inverse_cartan],
-            dtype=np.int64)
+        # one Smith form S = U C V per factor, kept as (diagonal, U, V): the
+        # cocenter reads the U rows, and C^-1 = V S^-1 U on the block
+        from . import latticecalc
+        self._smith = []
+        for start, end in ctype.blocks:
+            s, u, v = latticecalc.smith_normal_form([row[start:end] for row in cartan[start:end]])
+            self._smith.append((tuple(s[i][i] for i in range(end - start)), u, v))
+        # det is the exponent of P/Q, the least common denominator of C^-1,
+        # and det * C^-1 = V diag(det / d_i) U is an integer matrix: lam has
+        # root coordinates (adjugate @ lam) / det
+        self._det = lcm(*(diagonal[-1] for diagonal, _, _ in self._smith))
+        adjugate = [[0] * self.rank for _ in range(self.rank)]
+        for (start, end), (diagonal, u, v) in zip(ctype.blocks, self._smith):
+            # the columns of diag(det / d_i) U
+            cols = list(zip(*([self._det // d * x for x in row] for d, row in zip(diagonal, u))))
+            for i, vrow in enumerate(v, start):
+                adjugate[i][start:end] = [sum(a * b for a, b in zip(vrow, c)) for c in cols]
+        # built in Python ints, so an entry beyond int64 raises here
+        self._np_adjugate = np.array(adjugate, dtype=np.int64)
         self.weyl_vector: Weight = (1,) * self.rank
         self.positive_roots = _generate_positive_roots(self)
         expected = sum(positive_root_count(f, r) for f, r in ctype.factors)
         assert len(self.positive_roots) == expected
+        # scales of the int64 guards in tensor and weyl: the height of the
+        # highest coroot, the largest absolute Cartan entry and the largest
+        # absolute row sum of det C^-1
+        self._coroot_height = max(sum(alpha.coroot) for alpha in self.positive_roots)
+        self._cartan_entry = max(abs(a) for row in cartan for a in row)
+        self._adjugate_row_sum = max(sum(map(abs, row)) for row in adjugate)
         # (support bitmask over the simple roots, height) of each positive root
         self.root_supports = tuple(
             (sum(1 << i for i, k in enumerate(alpha.rc) if k), alpha.height)
@@ -261,13 +284,6 @@ class RootDatum:
     def factor_block(self, k: int) -> tuple[int, int]:
         """Coordinate range of factor k (1-based)."""
         return self.ctype.blocks[k - 1]
-
-    def factor_of_node(self, i: int) -> int:
-        """1-based factor index of node i (0-based coordinate)."""
-        for k, (start, end) in enumerate(self.ctype.blocks, start=1):
-            if start <= i < end:
-                return k
-        raise RootDataError(f"node {i} out of range")
 
     def project_factor(self, lam: Weight, k: int) -> Weight:
         start, end = self.factor_block(k)
@@ -321,24 +337,6 @@ class RootDatum:
 
     def __repr__(self):
         return f"RootDatum({self.ctype}, {self.lattice.mode})"
-
-
-def _invert_exact(cartan) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse by Gauss-Jordan over Fractions."""
-    n = len(cartan)
-    aug = [[Fraction(cartan[i][j]) for j in range(n)]
-           + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _generate_positive_roots(datum: RootDatum) -> tuple[PositiveRoot, ...]:
@@ -425,16 +423,11 @@ def wzero(rank: int) -> Weight:
     return (0,) * rank
 
 
-def is_dominant(lam: Weight) -> bool:
-    return all(x >= 0 for x in lam)
-
-
 def root_coordinates(datum: RootDatum, lam: Weight) -> tuple[Fraction, ...]:
     """Exact coefficients k with lam = sum k_i alpha_i, i.e. C k = lam."""
     lam = datum.check_weight(lam)
-    inv = datum.inverse_cartan
-    return tuple(sum(inv[i][j] * lam[j] for j in range(datum.rank))
-                 for i in range(datum.rank))
+    return tuple(Fraction(sum(a * x for a, x in zip(row, lam)), datum._det)
+                 for row in datum._np_adjugate.tolist())
 
 
 def pairing(datum: RootDatum, lam: Weight, mu: Weight):

@@ -93,10 +93,8 @@ def _check_int64(datum: RootDatum, lam: Weight, mu: Weight) -> None:
     coroot; a reflection multiplies it by a Cartan entry first.  Running
     totals are at most dim L(mu), the sum of the table's multiplicities.
     """
-    height = max(sum(alpha.coroot) for alpha in datum.positive_roots)
-    entry = max(abs(a) for row in datum.cartan for a in row)
-    coord = height * (max(lam) + max(mu) + 1)
-    if entry * coord > INT64_MAX or weyl_dimension(datum, mu) > INT64_MAX:
+    coord = datum._coroot_height * (max(lam) + max(mu) + 1)
+    if datum._cartan_entry * coord > INT64_MAX or weyl_dimension(datum, mu) > INT64_MAX:
         raise ValueError(
             f"tensor product of {lam} and {mu} is out of int64 range for the fold")
 
@@ -168,11 +166,9 @@ def _check_coefficient(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) ->
     if datum.weyl_order > weyl.MAX_WEYL_ELEMENTS:
         raise ValueError(f"Weyl group of order {datum.weyl_order} exceeds bound "
                          f"{weyl.MAX_WEYL_ELEMENTS}")
-    height = max(sum(alpha.coroot) for alpha in datum.positive_roots)
-    entry = max(abs(a) for row in datum.cartan for a in row)
-    adj = int(abs(datum._np_adjugate).sum(axis=1).max())
+    height = datum._coroot_height
     bound = height * (max(lam) + max(mu) + max(nu) + 2)
-    if max(height, entry, adj) * bound > INT64_MAX:
+    if max(height, datum._cartan_entry, datum._adjugate_row_sum) * bound > INT64_MAX:
         raise ValueError(f"coefficient of {nu} in {lam} (x) {mu} is out of int64 range")
 
 

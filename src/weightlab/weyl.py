@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .rootdata import RootDatum, Weight, parabolic_order, root_coordinates, wneg, wsub
+import numpy as np
+
+from .rootdata import RootDatum, Weight, parabolic_order, wneg, wsub
 
 WeylWord = tuple[int, ...]
 
@@ -109,9 +111,13 @@ def dual_weight(datum: RootDatum, lam: Weight) -> Weight:
 
 
 def dominance_leq(datum: RootDatum, mu: Weight, lam: Weight) -> bool:
-    """mu <= lam iff lam - mu is a nonnegative integer combination of simple roots."""
+    """mu <= lam iff lam - mu is a nonnegative integer combination of simple
+    roots, by :meth:`RootDatum.in_root_cone`.  Refused with ``ValueError``
+    when det C^-1 (lam - mu) could leave int64."""
     diff = wsub(datum.check_weight(lam), datum.check_weight(mu))
-    return all(k.denominator == 1 and k >= 0 for k in root_coordinates(datum, diff))
+    if max(map(abs, diff)) * datum._adjugate_row_sum > np.iinfo(np.int64).max:
+        raise ValueError(f"dominance of {mu} and {lam} is out of int64 range")
+    return bool(datum.in_root_cone(np.array([diff], dtype=np.int64))[0])
 
 
 def orbit(datum: RootDatum, lam: Weight) -> frozenset[Weight]:

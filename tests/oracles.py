@@ -8,6 +8,7 @@ weights below a highest weight from a walk over the whole root-coordinate
 box, orbits and Weyl group elements from breadth-first searches over simple
 reflections, orbit sizes from the Dynkin shape of each stabilizer and the
 classical table of Weyl group orders, determinants from cofactor expansion,
+the inverse Cartan matrix from Gauss-Jordan over Fractions,
 the Brauer-Klimyk fold from its earlier implementation
 (leftmost-negative reflection rounds, then ``np.unique`` over rows), and
 box closures from the earlier sweep-until-stable loop and from the earlier
@@ -341,6 +342,24 @@ def int_det(matrix) -> int:
         minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
         total += (-1) ** j * matrix[0][j] * int_det(minor)
     return total
+
+
+def fraction_inverse_cartan(cartan) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse by Gauss-Jordan over Fractions."""
+    n = len(cartan)
+    aug = [[Fraction(cartan[i][j]) for j in range(n)]
+           + [Fraction(1 if j == i else 0) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 class _BoxEnvelope:

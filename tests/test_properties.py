@@ -1,14 +1,15 @@
-"""Property tests on hypothesis-drawn weights: the dominant-weight walk, the
-orbit walk, orbit sizes, Weyl group orders and elements, expanded weight
-systems, the Brauer-Klimyk fold, single tensor coefficients, box closures
-and the perfectness predicate against the oracles in oracles.py,
-commutativity of tensor products, conservation of dimension, monotonicity
-of box closures in the box, and JSON round trips of traces, monoid specs
-and lattice specs."""
+"""Property tests on hypothesis-drawn weights: det C^-1, root coordinates
+and dominance against a Fraction inverse of the Cartan matrix, the
+dominant-weight walk, the orbit walk, orbit sizes, Weyl group orders and
+elements, expanded weight systems, the Brauer-Klimyk fold, single tensor
+coefficients, box closures and the perfectness predicate against the
+oracles in oracles.py, commutativity of tensor products, conservation of
+dimension, monotonicity of box closures in the box, and JSON round trips of
+traces, monoid specs and lattice specs."""
 
 import json
 from collections import Counter
-from math import floor
+from math import floor, lcm
 from unittest import mock
 
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from weightlab import (Box, LatticeSpec, MonoidSpec, bounded_perfect_closure, character,
-                       dominant_weights_below, expand_character, in_lattice, is_perfect_in_box,
-                       orbit, orbit_size, perfectmonoid, root_coordinates,
+                       dominance_leq, dominant_weights_below, expand_character, in_lattice,
+                       is_perfect_in_box, orbit, orbit_size, perfectmonoid, root_coordinates,
                        support_regular_weight, tensor_decompose, tensor_multiplicity,
                        w0_antifixed_weight, weyl_dimension, weyl_group_elements)
 from weightlab.charcalc import _below_with_depth
@@ -25,9 +26,9 @@ from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.tensor import _expanded_table, _klimyk
 from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
-                     classifier_orbit_size, expanded, pairwise_is_perfect_in_box,
-                     pairwise_perfect_closure, sweep_perfect_closure, table_weyl_order,
-                     unique_klimyk)
+                     classifier_orbit_size, expanded, fraction_inverse_cartan,
+                     pairwise_is_perfect_in_box, pairwise_perfect_closure,
+                     sweep_perfect_closure, table_weyl_order, unique_klimyk)
 
 # every simple type of rank <= 6, and two products
 TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
@@ -47,6 +48,8 @@ RANK8 = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
 WEYL_2000 = [t for t in RANK8 if table_weyl_order(get_datum(t)) <= 2000] + ["A1xA1"]
 # small types whose box closures the sweep oracle recomputes
 CLOSURE_TYPES = ["A1", "A2", "B2", "G2", "A1xA1", "A3"]
+# RANK8, and three products with repeated factors
+INVERSE_TYPES = RANK8 + ["A1xA1", "D4xD4", "A2xA2"]
 
 
 def box_volume(datum, lam) -> int:
@@ -78,6 +81,45 @@ def test_walk_matches_box_oracle(type_string, data):
     lam = data.draw(dominant_weights(datum), label="lam")
     # same weights, same root coordinates, same order
     assert _below_with_depth(datum, lam) == box_below_with_depth(datum, lam)
+
+
+def oracle_root_coordinates(datum, lam) -> tuple:
+    """C^-1 lam from the Fraction Gauss-Jordan inverse."""
+    inverse = fraction_inverse_cartan(datum.cartan)
+    return tuple(sum(k * x for k, x in zip(row, lam)) for row in inverse)
+
+
+@pytest.mark.parametrize("type_string", INVERSE_TYPES)
+def test_adjugate_matches_fraction_inverse(type_string):
+    datum = get_datum(type_string)
+    inverse = fraction_inverse_cartan(datum.cartan)
+    assert datum._det == lcm(*(k.denominator for row in inverse for k in row))
+    assert datum._np_adjugate.tolist() == [[k * datum._det for k in row] for row in inverse]
+
+
+@pytest.mark.parametrize("type_string", INVERSE_TYPES)
+@given(data=st.data())
+def test_root_coordinates_match_fraction_inverse(type_string, data):
+    datum = get_datum(type_string)
+    lam = data.draw(st.tuples(*[st.integers(-10, 10)] * datum.rank), label="lam")
+    assert root_coordinates(datum, lam) == oracle_root_coordinates(datum, lam)
+
+
+@pytest.mark.parametrize("type_string", INVERSE_TYPES)
+@given(data=st.data())
+def test_dominance_matches_fraction_inverse(type_string, data):
+    # lam - mu is a drawn combination of simple roots, mostly nonnegative,
+    # plus a drawn weight that is zero half the time
+    datum = get_datum(type_string)
+    mu = data.draw(st.tuples(*[st.integers(-3, 3)] * datum.rank), label="mu")
+    k = data.draw(st.tuples(*[st.integers(-1, 3)] * datum.rank), label="k")
+    noise = data.draw(st.one_of(st.just((0,) * datum.rank),
+                                st.tuples(*[st.integers(-1, 1)] * datum.rank)), label="noise")
+    lam = tuple(m + e + sum(row[j] * k[j] for j in range(datum.rank))
+                for m, e, row in zip(mu, noise, datum.cartan))
+    diff = tuple(a - b for a, b in zip(lam, mu))
+    expected = all(c.denominator == 1 and c >= 0 for c in oracle_root_coordinates(datum, diff))
+    assert dominance_leq(datum, mu, lam) == expected
 
 
 @pytest.mark.parametrize("type_string, lam", [

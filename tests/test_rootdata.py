@@ -276,6 +276,19 @@ def test_readers_accept_plain_ints():
     assert step == TraceStep((2, 2), "prv", left=0, word=(1,), right=0)
 
 
+@pytest.mark.parametrize("read, obj", [
+    (MonoidSpec.from_json, [1]),                    # not a JSON object
+    (MonoidSpec.from_json, {}),                     # no type
+    (MonoidSpec.from_json, {"type": 3}),
+    (MonoidSpec.from_json, {"type": None}),
+    (build_root_datum, 3),
+    (build_root_datum, ["A2"]),
+])
+def test_type_readers_refuse_what_is_not_a_type_string(read, obj):
+    with pytest.raises(RootDataError):
+        read(obj)
+
+
 def test_weight_length_validation():
     datum = get_datum("A2")
     with pytest.raises(RootDataError):

@@ -138,6 +138,15 @@ def test_dominance_examples():
     assert dominance_leq(a2, (1, 1), (1, 1))
 
 
+def test_dominance_refuses_what_int64_cannot_hold():
+    # det C^-1 of A2 is [[2, 1], [1, 2]]: 2 * 2^60 fits int64, 2 * 2^62 does not
+    a2 = get_datum("A2")
+    assert dominance_leq(a2, (0, 0), (3 * 2 ** 59, 0))
+    assert not dominance_leq(a2, (0, 0), (2 ** 60, 0))
+    with pytest.raises(ValueError):
+        dominance_leq(a2, (0, 0), (2 ** 62, 0))
+
+
 def test_dominance_is_partial_order():
     rng = random.Random(7)
     datum = get_datum("B2")
