@@ -11,8 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rootdata import RootDatum, Weight
+from .rootdata import RootDatum, Weight, parabolic_order
 from .weyl import _dominant_representative, orbit, orbit_size
+
+# most rows an expanded weight table may hold: its row count, the sum of the
+# orbit sizes of the character's dominant weights, is checked before any
+# orbit is walked
+MAX_EXPANDED_ROWS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -84,36 +89,88 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
     return out
 
 
+def _root_strings(datum: RootDatum, zeros: int) -> list:
+    """The root strings the recursion walks from a dominant mu whose zero
+    coordinates are the bitmask ``zeros``: one (fund, pair, norm, count)
+    per J-dominant positive root alpha, with pair . nu = (alpha, nu),
+    norm = (alpha, alpha) and count the positive roots it stands for.
+    Built once per mask and kept on the datum."""
+    cached = datum._string_cache.get(zeros)
+    if cached is not None:
+        return cached
+    nodes = [j for j in range(datum.rank) if zeros >> j & 1]
+    order = parabolic_order(datum, zeros)
+    strings = []
+    for alpha, (support, _) in zip(datum.positive_roots, datum.root_supports):
+        fund = alpha.fund
+        if any(fund[j] < 0 for j in nodes):
+            continue
+        count = order // parabolic_order(datum, sum(1 << j for j in nodes if fund[j] == 0))
+        if support & ~zeros == 0:
+            # the orbit lies in Phi_J and holds -beta with each beta
+            assert count % 2 == 0
+            count //= 2
+        pair = tuple(r * d for r, d in zip(alpha.rc, datum.symmetrizer))
+        strings.append((fund, pair, sum(p * a for p, a in zip(pair, fund)), count))
+    datum._string_cache[zeros] = strings
+    return strings
+
+
 def character(datum: RootDatum, lam: Weight) -> Character:
     """Weight system of the irreducible module with highest weight lam,
-    multiplicities by the Freudenthal recursion in exact integers."""
+    multiplicities by the Freudenthal recursion in exact integers,
+
+        ((lam+rho, lam+rho) - (mu+rho, mu+rho)) m(mu) = 2 sum_{alpha > 0} S_alpha,
+        S_alpha = sum_{k >= 1} (mu + k alpha, alpha) m(mu + k alpha),
+
+    in the orbit-sum form of Moody and Patera, *Fast recursion formula for
+    weight multiplicities* (Bull. AMS 7, 1982), which walks one root string
+    per orbit of the stabilizer of mu.
+
+    Let J be the zero coordinates of the dominant mu, so that the parabolic
+    subgroup W_J fixes mu.  The multiplicities are W-invariant, so for w in
+    W_J, S_{w alpha} = S_alpha.  W_J permutes Phi+ minus Phi_J+.  For alpha
+    in Phi_J, (mu, alpha) = 0 and s_alpha maps mu + k alpha to mu - k alpha,
+    so S_{-alpha} = S_alpha and the sum over Phi_J+ is half the sum over
+    Phi_J.  Both sets are unions of W_J-orbits, and the closed J-chamber is a
+    fundamental domain for W_J, so each orbit holds exactly one J-dominant
+    root: a positive alpha with <alpha, alpha_j^vee> >= 0 for every j in J.
+    Its stabilizer in W_J is the parabolic subgroup on the j in J with
+    <alpha, alpha_j^vee> = 0, so the sum over Phi+ is
+
+        sum over J-dominant alpha > 0 of |W_J| / |W_{J cap zeros(alpha)}| S_alpha,
+
+    halved when the support of alpha lies inside J.  A regular mu walks
+    every positive root once; the strings walked are counted in
+    ``datum.stats["freudenthal_strings"]``.
+    """
     lam = datum.check_weight(lam)
     cached = datum._char_cache.get(lam)
     if cached is not None:
+        datum.stats["char_cache_hits"] += 1
         return cached
     if any(x < 0 for x in lam):
         raise ValueError(f"expected a dominant weight, got {lam}")
+    datum.stats["char_cache_misses"] += 1
     below = _below_with_depth(datum, lam)
     table: dict[Weight, int] = {lam: 1}
     dom_set = {w for w, _ in below}
     sym = datum.symmetrizer
-    # per positive root: its fundamental coordinates, the vector v with
-    # v . nu = (alpha, nu), and (alpha, alpha) = v . alpha
-    strings = []
-    for alpha in datum.positive_roots:
-        pair = tuple(r * d for r, d in zip(alpha.rc, sym))
-        strings.append((alpha.fund, pair, sum(p * a for p, a in zip(pair, alpha.fund))))
     dominant_of: dict[Weight, Weight] = {}
+    walked = 0
     for mu, depth in below[1:]:
         # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
         mid = tuple(a + b + 2 for a, b in zip(lam, mu))
         denom = sum(k * d * f for k, d, f in zip(depth, sym, mid))
         assert denom > 0
+        strings = _root_strings(datum, sum(1 << i for i, x in enumerate(mu) if x == 0))
+        walked += len(strings)
         total = 0
-        for fund, pair, norm in strings:
+        for fund, pair, norm, count in strings:
             # nu runs over mu + k alpha, k >= 1, with prod = (alpha, nu)
             nu = mu
             prod = sum(p * x for p, x in zip(pair, mu))
+            string = 0
             while True:
                 nu = tuple(x + a for x, a in zip(nu, fund))
                 prod += norm
@@ -125,7 +182,8 @@ def character(datum: RootDatum, lam: Weight) -> Character:
                     if nu_dom not in dom_set:
                         break  # left the weight system; the string is contiguous
                     raise AssertionError("multiplicity requested before computed")
-                total += n * prod
+                string += n * prod
+            total += count * string
         num = 2 * total
         assert num % denom == 0
         mult = num // denom
@@ -133,6 +191,7 @@ def character(datum: RootDatum, lam: Weight) -> Character:
         # multiplicity, so a zero here would mean a recursion bug
         assert mult > 0
         table[mu] = mult
+    datum.stats["freudenthal_strings"] += walked
     char = Character(datum, table)
     datum._char_cache[lam] = char
     return char
@@ -165,7 +224,13 @@ def expand_character(datum: RootDatum, char: Character) -> dict[Weight, int]:
 
 def expanded_weight_table(datum: RootDatum, char: Character):
     """Numpy form of the expanded weight system: (rows, mults) arrays, one
-    orbit after another in no particular order within an orbit."""
+    orbit after another in no particular order within an orbit.  Refused
+    with ``ValueError`` before anything is allocated when it would hold more
+    than ``MAX_EXPANDED_ROWS`` rows."""
+    size = sum(orbit_size(datum, w) for w in char.entries)
+    if size > MAX_EXPANDED_ROWS:
+        raise ValueError(f"expanded weight system of {size} weights exceeds bound "
+                         f"{MAX_EXPANDED_ROWS}")
     orbits = [orbit(datum, w) for w in char.entries]
     rows = np.array([v for orb in orbits for v in orb], dtype=np.int64)
     mults = np.repeat(np.array(list(char.entries.values()), dtype=np.int64),

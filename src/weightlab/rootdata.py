@@ -257,6 +257,7 @@ class RootDatum:
         self.root_supports = tuple(
             (sum(1 << i for i, k in enumerate(alpha.rc) if k), alpha.height)
             for alpha in self.positive_roots)
+        self._parabolic_cache: dict = {}
         self.weyl_order = parabolic_order(self, (1 << self.rank) - 1)
         # adjacency of the Dynkin diagram (global coordinates)
         self.neighbors = tuple(
@@ -268,11 +269,14 @@ class RootDatum:
         self._char_cache: dict = {}
         self._dim_cache: dict = {}
         self._below_cache: dict = {}
+        self._string_cache: dict = {}
         self._tensor_cache: dict = {}
         self._table_cache: dict = {}
-        # work counts of bounded_perfect_closure and is_perfect_in_box:
+        # work counts: of bounded_perfect_closure and is_perfect_in_box,
         # closure_pairs, each counted once as closure_settled (by the row
-        # test), closure_rechecked (flagged, then settled) or closure_decomposed
+        # test), closure_rechecked (flagged, then settled) or
+        # closure_decomposed; of charcalc.character, char_cache_hits,
+        # char_cache_misses and freudenthal_strings (root strings walked)
         self.stats: Counter = Counter()
 
     # -- factor bookkeeping -------------------------------------------------
@@ -381,7 +385,11 @@ def _generate_positive_roots(datum: RootDatum) -> tuple[PositiveRoot, ...]:
 def parabolic_order(datum: RootDatum, nodes: int) -> int:
     """Order of the parabolic subgroup W_J, J the simple roots in the
     bitmask ``nodes``, by Kostant's height formula: the product of
-    (ht + 1) / ht over the positive roots supported in J."""
+    (ht + 1) / ht over the positive roots supported in J.  Memoized per
+    datum by mask."""
+    cached = datum._parabolic_cache.get(nodes)
+    if cached is not None:
+        return cached
     num = den = 1
     for support, height in datum.root_supports:
         if support & ~nodes == 0:
@@ -389,6 +397,7 @@ def parabolic_order(datum: RootDatum, nodes: int) -> int:
             den *= height
     order, rest = divmod(num, den)
     assert rest == 0
+    datum._parabolic_cache[nodes] = order
     return order
 
 

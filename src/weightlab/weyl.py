@@ -71,14 +71,22 @@ def make_dominant(datum: RootDatum, lam: Weight) -> DominantResult:
 def _dominant_representative(datum: RootDatum, lam: Weight) -> Weight:
     """Dominant representative of an already checked weight, without the
     word.  Any order of reflections in negative coordinates ends at the same
-    representative, so this reflects in the most negative one."""
-    cols = datum.cartan_columns
+    representative, so this reflects in the most negative one.  s_i moves
+    only coordinate i, to its negative, and the neighbours of i."""
     low = min(lam)
+    if low >= 0:
+        return lam
+    cols = datum.cartan_columns
+    neighbors = datum.neighbors
+    x = list(lam)
     while low < 0:
-        i = lam.index(low)
-        lam = tuple(x - low * a for x, a in zip(lam, cols[i]))
-        low = min(lam)
-    return lam
+        i = x.index(low)
+        x[i] = -low
+        col = cols[i]
+        for j in neighbors[i]:
+            x[j] -= low * col[j]
+        low = min(x)
+    return tuple(x)
 
 
 def w0_action(datum: RootDatum, lam: Weight) -> Weight:

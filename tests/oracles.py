@@ -8,7 +8,9 @@ weights below a highest weight from a walk over the whole root-coordinate
 box, orbits and Weyl group elements from breadth-first searches over simple
 reflections, orbit sizes from the Dynkin shape of each stabilizer and the
 classical table of Weyl group orders, determinants from cofactor expansion,
-the inverse Cartan matrix from Gauss-Jordan over Fractions,
+the inverse Cartan matrix from Gauss-Jordan over Fractions, multiplicities
+also from the earlier Freudenthal recursion (one root string per positive
+root),
 the Brauer-Klimyk fold from its earlier implementation
 (leftmost-negative reflection rounds, then ``np.unique`` over rows), and
 box closures from the earlier sweep-until-stable loop and from the earlier
@@ -26,9 +28,11 @@ from math import factorial, floor
 import numpy as np
 
 from weightlab import apply_word, character, reflect, root_coordinates, word_sign
+from weightlab.charcalc import _below_with_depth
 from weightlab.perfectmonoid import Box
 from weightlab.rootdata import RootDatum, Weight, wadd, wsub
 from weightlab.tensor import _expanded_table, tensor_decompose
+from weightlab.weyl import _dominant_representative
 
 
 def cg_closed_form(a: int, b: int) -> dict[tuple[int], int]:
@@ -101,6 +105,53 @@ def brute_tensor(datum, lam, mu) -> dict:
             if product[w] == 0:
                 del product[w]
     return result
+
+
+def per_root_freudenthal(datum, lam) -> dict[Weight, int]:
+    """Dominant weight -> multiplicity of L(lam) by the Freudenthal
+    recursion with one root string per positive root for every mu."""
+    lam = datum.check_weight(lam)
+    below = _below_with_depth(datum, lam)
+    table: dict[Weight, int] = {lam: 1}
+    dom_set = {w for w, _ in below}
+    sym = datum.symmetrizer
+    # per positive root: its fundamental coordinates, the vector v with
+    # v . nu = (alpha, nu), and (alpha, alpha) = v . alpha
+    strings = []
+    for alpha in datum.positive_roots:
+        pair = tuple(r * d for r, d in zip(alpha.rc, sym))
+        strings.append((alpha.fund, pair, sum(p * a for p, a in zip(pair, alpha.fund))))
+    dominant_of: dict[Weight, Weight] = {}
+    for mu, depth in below[1:]:
+        # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
+        mid = tuple(a + b + 2 for a, b in zip(lam, mu))
+        denom = sum(k * d * f for k, d, f in zip(depth, sym, mid))
+        assert denom > 0
+        total = 0
+        for fund, pair, norm in strings:
+            # nu runs over mu + k alpha, k >= 1, with prod = (alpha, nu)
+            nu = mu
+            prod = sum(p * x for p, x in zip(pair, mu))
+            while True:
+                nu = tuple(x + a for x, a in zip(nu, fund))
+                prod += norm
+                nu_dom = dominant_of.get(nu)
+                if nu_dom is None:
+                    nu_dom = dominant_of[nu] = _dominant_representative(datum, nu)
+                n = table.get(nu_dom)
+                if n is None:
+                    if nu_dom not in dom_set:
+                        break  # left the weight system; the string is contiguous
+                    raise AssertionError("multiplicity requested before computed")
+                total += n * prod
+        num = 2 * total
+        assert num % denom == 0
+        mult = num // denom
+        # every dominant weight below lam in the same coset carries positive
+        # multiplicity, so a zero here would mean a recursion bug
+        assert mult > 0
+        table[mu] = mult
+    return table
 
 
 def random_dominant(rng, rank: int, max_coord: int):

@@ -1,11 +1,14 @@
+import json
 import random
 
 import pytest
 
-from weightlab import (character, dominant_weights_below, expand_character,
-                       is_saturated_weight_set, orbit, weyl_dimension)
+from weightlab import (build_root_datum, character, charcalc, dominant_weights_below,
+                       expand_character, is_saturated_weight_set, orbit, weyl_dimension)
+from weightlab.charcalc import expanded_weight_table
+from weightlab.cli import run
 from conftest import get_datum
-from oracles import kostant_multiplicity
+from oracles import kostant_multiplicity, per_root_freudenthal
 
 
 def test_dominant_weights_below_examples():
@@ -50,6 +53,41 @@ def test_character_multiplicities_against_kostant_sum():
         char = character(datum, lam)
         for mu in dominant_weights_below(datum, lam):
             assert char.entries[mu] == kostant_multiplicity(datum, lam, mu), (ts, lam, mu)
+
+
+def test_freudenthal_walks_one_string_per_stabilizer_orbit():
+    # a fresh datum, so that the counts start at zero
+    d5 = build_root_datum("D5")
+    lam = (2, 2, 3, 2, 0)
+    char = character(d5, lam)
+    assert char.entries == per_root_freudenthal(d5, lam)
+    assert d5.stats["freudenthal_strings"] == 4651
+    # the per-root recursion walks every positive root from each mu < lam
+    assert (len(dominant_weights_below(d5, lam)) - 1) * len(d5.positive_roots) == 8740
+    assert (d5.stats["char_cache_misses"], d5.stats["char_cache_hits"]) == (1, 0)
+    assert character(d5, lam) is char
+    assert (d5.stats["char_cache_misses"], d5.stats["char_cache_hits"]) == (1, 1)
+    assert d5.stats["freudenthal_strings"] == 4651
+
+
+def test_expansion_is_refused_above_the_row_cap(monkeypatch, capsys):
+    a2 = get_datum("A2")
+    char = character(a2, (2, 2))
+    rows = len(expand_character(a2, char))
+    # the cap itself is inclusive
+    monkeypatch.setattr(charcalc, "MAX_EXPANDED_ROWS", rows)
+    assert len(expanded_weight_table(a2, char)[0]) == rows
+    monkeypatch.setattr(charcalc, "MAX_EXPANDED_ROWS", rows - 1)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        expanded_weight_table(a2, char)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        expand_character(a2, char)
+    # the CLI builds a fresh datum, so its fold reaches the guard
+    status = run(["decompose", "--type", "A2", "--lhs", "2,2", "--rhs", "2,2"])
+    out, err = capsys.readouterr()
+    assert status == 2
+    assert out == ""
+    assert json.loads(err)["kind"] == "input"
 
 
 def test_weyl_dimension_examples():

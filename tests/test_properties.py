@@ -1,11 +1,13 @@
 """Property tests on hypothesis-drawn weights: det C^-1, root coordinates
-and dominance against a Fraction inverse of the Cartan matrix, the
-dominant-weight walk, the orbit walk, orbit sizes, Weyl group orders and
-elements, expanded weight systems, the Brauer-Klimyk fold, single tensor
-coefficients, box closures and the perfectness predicate against the
-oracles in oracles.py, commutativity of tensor products, conservation of
-dimension, monotonicity of box closures in the box, and JSON round trips of
-traces, monoid specs and lattice specs."""
+and dominance against a Fraction inverse of the Cartan matrix, dominant
+representatives against make_dominant, the dominant-weight walk, the
+orbit-sum Freudenthal recursion against the per-root one and its
+root-string classes against W_J-orbits, the orbit walk, orbit sizes, Weyl
+group orders and elements, expanded weight systems, the Brauer-Klimyk fold,
+single tensor coefficients, box closures and the perfectness predicate
+against the oracles in oracles.py, commutativity of tensor products,
+conservation of dimension, monotonicity of box closures in the box, and
+JSON round trips of traces, monoid specs and lattice specs."""
 
 import json
 from collections import Counter
@@ -18,16 +20,18 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from weightlab import (Box, LatticeSpec, MonoidSpec, bounded_perfect_closure, character,
                        dominance_leq, dominant_weights_below, expand_character, in_lattice,
-                       is_perfect_in_box, orbit, orbit_size, perfectmonoid, root_coordinates,
-                       support_regular_weight, tensor_decompose, tensor_multiplicity,
-                       w0_antifixed_weight, weyl_dimension, weyl_group_elements)
-from weightlab.charcalc import _below_with_depth
+                       is_perfect_in_box, make_dominant, orbit, orbit_size, perfectmonoid,
+                       reflect, root_coordinates, support_regular_weight, tensor_decompose,
+                       tensor_multiplicity, w0_antifixed_weight, weyl_dimension,
+                       weyl_group_elements)
+from weightlab.charcalc import _below_with_depth, _root_strings
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.tensor import _expanded_table, _klimyk
+from weightlab.weyl import _dominant_representative
 from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
                      classifier_orbit_size, expanded, fraction_inverse_cartan,
-                     pairwise_is_perfect_in_box, pairwise_perfect_closure,
+                     pairwise_is_perfect_in_box, pairwise_perfect_closure, per_root_freudenthal,
                      sweep_perfect_closure, table_weyl_order, unique_klimyk)
 
 # every simple type of rank <= 6, and two products
@@ -128,6 +132,73 @@ def test_dominance_matches_fraction_inverse(type_string, data):
 def test_walk_matches_box_oracle_beyond_drawn_boxes(type_string, lam):
     datum = get_datum(type_string)
     assert _below_with_depth(datum, lam) == box_below_with_depth(datum, lam)
+
+
+def weights_with_zeros(datum, max_dim: int):
+    """Dominant weights with coordinates <= 3, a drawn nonempty set of them
+    zero (all of them on a rank-1 type), lowered coordinate by coordinate in
+    a drawn order until the dimension is at most max_dim."""
+    def fit(drawn):
+        lam, zeros, order = list(drawn[0]), drawn[1], drawn[2]
+        for i in zeros:
+            lam[i] = 0
+        for i in order:
+            while lam[i] and weyl_dimension(datum, tuple(lam)) > max_dim:
+                lam[i] -= 1
+        return tuple(lam)
+    zeros = st.sets(st.integers(0, datum.rank - 1), min_size=1,
+                    max_size=max(1, datum.rank - 1))
+    return st.tuples(st.tuples(*[st.integers(0, 3)] * datum.rank), zeros,
+                     st.permutations(range(datum.rank))).map(fit)
+
+
+@pytest.mark.parametrize("type_string", RANK8)
+@given(data=st.data())
+def test_character_matches_per_root_freudenthal(type_string, data):
+    # a zero coordinate of lam, or of any mu below it, is where the strings
+    # of a stabilizer orbit are grouped
+    datum = get_datum(type_string)
+    lam = data.draw(weights_with_zeros(datum, 10 ** 5), label="lam")
+    assert character(datum, lam).entries == per_root_freudenthal(datum, lam)
+
+
+def w_j_orbit(datum, fund, nodes) -> set:
+    """Orbit of a root, in fundamental coordinates, under the simple
+    reflections of ``nodes``, by breadth-first search."""
+    seen = {fund}
+    frontier = [fund]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for j in nodes:
+                y = reflect(datum, j + 1, x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("type_string", RANK8)
+def test_root_string_classes_are_stabilizer_orbits(type_string):
+    datum = get_datum(type_string)
+    positive = {alpha.fund for alpha in datum.positive_roots}
+    for zeros in range(1 << datum.rank):
+        strings = _root_strings(datum, zeros)
+        assert sum(count for *_, count in strings) == len(positive)
+        # each count is the number of positive roots in the W_J-orbit of
+        # its representative
+        nodes = [j for j in range(datum.rank) if zeros >> j & 1]
+        for fund, _, _, count in strings:
+            assert len(w_j_orbit(datum, fund, nodes) & positive) == count
+
+
+@pytest.mark.parametrize("type_string", RANK8)
+@given(data=st.data())
+def test_dominant_representative_matches_make_dominant(type_string, data):
+    datum = get_datum(type_string)
+    lam = data.draw(st.tuples(*[st.integers(-6, 6)] * datum.rank), label="lam")
+    assert _dominant_representative(datum, lam) == make_dominant(datum, lam).dominant
 
 
 @pytest.mark.parametrize("type_string", SMALL_WEYL)
