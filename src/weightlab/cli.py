@@ -35,6 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# argparse ``type=`` converters.  argparse passes a UsageError through
+# unchanged, so its message reaches stderr as written here.
+
 def _parse_weight(text: str) -> tuple[int, ...]:
     cleaned = text.replace("|", ",").strip()
     if not cleaned:
@@ -50,6 +53,11 @@ def _parse_weights(text: str) -> tuple[tuple[int, ...], ...]:
     if not text:
         return ()
     return tuple(_parse_weight(part) for part in text.split(";") if part.strip())
+
+
+def _optional_weight(text: str) -> tuple[int, ...] | None:
+    """An empty option value means the verb's default weight."""
+    return _parse_weight(text) if text else None
 
 
 def _parse_lattice(text: str) -> LatticeSpec:
@@ -92,148 +100,66 @@ def _fmt(value):
     return value
 
 
-def _params(args, **extra) -> dict:
-    out = {"type": args.type, "lattice": _parse_lattice(args.lattice).to_json()}
-    out.update(extra)
-    return out
+# Each verb maps (args, datum) to (payload, exit status).  A payload's
+# "params" holds the verb's own parameters; ``run`` adds type and lattice.
+
+def _decompose(args, datum):
+    return tensor_decompose(datum, args.lhs, args.rhs).to_json(), 0
 
 
-def _build(args):
-    return build_root_datum(args.type, _parse_lattice(args.lattice))
+def _character(args, datum):
+    char = character(datum, args.weight)
+    return {"weight": list(args.weight), "entries": char.to_json(),
+            "dimension": char.dimension()}, 0
 
 
-def _add_common(sub):
-    sub.add_argument("--type", required=True, help="Cartan type string, e.g. A2xD4")
-    sub.add_argument("--lattice", default=DEFAULT_LATTICE,
-                     help="sc | adjoint | JSON lattice spec (default sc)")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="weightlab", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    subs = parser.add_subparsers(dest="verb", required=True)
-
-    p = subs.add_parser("decompose", help="tensor product decomposition")
-    _add_common(p)
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-
-    p = subs.add_parser("character", help="weight system with multiplicities")
-    _add_common(p)
-    p.add_argument("--weight", required=True)
-
-    p = subs.add_parser("closure", help="box-truncated perfect closure")
-    _add_common(p)
-    p.add_argument("--generators", required=True, help="';'-separated weights")
-    p.add_argument("--box", type=int, default=DEFAULT_BOX)
-
-    p = subs.add_parser("classify", help="symbolic descriptor of the closure")
-    _add_common(p)
-    p.add_argument("--generators", required=True)
-
-    p = subs.add_parser("enumerate", help="all perfect submonoids with a support")
-    _add_common(p)
-    p.add_argument("--support", default="all", help="'all' or 1-based factor list")
-
-    p = subs.add_parser("verify", help="closure vs prediction on a box")
-    _add_common(p)
-    p.add_argument("--generators", required=True)
-    p.add_argument("--box", type=int, default=DEFAULT_BOX)
-
-    p = subs.add_parser("construct", help="antifixed-weight construction trace")
-    _add_common(p)
-    p.add_argument("--omega", default="", help="starting weight (default: all ones)")
-    p.add_argument("--mu", default="", help="optional dominant shift")
-    p.add_argument("--factor", type=int, default=0,
-                   help="run the single-factor recipe on this 1-based factor")
-    p.add_argument("--check", action="store_true", help="replay and verify the chain")
-
-    p = subs.add_parser("prv-check", help="randomized summand-membership property run")
-    _add_common(p)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-coord", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    return parser
-
-
-def _cmd_decompose(args) -> int:
-    datum = _build(args)
-    dec = tensor_decompose(datum, _parse_weight(args.lhs), _parse_weight(args.rhs))
-    _emit(args, {"params": _params(args), **dec.to_json()})
-    return 0
-
-
-def _cmd_character(args) -> int:
-    datum = _build(args)
-    char = character(datum, _parse_weight(args.weight))
-    _emit(args, {"params": _params(args), "weight": list(_parse_weight(args.weight)),
-                 "entries": char.to_json(), "dimension": char.dimension()})
-    return 0
-
-
-def _cmd_closure(args) -> int:
-    datum = _build(args)
-    spec = MonoidSpec(datum, _parse_weights(args.generators))
+def _closure(args, datum):
+    spec = MonoidSpec(datum, args.generators)
     members = bounded_perfect_closure(spec, Box(args.box))
-    _emit(args, {"params": _params(args, box=args.box), "spec": spec.to_json(),
-                 "members": [list(w) for w in sorted(members)]})
-    return 0
+    return {"params": {"box": args.box}, "spec": spec.to_json(),
+            "members": [list(w) for w in sorted(members)]}, 0
 
 
-def _cmd_classify(args) -> int:
-    datum = _build(args)
-    spec = MonoidSpec(datum, _parse_weights(args.generators))
-    desc = classify(spec)
-    _emit(args, {"params": _params(args), "spec": spec.to_json(),
-                 "descriptor": desc.to_json()})
-    return 0
+def _classify(args, datum):
+    spec = MonoidSpec(datum, args.generators)
+    return {"spec": spec.to_json(), "descriptor": classify(spec).to_json()}, 0
 
 
-def _cmd_enumerate(args) -> int:
-    datum = _build(args)
+def _enumerate(args, datum):
     if args.support == "all":
         support = range(1, datum.n_factors + 1)
     else:
         support = [int(x) for x in args.support.split(",") if x.strip()]
     descriptors = enumerate_perfect(datum, support)
-    _emit(args, {"params": _params(args, support=sorted(support)),
-                 "count": len(descriptors),
-                 "descriptors": [d.to_json() for d in descriptors]})
-    return 0
+    return {"params": {"support": sorted(support)}, "count": len(descriptors),
+            "descriptors": [d.to_json() for d in descriptors]}, 0
 
 
-def _cmd_verify(args) -> int:
-    datum = _build(args)
-    spec = MonoidSpec(datum, _parse_weights(args.generators))
+def _verify(args, datum):
+    spec = MonoidSpec(datum, args.generators)
     report = verify_classification(spec, Box(args.box))
-    _emit(args, {"params": _params(args, box=args.box), "spec": spec.to_json(),
-                 **report.to_json()})
-    return 0 if not report.missing_from_prediction else 1
+    return ({"params": {"box": args.box}, "spec": spec.to_json(), **report.to_json()},
+            0 if not report.missing_from_prediction else 1)
 
 
-def _cmd_construct(args) -> int:
-    datum = _build(args)
-    omega = _parse_weight(args.omega) if args.omega else (1,) * datum.rank
-    mu = _parse_weight(args.mu) if args.mu else wzero(datum.rank)
+def _construct(args, datum):
+    omega = args.omega if args.omega is not None else (1,) * datum.rank
+    mu = args.mu if args.mu is not None else wzero(datum.rank)
     if args.factor:
         trace = factor_antifixed_sequence(datum, args.factor, omega)
     else:
         trace = w0_antifixed_weight(datum, omega, mu)
-    payload = {"params": _params(args), **trace.to_json()}
-    status = 0
-    if args.check:
-        report = check_prv_chain(datum, trace)
-        payload["check"] = {"ok": report.ok, "prv_steps": report.prv_steps,
-                            "tensor_checked": report.tensor_checked,
-                            "failures": list(report.failures)}
-        status = 0 if report.ok else 1
-    _emit(args, payload)
-    return status
+    payload = trace.to_json()
+    if not args.check:
+        return payload, 0
+    report = check_prv_chain(datum, trace)
+    payload["check"] = {"ok": report.ok, "prv_steps": report.prv_steps,
+                        "tensor_checked": report.tensor_checked,
+                        "failures": list(report.failures)}
+    return payload, 0 if report.ok else 1
 
 
-def _cmd_prv_check(args) -> int:
-    datum = _build(args)
+def _prv_check(args, datum):
     rng = random.Random(args.seed)
     words = weyl_group_elements(datum) if datum.weyl_order <= 1000 else None
     failures = []
@@ -249,35 +175,79 @@ def _cmd_prv_check(args) -> int:
         if candidate not in x_support(datum, lam, mu):
             failures.append({"lhs": list(lam), "rhs": list(mu), "word": list(word),
                              "component": list(candidate)})
-    _emit(args, {"params": _params(args, seed=args.seed, count=args.count,
-                                   max_coord=args.max_coord),
-                 "checked": args.count, "failures": failures})
-    return 0 if not failures else 1
+    params = {"seed": args.seed, "count": args.count, "max_coord": args.max_coord}
+    return ({"params": params, "checked": args.count, "failures": failures},
+            0 if not failures else 1)
 
 
-_COMMANDS = {
-    "decompose": _cmd_decompose,
-    "character": _cmd_character,
-    "closure": _cmd_closure,
-    "classify": _cmd_classify,
-    "enumerate": _cmd_enumerate,
-    "verify": _cmd_verify,
-    "construct": _cmd_construct,
-    "prv-check": _cmd_prv_check,
-}
+def build_parser() -> _Parser:
+    parser = _Parser(prog="weightlab", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--format", choices=("json", "text"), default="json")
+    subs = parser.add_subparsers(dest="verb", required=True)
+
+    def verb(name, handler, summary):
+        p = subs.add_parser(name, help=summary)
+        p.add_argument("--type", required=True, help="Cartan type string, e.g. A2xD4")
+        p.add_argument("--lattice", type=_parse_lattice, default=DEFAULT_LATTICE,
+                       help="sc | adjoint | JSON lattice spec (default sc)")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = verb("decompose", _decompose, "tensor product decomposition")
+    p.add_argument("--lhs", type=_parse_weight, required=True)
+    p.add_argument("--rhs", type=_parse_weight, required=True)
+
+    p = verb("character", _character, "weight system with multiplicities")
+    p.add_argument("--weight", type=_parse_weight, required=True)
+
+    p = verb("closure", _closure, "box-truncated perfect closure")
+    p.add_argument("--generators", type=_parse_weights, required=True,
+                   help="';'-separated weights")
+    p.add_argument("--box", type=int, default=DEFAULT_BOX)
+
+    p = verb("classify", _classify, "symbolic descriptor of the closure")
+    p.add_argument("--generators", type=_parse_weights, required=True)
+
+    p = verb("enumerate", _enumerate, "all perfect submonoids with a support")
+    p.add_argument("--support", default="all", help="'all' or 1-based factor list")
+
+    p = verb("verify", _verify, "closure vs prediction on a box")
+    p.add_argument("--generators", type=_parse_weights, required=True)
+    p.add_argument("--box", type=int, default=DEFAULT_BOX)
+
+    p = verb("construct", _construct, "antifixed-weight construction trace")
+    p.add_argument("--omega", type=_optional_weight,
+                   help="starting weight (default: all ones)")
+    p.add_argument("--mu", type=_optional_weight, help="optional dominant shift")
+    p.add_argument("--factor", type=int, default=0,
+                   help="run the single-factor recipe on this 1-based factor")
+    p.add_argument("--check", action="store_true", help="replay and verify the chain")
+
+    p = verb("prv-check", _prv_check, "randomized summand-membership property run")
+    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--max-coord", type=int, default=4)
+    p.add_argument("--seed", type=int, default=0)
+    return parser
+
+
+_PARSER = build_parser()
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.verb](args)
+        args = _PARSER.parse_args(argv)
+        datum = build_root_datum(args.type, args.lattice)
+        payload, status = args.handler(args, datum)
     except UsageError as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return 2
     except (RootDataError, ConstructionError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}), file=sys.stderr)
         return 2
+    params = {"type": args.type, "lattice": args.lattice.to_json()}
+    _emit(args, {**payload, "params": {**params, **payload.get("params", {})}})
+    return status
 
 
 def main() -> None:

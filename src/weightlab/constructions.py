@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from . import weyl
 from .charcalc import character, expand_character
-from .rootdata import RootDataError, RootDatum, Weight, is_int_list, wadd, wneg
+from .rootdata import (RootDataError, RootDatum, Weight, is_int_list, wadd, wneg,
+                       wzero)
 from .tensor import prv_component, tensor_multiplicity
 # unused here; the perfbench tracer wraps constructions.tensor_decompose by name
 from .tensor import tensor_decompose  # noqa: F401
@@ -165,46 +166,28 @@ def _factor_data(datum: RootDatum, factor: int):
     return family, frank, start
 
 
-def _is_minus_one_type(family: str, frank: int) -> bool:
-    if family in ("B", "C", "F", "G"):
-        return True
-    if family == "A":
-        return frank == 1
-    if family == "D":
-        return frank % 2 == 0
-    if family == "E":
-        return frank in (7, 8)
-    return False
-
-
 def factor_antifixed_sequence(datum: RootDatum, factor: int, omega: Weight) -> ConstructionTrace:
     """Sequence of dominant weights starting at a factor-regular omega whose
     final member nu satisfies w0(nu) = -nu, built from sums and PRV steps
     following the per-type recipe."""
     omega = datum.check_weight(omega)
-    family, frank, start = _factor_data(datum, factor)
-    block = datum.project_factor(omega, factor)
-    if not all(x > 0 for x in block):
+    _, frank, start = _factor_data(datum, factor)
+    if not all(x > 0 for x in datum.project_factor(omega, factor)):
         raise ConstructionError(
             f"weight {omega} is not regular on factor {factor}")
     if any(omega[i] for i in range(datum.rank) if not start <= i < start + frank):
         raise ConstructionError(
             f"weight {omega} is supported outside factor {factor}")
-    builder = _TraceBuilder(datum)
-    base = builder.generator(omega)
-    final = _append_factor_recipe(builder, family, frank, start, base)
-    trace = builder.build()
-    if w0_action(datum, trace.final) != wneg(trace.final):
-        raise ConstructionError(
-            f"recipe failed: final weight {trace.final} is not negated by w0")
-    return trace
+    return w0_antifixed_weight(datum, omega, wzero(datum.rank))
 
 
 def _append_factor_recipe(builder: _TraceBuilder, family: str, frank: int,
                           start: int, base: int) -> int:
     """Extend the trace from step ``base`` (regular on the factor) to a step
     negated by the factor's longest element; returns the final index."""
-    if _is_minus_one_type(family, frank):
+    # w0 = -1 on the factor exactly when the diagram involution fixes its nodes
+    tau = weyl._diagram_involution(builder.datum)
+    if all(tau[i] == i for i in range(start, start + frank)):
         return base
     if family == "E":
         return _recipe_e6(builder, start, base)

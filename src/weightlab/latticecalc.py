@@ -289,15 +289,11 @@ def weight_kills_subgroup(group: FinAbGroup, lam: Weight, dual_subgroup: Subgrou
     """Whether lam restricts trivially to a subgroup of the center; the
     subgroup is given in dual coordinates and probed by the pairing."""
     cls = project_to_cocenter(group, lam)
-    return all(_pairs_trivially(group, cls, h) for h in dual_subgroup.members)
-
-
-def _pairs_trivially(group: FinAbGroup, a, b) -> bool:
-    return sum(Fraction(x * y, d) for x, y, d in zip(a, b, group.orders)).denominator == 1
+    return all(group.pairing(cls, h) == 0 for h in dual_subgroup.members)
 
 
 def annihilator(group: FinAbGroup, dual_subgroup: Subgroup) -> Subgroup:
     """Elements pairing trivially with every member of a dual-side subgroup."""
     members = [a for a in group.elements()
-               if all(_pairs_trivially(group, a, h) for h in dual_subgroup.members)]
+               if all(group.pairing(a, h) == 0 for h in dual_subgroup.members)]
     return Subgroup(group, tuple(sorted(members)))

@@ -297,6 +297,17 @@ def weyl_group_order(family: str, rank: int) -> int:
     return _EXCEPTIONAL_WEYL_ORDER[(family, rank)]
 
 
+def minus_one_type(family: str, rank: int) -> bool:
+    """Whether w0 = -1 on a simple type, from the classical table."""
+    if family in ("B", "C", "F", "G"):
+        return True
+    if family == "A":
+        return rank == 1
+    if family == "D":
+        return rank % 2 == 0
+    return family == "E" and rank in (7, 8)
+
+
 def table_weyl_order(datum) -> int:
     order = 1
     for family, r in datum.ctype.factors:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import weightlab
+from weightlab import cli
 from weightlab.cli import run
 
 
@@ -14,6 +16,16 @@ def run_cli(capsys, *argv):
     status = run(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def run_process(*argv):
+    """One CLI call in a fresh interpreter, with a timeout, so that a run
+    that never returns fails instead of hanging the suite."""
+    src = str(Path(weightlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "weightlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_decompose_clebsch_gordan(capsys):
@@ -156,30 +168,21 @@ def test_text_format(capsys):
 
 @pytest.mark.parametrize("lhs", ["9223372036854775806", "9223372036854775808"])
 def test_decompose_out_of_int64_range_is_input_error(lhs):
-    # a subprocess with a timeout, so that a fold that never returns fails
-    src = str(Path(weightlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-m", "weightlab.cli", "decompose", "--type", "A1",
-                           "--lhs", lhs, "--rhs", "1"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
+    status, out, err = run_process("decompose", "--type", "A1", "--lhs", lhs, "--rhs", "1")
+    assert status == 2
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "input"
 
 
 def test_verify_oversized_box_is_input_error():
-    # a subprocess with a timeout, so that a run that starts building the
-    # whole box (2.1e8 weights) fails instead of hanging the suite
-    src = str(Path(weightlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-m", "weightlab.cli", "verify", "--type", "E8",
-                           "--generators", "1,0,0,0,0,0,0,0", "--box", "10"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
+    # a run that starts building the whole box (2.1e8 weights) would hang
+    status, out, err = run_process("verify", "--type", "E8",
+                                   "--generators", "1,0,0,0,0,0,0,0", "--box", "10")
+    assert status == 2
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "input"
 
@@ -192,13 +195,119 @@ def test_verify_oversized_box_is_input_error():
 def test_malformed_lattice_json_is_usage_error(lattice):
     # exit 1 is reserved for verification failures; a generator that is no
     # list of integers is an input error, neither a traceback nor truncated
-    src = str(Path(weightlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-m", "weightlab.cli", "closure", "--type", "A3",
-                           "--lattice", lattice, "--generators", "0,1,0", "--box", "2"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
+    status, out, err = run_process("closure", "--type", "A3", "--lattice", lattice,
+                                   "--generators", "0,1,0", "--box", "2")
+    assert status == 2
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "usage"
+
+
+# sha256 of stdout for the README's CLI block and two text-format calls
+README_DIGESTS = [
+    (("decompose", "--type", "A1", "--lhs", "2", "--rhs", "2"),
+     "712a258ded8a8ebfadc3101418e79c37cda174ac139ed1de8070b73c747e6580"),
+    (("character", "--type", "A2", "--weight", "1,1"),
+     "25a480673b04fbe17efcc08582688d247f541913eda079eba8efffd2bf4992a3"),
+    (("closure", "--type", "A1", "--generators", "2", "--box", "4"),
+     "ac469d70f62228f7eea1eb9ff41e1d50e021ca1d3d54ffbab361a41eb80ae711"),
+    (("classify", "--type", "A1xA1", "--generators", "1|1"),
+     "329b482f5c06f5de597ee30379ff20f2bd2e5d3602cefc9b38cdb025cf09707f"),
+    (("enumerate", "--type", "D4", "--support", "all"),
+     "a1e59cdea6b4368ef62fa188ecd609b34b271d7dfbc2c1ef2db6b990d1ba34f0"),
+    (("verify", "--type", "A2", "--generators", "1,0", "--box", "4"),
+     "bb13894a598592bc2c216951515b7ae9b723750cb299ea67d9a1bf65355485fa"),
+    (("construct", "--type", "D5", "--check"),
+     "93950b80446b0f599048192e8eea1e630fef238720cf8ba632e341871e20f9cd"),
+    (("prv-check", "--type", "B2", "--count", "100", "--seed", "7"),
+     "c7a559d8cf671ce03e9101c87ef1be63265b4471b435d9d1c76bc5b8c1db2ce2"),
+    (("--format", "text", "character", "--type", "A2", "--weight", "1,1"),
+     "e7d1a7bd9d2483403087f7c40f63b705243abc440d7e9292ba31567fcebd5a10"),
+    (("--format", "text", "construct", "--type", "A3", "--check"),
+     "e1e788db23a28ef37a528b5209024ea509f8637d4b0c81a64b3ab38762d38421"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", README_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in README_DIGESTS])
+def test_readme_commands_are_byte_stable(capsys, argv, digest):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# one good call per verb on A1; each error case below edits one option
+GOOD_OPTIONS = {
+    "decompose": {"--lhs": "2", "--rhs": "2"},
+    "character": {"--weight": "1"},
+    "closure": {"--generators": "2"},
+    "classify": {"--generators": "2"},
+    "enumerate": {"--support": "all"},
+    "verify": {"--generators": "2"},
+    "construct": {"--omega": "1", "--mu": "0"},
+    "prv-check": {"--count": "5"},
+}
+WEIGHT_OPTIONS = {"decompose": ("--lhs", "--rhs"), "character": ("--weight",),
+                  "closure": ("--generators",), "classify": ("--generators",),
+                  "verify": ("--generators",), "construct": ("--omega", "--mu")}
+
+
+def _error_cases():
+    for verb, good in GOOD_OPTIONS.items():
+        edits = [("--lattice", "bogus", "usage"),
+                 ("--lattice", '{"mode": "bogus"}', "usage"),
+                 ("--type", "Q7", "input")]
+        for option in WEIGHT_OPTIONS.get(verb, ()):
+            edits += [(option, "1,x", "usage"), (option, "1,2", "input")]
+        for option, value, kind in edits:
+            opts = {"--type": "A1", **good, option: value}
+            argv = [verb] + [x for item in opts.items() for x in item]
+            yield pytest.param(argv, kind, id=f"{verb} {option} {value}")
+    yield pytest.param(["enumerate", "--type", "D4", "--support", "1,x"], "input",
+                       id="enumerate --support 1,x")
+
+
+@pytest.mark.parametrize("argv, kind", list(_error_cases()))
+def test_error_kind_per_verb(capsys, argv, kind):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["kind"] == kind
+
+
+# calls whose arguments differ from the call before in a default, the
+# format, or an error raised while parsing
+SEQUENCE = [
+    ("closure", "--type", "A1", "--generators", "2", "--box", "6"),
+    ("closure", "--type", "A1", "--generators", "2"),
+    ("--format", "text", "character", "--type", "A2", "--weight", "1,1"),
+    ("character", "--type", "A2", "--weight", "1,1"),
+    ("decompose", "--type", "A1", "--lhs", "2"),
+    ("decompose", "--type", "A1", "--lhs", "2", "--rhs", "2"),
+    ("decompose", "--type", "A1", "--lattice", "bogus", "--lhs", "x", "--rhs", "2"),
+    ("construct", "--type", "A2", "--check"),
+]
+
+
+def test_repeated_runs_match_runs_alone(capsys):
+    alone = [run_process(*argv) for argv in SEQUENCE]
+    in_process = [run_cli(capsys, *argv) for argv in SEQUENCE]
+    assert in_process == alone
+
+
+def test_repeated_runs_share_one_parser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    statuses = [run(list(argv)) for argv in SEQUENCE]
+    capsys.readouterr()
+    assert statuses == [0, 0, 0, 0, 2, 0, 2, 0]
+    assert built == []

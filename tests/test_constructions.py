@@ -11,6 +11,7 @@ from weightlab import (Box, ConstructionError, MonoidSpec, check_prv_chain, clas
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.rootdata import RootDataError, wneg
 from conftest import get_datum
+from oracles import minus_one_type
 
 RANK_LE_6 = (["A%d" % n for n in range(1, 7)]
              + ["B%d" % n for n in range(2, 7)]
@@ -74,6 +75,21 @@ def test_factor_sequence_minus_one_types():
         assert len(trace.steps) == 1
         assert trace.final == rho
         assert w0_action(datum, rho) == wneg(rho)
+
+
+@pytest.mark.parametrize("type_string", [f"A{n}" for n in range(1, 9)]
+                         + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(2, 9)]
+                         + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+def test_diagram_involution_is_trivial_on_the_minus_one_types(type_string):
+    datum = get_datum(type_string)
+    (family, rank), = datum.ctype.factors
+    fixes_every_node = weyl._diagram_involution(datum) == tuple(range(rank))
+    assert fixes_every_node == minus_one_type(family, rank)
+    # on those types the recipe adds no step to the generator (A7 and A8
+    # are left out: their recipe from rho takes (n+1)! - 1 sums)
+    if type_string not in ("A7", "A8"):
+        trace = factor_antifixed_sequence(datum, 1, datum.weyl_vector)
+        assert (len(trace.steps) == 1) == minus_one_type(family, rank)
 
 
 def test_factor_sequence_d5_example():

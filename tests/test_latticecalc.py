@@ -176,6 +176,20 @@ def test_annihilator_index():
             assert ann.order * H.order == g.order
 
 
+@pytest.mark.parametrize("type_string", ["A3", "D4", "D5", "E6", "A1xA2"])
+def test_pairing_is_bilinear_and_nondegenerate(type_string):
+    g = get_datum(type_string).cocenter
+    elements = g.elements()
+    for a in elements:
+        for b in elements:
+            assert 0 <= g.pairing(a, b) < 1
+            for c in elements:
+                assert g.pairing(g.add(a, b), c) == (g.pairing(a, c) + g.pairing(b, c)) % 1
+                assert g.pairing(c, g.add(a, b)) == (g.pairing(c, a) + g.pairing(c, b)) % 1
+        # a pairs to 0 with every element only when it is zero
+        assert all(g.pairing(a, b) == 0 for b in elements) == (a == g.zero())
+
+
 @pytest.mark.parametrize("type_string", [f"A{n}" for n in range(1, 9)]
                          + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(2, 9)]
                          + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"])
