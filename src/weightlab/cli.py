@@ -60,6 +60,17 @@ def _optional_weight(text: str) -> tuple[int, ...] | None:
     return _parse_weight(text) if text else None
 
 
+def _parse_support(text: str) -> tuple[int, ...] | None:
+    """'all' (None) or a comma-separated list of 1-based factors."""
+    if text.strip() == "all":
+        return None
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise UsageError(
+            f"--support must be 'all' or a comma-separated factor list, got {text!r}") from None
+
+
 def _parse_lattice(text: str) -> LatticeSpec:
     text = text.strip()
     if text.startswith("{"):
@@ -126,10 +137,7 @@ def _classify(args, datum):
 
 
 def _enumerate(args, datum):
-    if args.support == "all":
-        support = range(1, datum.n_factors + 1)
-    else:
-        support = [int(x) for x in args.support.split(",") if x.strip()]
+    support = range(1, datum.n_factors + 1) if args.support is None else args.support
     descriptors = enumerate_perfect(datum, support)
     return {"params": {"support": sorted(support)}, "count": len(descriptors),
             "descriptors": [d.to_json() for d in descriptors]}, 0
@@ -184,6 +192,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="weightlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument("--stats", action="store_true",
+                        help="after the verb, write the datum's work counts to stderr "
+                             "as one JSON line")
     subs = parser.add_subparsers(dest="verb", required=True)
 
     def verb(name, handler, summary):
@@ -210,7 +221,8 @@ def build_parser() -> _Parser:
     p.add_argument("--generators", type=_parse_weights, required=True)
 
     p = verb("enumerate", _enumerate, "all perfect submonoids with a support")
-    p.add_argument("--support", default="all", help="'all' or 1-based factor list")
+    p.add_argument("--support", type=_parse_support, default="all",
+                   help="'all' or 1-based factor list")
 
     p = verb("verify", _verify, "closure vs prediction on a box")
     p.add_argument("--generators", type=_parse_weights, required=True)
@@ -247,6 +259,8 @@ def run(argv) -> int:
         return 2
     params = {"type": args.type, "lattice": args.lattice.to_json()}
     _emit(args, {**payload, "params": {**params, **payload.get("params", {})}})
+    if args.stats:
+        print(json.dumps(datum.stats, sort_keys=True), file=sys.stderr)
     return status
 
 

@@ -2,10 +2,18 @@
 
 A weight is a plain tuple of ints: the fundamental-weight coordinates of the
 simply connected cover, concatenated over simple factors.  All arithmetic is
-exact -- ints for weights, ``fractions.Fraction`` for root coordinates.  The
-Cartan matrix C is eliminated once, by a Smith normal form of each simple
-factor: the cocenter P/Q and the integer matrix det C^-1 both come from it,
-and root coordinates are read from det C^-1 as Fractions over det.
+exact -- ints for weights, ``fractions.Fraction`` for root coordinates.
+
+A datum is built with its Cartan matrix, its positive roots (walked up from
+the simple roots) and the Weyl group order.  Everything else is computed on
+first read and kept: the Cartan matrix C is eliminated once, by a Smith
+normal form of each simple factor, when the cocenter P/Q, det C^-1 or root
+coordinates are first asked for; both the cocenter and the integer matrix
+det C^-1 come from that form, and root coordinates are read from det C^-1
+as Fractions over det.  Weight systems never ask, so a datum that only
+computes characters never eliminates C.  The lattice subgroup is checked at
+build time only for a ``subgroup`` lattice, the one mode whose input can be
+invalid.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -224,35 +233,14 @@ class RootDatum:
         self.cartan_columns = tuple(
             tuple(cartan[i][j] for i in range(self.rank)) for j in range(self.rank))
         self._np_cartan_cols = np.array(self.cartan, dtype=np.int64)  # [:, j] = alpha_j
-        # one Smith form S = U C V per factor, kept as (diagonal, U, V): the
-        # cocenter reads the U rows, and C^-1 = V S^-1 U on the block
-        from . import latticecalc
-        self._smith = []
-        for start, end in ctype.blocks:
-            s, u, v = latticecalc.smith_normal_form([row[start:end] for row in cartan[start:end]])
-            self._smith.append((tuple(s[i][i] for i in range(end - start)), u, v))
-        # det is the exponent of P/Q, the least common denominator of C^-1,
-        # and det * C^-1 = V diag(det / d_i) U is an integer matrix: lam has
-        # root coordinates (adjugate @ lam) / det
-        self._det = lcm(*(diagonal[-1] for diagonal, _, _ in self._smith))
-        adjugate = [[0] * self.rank for _ in range(self.rank)]
-        for (start, end), (diagonal, u, v) in zip(ctype.blocks, self._smith):
-            # the columns of diag(det / d_i) U
-            cols = list(zip(*([self._det // d * x for x in row] for d, row in zip(diagonal, u))))
-            for i, vrow in enumerate(v, start):
-                adjugate[i][start:end] = [sum(a * b for a, b in zip(vrow, c)) for c in cols]
-        # built in Python ints, so an entry beyond int64 raises here
-        self._np_adjugate = np.array(adjugate, dtype=np.int64)
         self.weyl_vector: Weight = (1,) * self.rank
         self.positive_roots = _generate_positive_roots(self)
         expected = sum(positive_root_count(f, r) for f, r in ctype.factors)
         assert len(self.positive_roots) == expected
         # scales of the int64 guards in tensor and weyl: the height of the
-        # highest coroot, the largest absolute Cartan entry and the largest
-        # absolute row sum of det C^-1
+        # highest coroot and the largest absolute Cartan entry
         self._coroot_height = max(sum(alpha.coroot) for alpha in self.positive_roots)
         self._cartan_entry = max(abs(a) for row in cartan for a in row)
-        self._adjugate_row_sum = max(sum(map(abs, row)) for row in adjugate)
         # (support bitmask over the simple roots, height) of each positive root
         self.root_supports = tuple(
             (sum(1 << i for i, k in enumerate(alpha.rc) if k), alpha.height)
@@ -278,6 +266,44 @@ class RootDatum:
         # closure_decomposed; of charcalc.character, char_cache_hits,
         # char_cache_misses and freudenthal_strings (root strings walked)
         self.stats: Counter = Counter()
+
+    # -- elimination of C, done on first read ------------------------------
+
+    @cached_property
+    def _smith(self) -> list:
+        """One Smith form S = U C V per factor, kept as (diagonal, U, V): the
+        cocenter reads the U rows, and C^-1 = V S^-1 U on the block."""
+        from . import latticecalc
+        out = []
+        for start, end in self.ctype.blocks:
+            s, u, v = latticecalc.smith_normal_form(
+                [row[start:end] for row in self.cartan[start:end]])
+            out.append((tuple(s[i][i] for i in range(end - start)), u, v))
+        return out
+
+    @cached_property
+    def _det(self) -> int:
+        """The exponent of P/Q, the least common denominator of C^-1."""
+        return lcm(*(diagonal[-1] for diagonal, _, _ in self._smith))
+
+    @cached_property
+    def _np_adjugate(self) -> np.ndarray:
+        """det * C^-1 = V diag(det / d_i) U, an integer matrix: lam has root
+        coordinates (adjugate @ lam) / det."""
+        adjugate = [[0] * self.rank for _ in range(self.rank)]
+        for (start, end), (diagonal, u, v) in zip(self.ctype.blocks, self._smith):
+            # the columns of diag(det / d_i) U
+            cols = list(zip(*([self._det // d * x for x in row] for d, row in zip(diagonal, u))))
+            for i, vrow in enumerate(v, start):
+                adjugate[i][start:end] = [sum(a * b for a, b in zip(vrow, c)) for c in cols]
+        # built in Python ints, so an entry beyond int64 raises here
+        return np.array(adjugate, dtype=np.int64)
+
+    @cached_property
+    def _adjugate_row_sum(self) -> int:
+        """The largest absolute row sum of det C^-1, a scale of the int64
+        guards in tensor and weyl."""
+        return max(sum(map(abs, row)) for row in self._np_adjugate.tolist())
 
     # -- factor bookkeeping -------------------------------------------------
 
@@ -344,40 +370,40 @@ class RootDatum:
 
 
 def _generate_positive_roots(datum: RootDatum) -> tuple[PositiveRoot, ...]:
-    """Closure of the simple roots under simple reflections, positives kept."""
+    """Walk up from the simple roots.  s_i is applied to a positive root beta
+    only when <beta, alpha_i^vee> < 0, which gives the higher positive root
+    beta - <beta, alpha_i^vee> alpha_i; every non-simple positive root gamma
+    has an i with <gamma, alpha_i^vee> > 0 and s_i gamma positive and lower,
+    so the walk reaches it from s_i gamma."""
     rank = datum.rank
     cols = datum.cartan_columns
     seen: dict[Weight, tuple[int, ...]] = {}
     frontier: list[Weight] = []
     for j in range(rank):
-        rc = tuple(1 if i == j else 0 for i in range(rank))
-        seen[cols[j]] = rc
+        seen[cols[j]] = tuple(1 if i == j else 0 for i in range(rank))
         frontier.append(cols[j])
     while frontier:
         nxt = []
         for fund in frontier:
             rc = seen[fund]
-            for i in range(rank):
-                c = fund[i]
-                if c == 0:
+            for i, c in enumerate(fund):
+                if c >= 0:
                     continue
-                rfund = tuple(f - c * cols[i][t] for t, f in enumerate(fund))
+                rfund = tuple(f - c * a for f, a in zip(fund, cols[i]))
                 if rfund in seen:
                     continue
-                rrc = tuple(r - c * (1 if t == i else 0) for t, r in enumerate(rc))
-                seen[rfund] = rrc
+                seen[rfund] = rc[:i] + (rc[i] - c,) + rc[i + 1:]
                 nxt.append(rfund)
         frontier = nxt
     roots = []
     for fund, rc in seen.items():
-        if all(c >= 0 for c in rc) and any(rc):
-            norm = sum(r * d * f for r, d, f in zip(rc, datum.symmetrizer, fund))
-            coroot = []
-            for r, d in zip(rc, datum.symmetrizer):
-                num = 2 * r * d
-                assert num % norm == 0
-                coroot.append(num // norm)
-            roots.append(PositiveRoot(fund, rc, tuple(coroot), sum(rc)))
+        norm = sum(r * d * f for r, d, f in zip(rc, datum.symmetrizer, fund))
+        coroot = []
+        for r, d in zip(rc, datum.symmetrizer):
+            num = 2 * r * d
+            assert num % norm == 0
+            coroot.append(num // norm)
+        roots.append(PositiveRoot(fund, rc, tuple(coroot), sum(rc)))
     roots.sort(key=lambda r: (r.height, r.rc))
     return tuple(roots)
 
@@ -405,8 +431,10 @@ def build_root_datum(type_string: str, lattice: LatticeSpec | None = None) -> Ro
     """Build the root datum for a type string like "A2xD4" and a lattice choice."""
     ctype = CartanType.parse(type_string)
     datum = RootDatum(ctype, lattice or LatticeSpec())
-    # force lattice validation up front so bad subgroups fail here
-    datum.lattice_subgroup
+    if datum.lattice.mode == "subgroup":
+        # the one lattice mode whose input can be invalid: validate its
+        # generators here, so a bad subgroup fails at build time
+        datum.lattice_subgroup
     return datum
 
 

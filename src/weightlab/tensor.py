@@ -17,9 +17,11 @@ same alternating sum read from the other side (Racah-Speiser): one term per
 point of the regular orbit W(nu + rho), so it costs |W| points whatever the
 weights are, and it is what a PRV chain check asks for.
 
-All of this is int64.  ``_check_int64`` and ``_check_coefficient`` refuse,
-before anything is allocated, inputs for which a coordinate, a product or a
-running total could leave int64.
+Multiplicities are int64.  The fold's coordinates run in the narrowest
+signed dtype that holds their bound (``_fold_dtype``): int8 or int16 for
+small weights, which the sweeps touch fastest.  ``_fold_dtype`` and
+``_check_coefficient`` refuse, before anything is allocated, inputs for
+which a coordinate, a product or a running total could leave int64.
 """
 
 from __future__ import annotations
@@ -84,30 +86,37 @@ def _expanded_table(datum: RootDatum, mu: Weight):
     return table
 
 
-def _check_int64(datum: RootDatum, lam: Weight, mu: Weight) -> None:
-    """Refuse a fold whose int64 arithmetic could overflow.
+_FOLD_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))
+
+
+def _fold_dtype(datum: RootDatum, lam: Weight, mu: Weight) -> np.dtype:
+    """The narrowest signed dtype in which the fold of lam and mu is exact;
+    refuse a fold whose arithmetic could leave int64.
 
     Every coordinate the fold meets is <x, beta^vee> for x = nu + lam + rho,
     nu a weight of L(mu) and beta^vee a coroot, so it is at most h (max lam
     + max mu + 1) in absolute value, with h the height of the highest
     coroot; a reflection multiplies it by a Cartan entry first.  Running
-    totals are at most dim L(mu), the sum of the table's multiplicities.
+    totals are at most dim L(mu), the sum of the table's multiplicities,
+    and stay int64.
     """
-    coord = datum._coroot_height * (max(lam) + max(mu) + 1)
-    if datum._cartan_entry * coord > INT64_MAX or weyl_dimension(datum, mu) > INT64_MAX:
+    bound = datum._cartan_entry * datum._coroot_height * (max(lam) + max(mu) + 1)
+    if bound > INT64_MAX or weyl_dimension(datum, mu) > INT64_MAX:
         raise ValueError(
             f"tensor product of {lam} and {mu} is out of int64 range for the fold")
+    return next(t for t in _FOLD_DTYPES if bound <= np.iinfo(t).max)
 
 
 def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
-    _check_int64(datum, lam, mu)
+    dtype = _fold_dtype(datum, lam, mu)
     rows, mults = _expanded_table(datum, mu)
     # column k of x is table row k shifted by lam + rho; x[i] holds
-    # coordinate i of every row, contiguous
-    shift = np.array(wadd(lam, datum.weyl_vector), dtype=np.int64)
-    x = np.ascontiguousarray(rows.T) + shift[:, None]
+    # coordinate i of every row, contiguous.  astype copies, so the cached
+    # int64 table is never written
+    x = rows.T.astype(dtype, order="C")
+    x += np.array(wadd(lam, datum.weyl_vector), dtype=dtype)[:, None]
     while True:
-        # compress copies, so the cached table is never written
+        # compress copies too, so the cached multiplicities are never written
         regular = (x != 0).all(axis=0)
         x, mults = x.compress(regular, axis=1), mults.compress(regular)
         if not (x < 0).any():
@@ -133,8 +142,9 @@ def x_support(datum: RootDatum, lam: Weight, mu: Weight) -> frozenset[Weight]:
 
 def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray | None = None) -> None:
     """One sweep over i = 1..rank: reflect in place every column of x (one
-    coordinate per array row) with x_i < 0, negating its entry of signs."""
-    cols = datum._np_cartan_cols  # cols[:, i] = alpha_i
+    coordinate per array row) with x_i < 0, negating its entry of signs.
+    The arithmetic runs in the dtype of x."""
+    cols = datum._np_cartan_cols.astype(x.dtype, copy=False)  # cols[:, i] = alpha_i
     for i in range(datum.rank):
         # s_i x = x - x_i alpha_i on the columns with x_i < 0
         c = np.minimum(x[i], 0)

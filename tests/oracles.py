@@ -7,7 +7,9 @@ weight systems expanded by BFS orbits and stripping highest weights, the dominan
 weights below a highest weight from a walk over the whole root-coordinate
 box, orbits and Weyl group elements from breadth-first searches over simple
 reflections, orbit sizes from the Dynkin shape of each stabilizer and the
-classical table of Weyl group orders, determinants from cofactor expansion,
+classical table of Weyl group orders, positive roots from the earlier
+closure of the simple roots under every simple reflection (positives kept),
+determinants from cofactor expansion,
 the inverse Cartan matrix from Gauss-Jordan over Fractions, multiplicities
 also from the earlier Freudenthal recursion (one root string per positive
 root),
@@ -30,7 +32,7 @@ import numpy as np
 from weightlab import apply_word, character, reflect, root_coordinates, word_sign
 from weightlab.charcalc import _below_with_depth
 from weightlab.perfectmonoid import Box
-from weightlab.rootdata import RootDatum, Weight, wadd, wsub
+from weightlab.rootdata import PositiveRoot, RootDatum, Weight, wadd, wsub
 from weightlab.tensor import _expanded_table, tensor_decompose
 from weightlab.weyl import _dominant_representative
 
@@ -388,6 +390,47 @@ def _arm_lengths(datum, center: int, inside: set[int]) -> list[int]:
             length += 1
         lengths.append(length)
     return lengths
+
+
+def closure_positive_roots(datum) -> tuple[PositiveRoot, ...]:
+    """Closure of the simple roots under simple reflections, positives kept,
+    sorted by (height, root coordinates): weightlab's root generator before
+    the upward walk."""
+    rank = datum.rank
+    cols = datum.cartan_columns
+    seen: dict[Weight, tuple[int, ...]] = {}
+    frontier: list[Weight] = []
+    for j in range(rank):
+        rc = tuple(1 if i == j else 0 for i in range(rank))
+        seen[cols[j]] = rc
+        frontier.append(cols[j])
+    while frontier:
+        nxt = []
+        for fund in frontier:
+            rc = seen[fund]
+            for i in range(rank):
+                c = fund[i]
+                if c == 0:
+                    continue
+                rfund = tuple(f - c * cols[i][t] for t, f in enumerate(fund))
+                if rfund in seen:
+                    continue
+                rrc = tuple(r - c * (1 if t == i else 0) for t, r in enumerate(rc))
+                seen[rfund] = rrc
+                nxt.append(rfund)
+        frontier = nxt
+    roots = []
+    for fund, rc in seen.items():
+        if all(c >= 0 for c in rc) and any(rc):
+            norm = sum(r * d * f for r, d, f in zip(rc, datum.symmetrizer, fund))
+            coroot = []
+            for r, d in zip(rc, datum.symmetrizer):
+                num = 2 * r * d
+                assert num % norm == 0
+                coroot.append(num // norm)
+            roots.append(PositiveRoot(fund, rc, tuple(coroot), sum(rc)))
+    roots.sort(key=lambda r: (r.height, r.rc))
+    return tuple(roots)
 
 
 def int_det(matrix) -> int:

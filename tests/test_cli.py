@@ -37,7 +37,7 @@ def test_decompose_clebsch_gordan(capsys):
                                    {"mult": 1, "weight": [4]}]
 
 
-def test_decompose_wrong_arity_is_usage_error(capsys):
+def test_decompose_wrong_arity_is_input_error(capsys):
     status, _, err = run_cli(capsys, "decompose", "--type", "A1", "--lhs", "1,2", "--rhs", "2")
     assert status == 2
     assert json.loads(err.strip())["kind"] == "input"
@@ -237,6 +237,22 @@ def test_readme_commands_are_byte_stable(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [argv for argv, _ in README_DIGESTS[:8]],
+                         ids=[" ".join(argv) for argv, _ in README_DIGESTS[:8]])
+def test_stats_goes_to_stderr_and_leaves_stdout_alone(capsys, monkeypatch, argv):
+    status, out, err = run_cli(capsys, *argv)
+    built = []
+    build = cli.build_root_datum
+    monkeypatch.setattr(cli, "build_root_datum", lambda *a: built.append(build(*a)) or built[-1])
+    assert run_cli(capsys, "--stats", *argv) == (
+        status, out, err + json.dumps(built[0].stats, sort_keys=True) + "\n")
+
+
+def test_enumerate_support_error_names_the_option(capsys):
+    _, _, err = run_cli(capsys, "enumerate", "--type", "D4", "--support", "1,x")
+    assert "--support" in json.loads(err)["error"] and "1,x" in json.loads(err)["error"]
+
+
 # one good call per verb on A1; each error case below edits one option
 GOOD_OPTIONS = {
     "decompose": {"--lhs": "2", "--rhs": "2"},
@@ -264,7 +280,7 @@ def _error_cases():
             opts = {"--type": "A1", **good, option: value}
             argv = [verb] + [x for item in opts.items() for x in item]
             yield pytest.param(argv, kind, id=f"{verb} {option} {value}")
-    yield pytest.param(["enumerate", "--type", "D4", "--support", "1,x"], "input",
+    yield pytest.param(["enumerate", "--type", "D4", "--support", "1,x"], "usage",
                        id="enumerate --support 1,x")
 
 

@@ -4,8 +4,10 @@ import pytest
 
 from weightlab import (CartanType, LatticeSpec, MonoidSpec, RootDataError, TraceStep,
                        build_root_datum, in_lattice, root_coordinates)
+from weightlab import cli
 from weightlab.rootdata import pairing, positive_root_count
 from conftest import get_datum
+from oracles import closure_positive_roots, fraction_inverse_cartan, int_det
 
 SIMPLE_TYPES = (["A%d" % n for n in range(1, 7)]
                 + ["B%d" % n for n in range(2, 7)]
@@ -208,8 +210,10 @@ def test_lattice_chain_consistency():
 
 
 def test_bad_subgroup_generator_arity():
-    with pytest.raises(RootDataError):
-        build_root_datum("A2", LatticeSpec("subgroup", ((1, 0),)))
+    # A2 has a cyclic cocenter, A1xA3 one with two coordinates
+    for type_string, generator in [("A2", (1, 0)), ("A1xA3", (1,))]:
+        with pytest.raises(RootDataError):
+            build_root_datum(type_string, LatticeSpec("subgroup", (generator,)))
 
 
 def test_lattice_spec_json_round_trip():
@@ -293,3 +297,49 @@ def test_weight_length_validation():
     datum = get_datum("A2")
     with pytest.raises(RootDataError):
         root_coordinates(datum, (1, 0, 0))
+
+
+RANK_8_TYPES = (["A%d" % n for n in range(1, 9)]
+                + ["B%d" % n for n in range(2, 9)]
+                + ["C%d" % n for n in range(2, 9)]
+                + ["D%d" % n for n in range(3, 9)]
+                + ["E6", "E7", "E8", "F4", "G2", "A2xA2", "A1xB3xG2", "D4xG2"])
+
+
+@pytest.mark.parametrize("type_string", RANK_8_TYPES)
+def test_root_walk_matches_closure_oracle(type_string):
+    # same fund, rc, coroot and height, in the same order
+    datum = get_datum(type_string)
+    assert datum.positive_roots == closure_positive_roots(datum)
+
+
+@pytest.mark.parametrize("type_string, weight", [("E6", "1,0,0,0,0,1"),
+                                                 ("D5", "2,1,0,1,0")])
+def test_character_never_eliminates_cartan(monkeypatch, capsys, type_string, weight):
+    built = []
+    monkeypatch.setattr(cli, "build_root_datum",
+                        lambda *a: built.append(build_root_datum(*a)) or built[-1])
+    assert cli.run(["character", "--type", type_string, "--weight", weight]) == 0
+    capsys.readouterr()
+    (datum,) = built
+    assert "_smith" not in vars(datum)
+    assert datum._cocenter is None
+
+
+@pytest.mark.parametrize("type_string", ["A3", "D4", "E6", "A1xB3xG2"])
+@pytest.mark.parametrize("mode", ["sc", "adjoint"])
+def test_lazy_lattice_and_coordinates_match_eager_reads(type_string, mode):
+    # a datum read in the order the eager build used (lattice subgroup first)
+    # and one read the other way round give the same values
+    eager = build_root_datum(type_string, LatticeSpec(mode))
+    eager_subgroup = eager.lattice_subgroup
+    lazy = build_root_datum(type_string, LatticeSpec(mode))
+    assert lazy._cocenter is None and "_det" not in vars(lazy)
+    lam = tuple(range(1, lazy.rank + 1))
+    assert root_coordinates(lazy, lam) == root_coordinates(eager, lam)
+    inverse = fraction_inverse_cartan(lazy.cartan)
+    assert root_coordinates(lazy, lam) == tuple(
+        sum(k * x for k, x in zip(row, lam)) for row in inverse)
+    assert lazy.lattice_subgroup.members == eager_subgroup.members
+    order = abs(int_det([list(row) for row in lazy.cartan]))
+    assert len(eager_subgroup.members) == (order if mode == "sc" else 1)

@@ -1,14 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
 from weightlab import weyl
 from weightlab import (DominanceRegimeError, prv_component, stable_multiplicity_check,
                        tensor_decompose, tensor_multiplicity, weyl_dimension,
                        weyl_group_elements, x_support)
-from weightlab.tensor import INT64_MAX
+from weightlab.rootdata import build_root_datum
+from weightlab.tensor import INT64_MAX, _expanded_table, _fold_dtype
 from conftest import get_datum
-from oracles import brute_tensor, cg_closed_form, random_dominant
+from oracles import brute_tensor, cg_closed_form, random_dominant, unique_klimyk
 
 
 def test_clebsch_gordan_examples():
@@ -189,3 +191,29 @@ def test_coefficient_is_exact_up_to_the_int64_guard():
         assert tensor_multiplicity(a1, (top,), (1,), (nu,)) == expected.get((nu,), 0)
     with pytest.raises(ValueError, match="int64"):
         tensor_multiplicity(a1, (top + 1,), (1,), (top + 2,))
+
+
+# (type, mu, limit): the fold bound, Cartan entry * coroot height
+# * (max lam + max mu + 1), is put on each side of the limit of a dtype
+NARROW_FOLD_CASES = [("A1", (31,), 127), ("A1", (3,), 32767), ("A1", (3,), 2**31 - 1),
+                     ("B2", (2, 2), 127), ("B2", (1, 1), 32767),
+                     ("G2", (1, 1), 127), ("G2", (0, 1), 32767)]
+
+
+@pytest.mark.parametrize("type_string, mu, limit", NARROW_FOLD_CASES)
+@pytest.mark.parametrize("side", [0, 1])
+def test_narrow_fold_matches_int64_oracle(type_string, mu, limit, side):
+    datum = build_root_datum(type_string)
+    scale = datum._cartan_entry * datum._coroot_height
+    top = limit // scale - 1 + side  # max lam + max mu
+    lam = (top - max(mu),) + (0,) * (datum.rank - 1)
+    dtype = _fold_dtype(datum, lam, mu)
+    assert (datum._cartan_entry * datum._coroot_height * (top + 1) <= limit) == (side == 0)
+    assert np.iinfo(dtype).max == limit if side == 0 else np.iinfo(dtype).max > limit
+    rows, mults = _expanded_table(datum, mu)
+    saved = rows.copy(), mults.copy()
+    assert tensor_decompose(datum, lam, mu).summands == unique_klimyk(datum, lam, mu)
+    # the cached table is the same int64 arrays, unchanged by the fold
+    assert datum._table_cache[mu][0] is rows and datum._table_cache[mu][1] is mults
+    assert rows.dtype == mults.dtype == np.int64
+    assert np.array_equal(rows, saved[0]) and np.array_equal(mults, saved[1])
