@@ -86,7 +86,9 @@ def _expanded_table(datum: RootDatum, mu: Weight):
     return table
 
 
-_FOLD_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))
+# (largest value, dtype), narrowest first
+_FOLD_DTYPES = tuple((np.iinfo(t).max, np.dtype(t))
+                     for t in (np.int8, np.int16, np.int32, np.int64))
 
 
 def _fold_dtype(datum: RootDatum, lam: Weight, mu: Weight) -> np.dtype:
@@ -104,7 +106,7 @@ def _fold_dtype(datum: RootDatum, lam: Weight, mu: Weight) -> np.dtype:
     if bound > INT64_MAX or weyl_dimension(datum, mu) > INT64_MAX:
         raise ValueError(
             f"tensor product of {lam} and {mu} is out of int64 range for the fold")
-    return next(t for t in _FOLD_DTYPES if bound <= np.iinfo(t).max)
+    return next(dtype for top, dtype in _FOLD_DTYPES if bound <= top)
 
 
 def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
