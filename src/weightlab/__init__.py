@@ -8,12 +8,11 @@ __version__ = "0.1.0"
 from .rootdata import (CartanType, LatticeSpec, RootDataError, RootDatum, Weight,
                        build_root_datum, in_lattice, root_coordinates)
 from .weyl import (apply_word, dominance_leq, dual_weight, make_dominant, orbit,
-                   orbit_size, reflect, w0_action, weyl_group_elements, word_sign)
+                   orbit_size, reflect, w0_action, weyl_group_elements)
 from .charcalc import (Character, character, dominant_weights_below,
                        expand_character, is_saturated_weight_set, weyl_dimension)
 from .tensor import (DominanceRegimeError, TensorDecomposition, tensor_multiplicity,
-                     prv_component, stable_multiplicity_check, tensor_decompose,
-                     x_support)
+                     prv_component, stable_multiplicity_check, tensor_decompose)
 from .latticecalc import (FinAbGroup, Subgroup, annihilator, enumerate_subgroups,
                           fundamental_group, project_to_cocenter,
                           quotient_subgroups, smith_normal_form,
@@ -26,5 +25,4 @@ from .perfectmonoid import (Box, ClassificationReport, MonoidSpec,
 from .constructions import (ChainReport, ConstructionError, ConstructionTrace,
                             TraceStep, check_prv_chain, factor_antifixed_sequence,
                             smallest_dominating_multiple, support_growing_step,
-                            support_regular_weight, verify_prv_chain,
-                            w0_antifixed_weight)
+                            support_regular_weight, w0_antifixed_weight)

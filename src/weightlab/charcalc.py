@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rootdata import RootDatum, Weight, parabolic_order
+from .rootdata import RootDatum, Weight, memoized, parabolic_order
 from .weyl import _dominant_representative, orbit, orbit_size
 
 # most rows an expanded weight table may hold: its row count, the sum of the
@@ -45,12 +45,22 @@ class Character:
         return [{"weight": list(w), "mult": m} for w, m in self.sorted_items()]
 
 
+def _check_dominant(datum: RootDatum, lam) -> Weight:
+    """lam as a checked weight, refused unless dominant; the public entry
+    points call this before a memoized function sees lam as a key."""
+    lam = datum.check_weight(lam)
+    if any(x < 0 for x in lam):
+        raise ValueError(f"expected a dominant weight, got {lam}")
+    return lam
+
+
 def dominant_weights_below(datum: RootDatum, lam: Weight) -> list[Weight]:
     """All dominant mu with mu <= lam and lam - mu in the root lattice,
     sorted by decreasing height then lexicographically."""
-    return [w for w, _ in _below_with_depth(datum, lam)]
+    return [w for w, _ in _below_with_depth(datum, _check_dominant(datum, lam))]
 
 
+@memoized
 def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple[int, ...]]]:
     """Dominant weights below lam, each with the root coordinates of lam - mu.
 
@@ -63,13 +73,6 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
     dominant weights.  Sorted by total depth (decreasing height of mu), then
     by weight.
     """
-    lam = datum.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise ValueError(f"expected a dominant weight, got {lam}")
-    key = lam
-    cached = datum._below_cache.get(key)
-    if cached is not None:
-        return cached
     roots = [(alpha.fund, alpha.rc) for alpha in datum.positive_roots]
     seen: dict[Weight, tuple[int, ...]] = {lam: (0,) * datum.rank}
     frontier = [lam]
@@ -84,20 +87,15 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
                 seen[nw] = tuple(d + r for d, r in zip(depth, rc))
                 nxt.append(nw)
         frontier = nxt
-    out = sorted(seen.items(), key=lambda item: (sum(item[1]), item[0]))
-    datum._below_cache[key] = out
-    return out
+    return sorted(seen.items(), key=lambda item: (sum(item[1]), item[0]))
 
 
+@memoized
 def _root_strings(datum: RootDatum, zeros: int) -> list:
     """The root strings the recursion walks from a dominant mu whose zero
     coordinates are the bitmask ``zeros``: one (fund, pair, norm, count)
     per J-dominant positive root alpha, with pair . nu = (alpha, nu),
-    norm = (alpha, alpha) and count the positive roots it stands for.
-    Built once per mask and kept on the datum."""
-    cached = datum._string_cache.get(zeros)
-    if cached is not None:
-        return cached
+    norm = (alpha, alpha) and count the positive roots it stands for."""
     nodes = [j for j in range(datum.rank) if zeros >> j & 1]
     order = parabolic_order(datum, zeros)
     strings = []
@@ -112,7 +110,6 @@ def _root_strings(datum: RootDatum, zeros: int) -> list:
             count //= 2
         pair = tuple(r * d for r, d in zip(alpha.rc, datum.symmetrizer))
         strings.append((fund, pair, sum(p * a for p, a in zip(pair, fund)), count))
-    datum._string_cache[zeros] = strings
     return strings
 
 
@@ -144,14 +141,11 @@ def character(datum: RootDatum, lam: Weight) -> Character:
     every positive root once; the strings walked are counted in
     ``datum.stats["freudenthal_strings"]``.
     """
-    lam = datum.check_weight(lam)
-    cached = datum._char_cache.get(lam)
-    if cached is not None:
-        datum.stats["char_cache_hits"] += 1
-        return cached
-    if any(x < 0 for x in lam):
-        raise ValueError(f"expected a dominant weight, got {lam}")
-    datum.stats["char_cache_misses"] += 1
+    return _character(datum, _check_dominant(datum, lam))
+
+
+@memoized
+def _character(datum: RootDatum, lam: Weight) -> Character:
     below = _below_with_depth(datum, lam)
     table: dict[Weight, int] = {lam: 1}
     dom_set = {w for w, _ in below}
@@ -192,28 +186,23 @@ def character(datum: RootDatum, lam: Weight) -> Character:
         assert mult > 0
         table[mu] = mult
     datum.stats["freudenthal_strings"] += walked
-    char = Character(datum, table)
-    datum._char_cache[lam] = char
-    return char
+    return Character(datum, table)
 
 
 def weyl_dimension(datum: RootDatum, lam: Weight) -> int:
     """dim of the irreducible module with highest weight lam (Weyl formula)."""
-    lam = datum.check_weight(lam)
-    cached = datum._dim_cache.get(lam)
-    if cached is not None:
-        return cached
-    if any(x < 0 for x in lam):
-        raise ValueError(f"expected a dominant weight, got {lam}")
+    return _weyl_dimension(datum, _check_dominant(datum, lam))
+
+
+@memoized
+def _weyl_dimension(datum: RootDatum, lam: Weight) -> int:
     num = 1
     den = 1
     for alpha in datum.positive_roots:
         num *= sum(c * (x + 1) for c, x in zip(alpha.coroot, lam))
         den *= sum(alpha.coroot)
     assert num % den == 0
-    dim = num // den
-    datum._dim_cache[lam] = dim
-    return dim
+    return num // den
 
 
 def expand_character(datum: RootDatum, char: Character) -> dict[Weight, int]:

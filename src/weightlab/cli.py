@@ -19,7 +19,7 @@ from .constructions import (ConstructionError, check_prv_chain,
 from .perfectmonoid import (Box, MonoidSpec, bounded_perfect_closure, classify,
                             enumerate_perfect, verify_classification)
 from .rootdata import LatticeSpec, RootDataError, build_root_datum, wzero
-from .tensor import prv_component, tensor_decompose, x_support
+from .tensor import prv_component, tensor_decompose
 from .weyl import weyl_group_elements
 
 DEFAULT_BOX = 4
@@ -69,6 +69,18 @@ def _parse_support(text: str) -> tuple[int, ...] | None:
     except ValueError:
         raise UsageError(
             f"--support must be 'all' or a comma-separated factor list, got {text!r}") from None
+
+
+def _nonnegative_int(text: str) -> int:
+    """A count or bound; argparse reports the ArgumentTypeError as a usage
+    error that names the option."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
 def _parse_lattice(text: str) -> LatticeSpec:
@@ -180,7 +192,8 @@ def _prv_check(args, datum):
             word = tuple(rng.randrange(1, datum.rank + 1)
                          for _ in range(rng.randrange(0, 3 * datum.rank)))
         candidate = prv_component(datum, lam, mu, word)
-        if candidate not in x_support(datum, lam, mu):
+        # a decomposition, not tensor_multiplicity, which refuses |W| > 10^5
+        if candidate not in tensor_decompose(datum, lam, mu).summands:
             failures.append({"lhs": list(lam), "rhs": list(mu), "word": list(word),
                              "component": list(candidate)})
     params = {"seed": args.seed, "count": args.count, "max_coord": args.max_coord}
@@ -237,8 +250,8 @@ def build_parser() -> _Parser:
     p.add_argument("--check", action="store_true", help="replay and verify the chain")
 
     p = verb("prv-check", _prv_check, "randomized summand-membership property run")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-coord", type=int, default=4)
+    p.add_argument("--count", type=_nonnegative_int, default=100)
+    p.add_argument("--max-coord", type=_nonnegative_int, default=4)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -186,7 +186,7 @@ def _append_factor_recipe(builder: _TraceBuilder, family: str, frank: int,
     """Extend the trace from step ``base`` (regular on the factor) to a step
     negated by the factor's longest element; returns the final index."""
     # w0 = -1 on the factor exactly when the diagram involution fixes its nodes
-    tau = weyl._diagram_involution(builder.datum)
+    tau = builder.datum.diagram_involution
     if all(tau[i] == i for i in range(start, start + frank)):
         return base
     if family == "E":
@@ -310,10 +310,6 @@ class ChainReport:
     tensor_checked: int
     failures: tuple[str, ...]
 
-    @property
-    def fully_tensor_checked(self) -> bool:
-        return self.tensor_checked == self.prv_steps
-
 
 def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
     """Replay a trace exactly: sums literal, PRV weights recomputed, and each
@@ -353,10 +349,6 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
             failures.append(
                 f"step {idx}: {step.weight} is not a summand of {lw} (x) {rw}")
     return ChainReport(not failures, prv_steps, tensor_checked, tuple(failures))
-
-
-def verify_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> bool:
-    return check_prv_chain(datum, trace).ok
 
 
 def smallest_dominating_multiple(datum: RootDatum, lam: Weight, omega: Weight) -> int:

@@ -6,22 +6,23 @@ exact -- ints for weights, ``fractions.Fraction`` for root coordinates.
 
 A datum is built with its Cartan matrix, its positive roots (walked up from
 the simple roots) and the Weyl group order.  Everything else is computed on
-first read and kept: the Cartan matrix C is eliminated once, by a Smith
-normal form of each simple factor, when the cocenter P/Q, det C^-1 or root
-coordinates are first asked for; both the cocenter and the integer matrix
-det C^-1 come from that form, and root coordinates are read from det C^-1
-as Fractions over det.  Weight systems never ask, so a datum that only
-computes characters never eliminates C.  The lattice subgroup is checked at
-build time only for a ``subgroup`` lattice, the one mode whose input can be
-invalid.
+first read and kept, never invalidated: a value of the datum alone as a
+``cached_property``, a value per key by :func:`memoized`.  The Cartan matrix
+C is eliminated once, by a Smith normal form of each simple factor, when the
+cocenter P/Q, det C^-1 or root coordinates are first asked for; both the
+cocenter and the integer matrix det C^-1 come from that form, and root
+coordinates are read from det C^-1 as Fractions over det.  Weight systems
+never ask, so a datum that only computes characters never eliminates C.  The
+lattice subgroup is checked at build time only for a ``subgroup`` lattice,
+the one mode whose input can be invalid.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from fractions import Fraction
 from math import lcm
 
@@ -208,8 +209,9 @@ class PositiveRoot:
 class RootDatum:
     """Immutable root datum of a semisimple group with a chosen lattice.
 
-    Built once via :func:`build_root_datum`; caches (characters, tensor
-    products, dominant cones) are filled lazily and never invalidated.
+    Built once via :func:`build_root_datum`.  Derived values are kept on
+    it and never invalidated: per datum as ``cached_property``s, per key
+    (characters, tensor products, dominant cones) in ``memo``.
     """
 
     def __init__(self, ctype: CartanType, lattice: LatticeSpec):
@@ -245,27 +247,20 @@ class RootDatum:
         self.root_supports = tuple(
             (sum(1 << i for i, k in enumerate(alpha.rc) if k), alpha.height)
             for alpha in self.positive_roots)
-        self._parabolic_cache: dict = {}
+        # values of the memoized functions: memo[name][key]
+        self.memo: defaultdict[str, dict] = defaultdict(dict)
+        # work counts: of bounded_perfect_closure and is_perfect_in_box,
+        # closure_pairs, each counted once as closure_settled (by the row
+        # test), closure_rechecked (flagged, then settled) or
+        # closure_decomposed; of charcalc.character, freudenthal_strings
+        # (root strings walked); of each memoized function, <name>_hits and
+        # <name>_misses
+        self.stats: Counter = Counter()
         self.weyl_order = parabolic_order(self, (1 << self.rank) - 1)
         # adjacency of the Dynkin diagram (global coordinates)
         self.neighbors = tuple(
             tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
             for i in range(self.rank))
-        self._cocenter = None
-        self._lattice_subgroup = None
-        self._diagram_involution = None
-        self._char_cache: dict = {}
-        self._dim_cache: dict = {}
-        self._below_cache: dict = {}
-        self._string_cache: dict = {}
-        self._tensor_cache: dict = {}
-        self._table_cache: dict = {}
-        # work counts: of bounded_perfect_closure and is_perfect_in_box,
-        # closure_pairs, each counted once as closure_settled (by the row
-        # test), closure_rechecked (flagged, then settled) or
-        # closure_decomposed; of charcalc.character, char_cache_hits,
-        # char_cache_misses and freudenthal_strings (root strings walked)
-        self.stats: Counter = Counter()
 
     # -- elimination of C, done on first read ------------------------------
 
@@ -321,31 +316,39 @@ class RootDatum:
 
     # -- lattice ------------------------------------------------------------
 
-    @property
+    @cached_property
     def cocenter(self):
-        if self._cocenter is None:
-            from . import latticecalc
-            self._cocenter = latticecalc.fundamental_group(self)
-        return self._cocenter
+        from . import latticecalc
+        return latticecalc.fundamental_group(self)
 
-    @property
+    @cached_property
     def lattice_subgroup(self):
         """The cocenter subgroup whose preimage is the chosen lattice."""
-        if self._lattice_subgroup is None:
-            from . import latticecalc
-            group = self.cocenter
-            if self.lattice.mode == "sc":
-                sub = latticecalc.Subgroup.full(group)
-            elif self.lattice.mode == "adjoint":
-                sub = latticecalc.Subgroup.generated(group, ())
-            else:
-                for g in self.lattice.generators:
-                    if len(g) != len(group.orders):
-                        raise RootDataError(
-                            "lattice subgroup generator has wrong arity for the cocenter")
-                sub = latticecalc.Subgroup.generated(group, self.lattice.generators)
-            self._lattice_subgroup = sub
-        return self._lattice_subgroup
+        from . import latticecalc
+        group = self.cocenter
+        if self.lattice.mode == "sc":
+            return latticecalc.Subgroup.full(group)
+        if self.lattice.mode == "adjoint":
+            return latticecalc.Subgroup.generated(group, ())
+        for g in self.lattice.generators:
+            if len(g) != len(group.orders):
+                raise RootDataError(
+                    "lattice subgroup generator has wrong arity for the cocenter")
+        return latticecalc.Subgroup.generated(group, self.lattice.generators)
+
+    @cached_property
+    def diagram_involution(self) -> tuple[int, ...]:
+        """The permutation tau of the nodes with w0(omega_i) = -omega_tau(i),
+        read off make_dominant(-omega_i)."""
+        from .weyl import make_dominant
+        tau = []
+        for i in range(self.rank):
+            omega = tuple(1 if j == i else 0 for j in range(self.rank))
+            dual = make_dominant(self, wneg(omega)).dominant
+            nonzero = [j for j, x in enumerate(dual) if x]
+            assert len(nonzero) == 1 and dual[nonzero[0]] == 1
+            tau.append(nonzero[0])
+        return tuple(tau)
 
     def check_weight(self, lam) -> Weight:
         lam = tuple(lam)
@@ -408,14 +411,32 @@ def _generate_positive_roots(datum: RootDatum) -> tuple[PositiveRoot, ...]:
     return tuple(roots)
 
 
+def memoized(fn):
+    """Keep fn(datum, key) in datum.memo[name], name being fn's name without
+    leading underscores, and count each call as <name>_hits or
+    <name>_misses in datum.stats.  fn never returns None, which marks a
+    miss.  Keys are not checked (1.0 == 1 hashes alike): callers validate."""
+    name = fn.__name__.lstrip("_")
+    hits, misses = name + "_hits", name + "_misses"
+
+    @wraps(fn)
+    def wrapper(datum: RootDatum, key):
+        memo = datum.memo[name]
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fn(datum, key)
+            datum.stats[misses] += 1
+        else:
+            datum.stats[hits] += 1
+        return value
+    return wrapper
+
+
+@memoized
 def parabolic_order(datum: RootDatum, nodes: int) -> int:
     """Order of the parabolic subgroup W_J, J the simple roots in the
     bitmask ``nodes``, by Kostant's height formula: the product of
-    (ht + 1) / ht over the positive roots supported in J.  Memoized per
-    datum by mask."""
-    cached = datum._parabolic_cache.get(nodes)
-    if cached is not None:
-        return cached
+    (ht + 1) / ht over the positive roots supported in J."""
     num = den = 1
     for support, height in datum.root_supports:
         if support & ~nodes == 0:
@@ -423,7 +444,6 @@ def parabolic_order(datum: RootDatum, nodes: int) -> int:
             den *= height
     order, rest = divmod(num, den)
     assert rest == 0
-    datum._parabolic_cache[nodes] = order
     return order
 
 
@@ -450,10 +470,6 @@ def wsub(a: Weight, b: Weight) -> Weight:
 
 def wneg(a: Weight) -> Weight:
     return tuple(-x for x in a)
-
-
-def wscale(n: int, a: Weight) -> Weight:
-    return tuple(n * x for x in a)
 
 
 def wzero(rank: int) -> Weight:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import weyl
 from .charcalc import character, expanded_weight_table, expand_character, weyl_dimension
-from .rootdata import RootDatum, Weight, wadd
+from .rootdata import RootDatum, Weight, memoized, wadd
 from .weyl import apply_word, make_dominant, orbit
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -67,23 +67,22 @@ def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight) -> TensorDecompo
     mu = datum.check_weight(mu)
     if any(x < 0 for x in lam) or any(x < 0 for x in mu):
         raise ValueError("tensor factors must be dominant")
-    key = (lam, mu) if lam <= mu else (mu, lam)
-    big, small = key
-    if weyl_dimension(datum, big) < weyl_dimension(datum, small):
-        big, small = small, big
-    summands = datum._tensor_cache.get(key)
-    if summands is None:
-        summands = _klimyk(datum, big, small)
-        datum._tensor_cache[key] = summands
+    summands = _summands(datum, (lam, mu) if lam <= mu else (mu, lam))
     return TensorDecomposition(datum, lam, mu, dict(summands))
 
 
+@memoized
+def _summands(datum: RootDatum, pair: tuple[Weight, Weight]) -> dict[Weight, int]:
+    """Summands of an unordered pair, folded over the smaller factor."""
+    big, small = pair
+    if weyl_dimension(datum, big) < weyl_dimension(datum, small):
+        big, small = small, big
+    return _klimyk(datum, big, small)
+
+
+@memoized
 def _expanded_table(datum: RootDatum, mu: Weight):
-    table = datum._table_cache.get(mu)
-    if table is None:
-        table = expanded_weight_table(datum, character(datum, mu))
-        datum._table_cache[mu] = table
-    return table
+    return expanded_weight_table(datum, character(datum, mu))
 
 
 # (largest value, dtype), narrowest first
@@ -135,11 +134,6 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     assert (totals >= 0).all(), "negative accumulated tensor multiplicity"
     kept = totals > 0
     return dict(zip(map(tuple, dom[:, starts[kept]].T.tolist()), totals[kept].tolist()))
-
-
-def x_support(datum: RootDatum, lam: Weight, mu: Weight) -> frozenset[Weight]:
-    """Highest weights of the irreducible summands of L(lam) (x) L(mu)."""
-    return tensor_decompose(datum, lam, mu).support()
 
 
 def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray | None = None) -> None:

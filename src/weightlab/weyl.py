@@ -46,10 +46,6 @@ def apply_word(datum: RootDatum, word, lam: Weight) -> Weight:
     return lam
 
 
-def word_sign(word) -> int:
-    return -1 if len(tuple(word)) % 2 else 1
-
-
 def make_dominant(datum: RootDatum, lam: Weight) -> DominantResult:
     """Unique dominant W-orbit representative via greedy leftmost-negative
     reflections.  ``regular`` is False iff the representative lies on a wall
@@ -93,21 +89,8 @@ def w0_action(datum: RootDatum, lam: Weight) -> Weight:
     """Action of the longest element, realized as the linear extension of
     w0(omega_i) = -omega_i* with the duality read off make_dominant."""
     lam = datum.check_weight(lam)
-    tau = _diagram_involution(datum)
+    tau = datum.diagram_involution
     return tuple(-lam[tau[i]] for i in range(datum.rank))
-
-
-def _diagram_involution(datum: RootDatum) -> tuple[int, ...]:
-    if datum._diagram_involution is None:
-        tau = []
-        for i in range(datum.rank):
-            omega = tuple(1 if j == i else 0 for j in range(datum.rank))
-            dual = make_dominant(datum, wneg(omega)).dominant
-            nonzero = [j for j, x in enumerate(dual) if x]
-            assert len(nonzero) == 1 and dual[nonzero[0]] == 1
-            tau.append(nonzero[0])
-        datum._diagram_involution = tuple(tau)
-    return datum._diagram_involution
 
 
 def dual_weight(datum: RootDatum, lam: Weight) -> Weight:

@@ -29,7 +29,7 @@ from math import factorial, floor
 
 import numpy as np
 
-from weightlab import apply_word, character, reflect, root_coordinates, word_sign
+from weightlab import apply_word, character, reflect, root_coordinates
 from weightlab.charcalc import _below_with_depth
 from weightlab.perfectmonoid import Box
 from weightlab.rootdata import PositiveRoot, RootDatum, Weight, wadd, wsub
@@ -65,6 +65,11 @@ def kostant_partition(datum, vec: tuple[int, ...]) -> int:
         return total
 
     return count(0, vec)
+
+
+def word_sign(word) -> int:
+    """eps(w) of the element a reduced word stands for: (-1)^length."""
+    return -1 if len(tuple(word)) % 2 else 1
 
 
 def kostant_multiplicity(datum, lam, mu) -> int:

@@ -12,7 +12,7 @@ from weightlab import (Box, MonoidSpec, bounded_perfect_closure, check_prv_chain
                        factor_antifixed_sequence, is_saturated_monoid,
                        predicted_members, prv_component, support_growing_step,
                        tensor_decompose, verify_classification, w0_action,
-                       weyl_dimension, weyl_group_elements, x_support)
+                       weyl_dimension, weyl_group_elements)
 from weightlab.rootdata import wneg
 from conftest import get_datum
 from oracles import brute_tensor, random_dominant
@@ -87,7 +87,7 @@ def test_criterion_3_prv_membership():
             for _ in range(100):
                 lam = random_dominant(rng, datum.rank, 4)
                 mu = random_dominant(rng, datum.rank, 4)
-                support = x_support(datum, lam, mu)
+                support = tensor_decompose(datum, lam, mu).support()
                 for word in words:
                     assert prv_component(datum, lam, mu, word) in support, \
                         (ts, lam, mu, word)
@@ -153,7 +153,7 @@ def test_criterion_7_antifixed_sequences():
                 assert all(x >= 0 for x in step.weight) and any(step.weight), ts
             report = check_prv_chain(datum, trace)
             assert report.ok, (ts, report.failures)
-            assert report.fully_tensor_checked, ts
+            assert report.tensor_checked == report.prv_steps, ts
             if ts == "E6":
                 assert all(x == 0 for i, x in enumerate(final) if i not in (1, 3)), final
                 assert final[1] > 0 and final[3] > 0

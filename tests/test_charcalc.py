@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from weightlab import (build_root_datum, character, charcalc, dominant_weights_below,
-                       expand_character, is_saturated_weight_set, orbit, weyl_dimension)
+from weightlab import (RootDataError, build_root_datum, character, charcalc,
+                       dominant_weights_below, expand_character, is_saturated_weight_set,
+                       orbit, tensor_decompose, weyl_dimension)
 from weightlab.charcalc import expanded_weight_table
 from weightlab.cli import run
 from conftest import get_datum
@@ -64,10 +65,24 @@ def test_freudenthal_walks_one_string_per_stabilizer_orbit():
     assert d5.stats["freudenthal_strings"] == 4651
     # the per-root recursion walks every positive root from each mu < lam
     assert (len(dominant_weights_below(d5, lam)) - 1) * len(d5.positive_roots) == 8740
-    assert (d5.stats["char_cache_misses"], d5.stats["char_cache_hits"]) == (1, 0)
+    assert (d5.stats["character_misses"], d5.stats["character_hits"]) == (1, 0)
     assert character(d5, lam) is char
-    assert (d5.stats["char_cache_misses"], d5.stats["char_cache_hits"]) == (1, 1)
+    assert (d5.stats["character_misses"], d5.stats["character_hits"]) == (1, 1)
     assert d5.stats["freudenthal_strings"] == 4651
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0), (True, 0)], ids=["float", "bool"])
+@pytest.mark.parametrize("call", [
+    character, weyl_dimension, dominant_weights_below,
+    lambda datum, lam: tensor_decompose(datum, lam, lam),
+], ids=["character", "weyl_dimension", "dominant_weights_below", "tensor_decompose"])
+def test_cached_weight_does_not_admit_an_equal_key(call, bad):
+    # bad == (1, 0) and hashes alike, so the check must come before the memo
+    a2 = build_root_datum("A2")
+    call(a2, (1, 0))
+    assert bad == (1, 0) and hash(bad) == hash((1, 0))
+    with pytest.raises(RootDataError):
+        call(a2, bad)
 
 
 def test_expansion_is_refused_above_the_row_cap(monkeypatch, capsys):

@@ -136,6 +136,20 @@ def test_prv_check_deterministic(capsys):
     assert json.loads(out1)["failures"] == []
 
 
+@pytest.mark.parametrize("option, value", [("--count", "-3"), ("--max-coord", "-1")])
+def test_prv_check_refuses_a_negative_option(capsys, option, value):
+    status, out, err = run_cli(capsys, "prv-check", "--type", "A1", option, value)
+    assert status == 2 and out == ""
+    error = json.loads(err)
+    assert error["kind"] == "usage"
+    assert option in error["error"] and repr(value) in error["error"]
+
+
+def test_prv_check_zero_count(capsys):
+    status, out, _ = run_cli(capsys, "prv-check", "--type", "A1", "--count", "0")
+    assert status == 0 and json.loads(out)["checked"] == 0
+
+
 def test_adjoint_lattice_flag(capsys):
     status, out, _ = run_cli(capsys, "closure", "--type", "A1", "--lattice", "adjoint",
                              "--generators", "2", "--box", "4")
@@ -246,6 +260,21 @@ def test_stats_goes_to_stderr_and_leaves_stdout_alone(capsys, monkeypatch, argv)
     monkeypatch.setattr(cli, "build_root_datum", lambda *a: built.append(build(*a)) or built[-1])
     assert run_cli(capsys, "--stats", *argv) == (
         status, out, err + json.dumps(built[0].stats, sort_keys=True) + "\n")
+
+
+def test_stats_count_one_miss_per_memo_entry(capsys, monkeypatch):
+    built = []
+    build = cli.build_root_datum
+    monkeypatch.setattr(cli, "build_root_datum", lambda *a: built.append(build(*a)) or built[-1])
+    assert run_cli(capsys, "--stats", "verify", "--type", "A2", "--generators", "1,0",
+                   "--box", "4")[0] == 0
+    (datum,) = built
+    assert set(datum.memo) == {"parabolic_order", "root_strings", "below_with_depth",
+                               "character", "weyl_dimension", "summands", "expanded_table"}
+    misses = {key[:-len("_misses")] for key in datum.stats if key.endswith("_misses")}
+    assert misses == set(datum.memo)
+    for name, values in datum.memo.items():
+        assert datum.stats[name + "_misses"] == len(values), name
 
 
 def test_enumerate_support_error_names_the_option(capsys):

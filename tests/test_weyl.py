@@ -3,11 +3,11 @@ import random
 import pytest
 
 from weightlab import (apply_word, dominance_leq, dual_weight, make_dominant,
-                       orbit, orbit_size, reflect, w0_action, weyl_group_elements,
-                       word_sign)
+                       orbit, orbit_size, reflect, w0_action, weyl_group_elements)
 from weightlab import weyl
 from weightlab.rootdata import wneg
 from conftest import get_datum
+from oracles import word_sign
 
 
 def test_reflect_examples():
