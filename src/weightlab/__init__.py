@@ -9,8 +9,8 @@ from .rootdata import (CartanType, LatticeSpec, RootDataError, RootDatum, Weight
                        build_root_datum, in_lattice, root_coordinates)
 from .weyl import (apply_word, dominance_leq, dual_weight, make_dominant, orbit,
                    orbit_size, reflect, w0_action, weyl_group_elements)
-from .charcalc import (Character, character, dominant_weights_below,
-                       expand_character, is_saturated_weight_set, weyl_dimension)
+from .charcalc import (Character, character, dominant_weights_below, expand_character,
+                       weyl_dimension)
 from .tensor import (DominanceRegimeError, TensorDecomposition, tensor_multiplicity,
                      prv_component, stable_multiplicity_check, tensor_decompose)
 from .latticecalc import (FinAbGroup, Subgroup, annihilator, enumerate_subgroups,

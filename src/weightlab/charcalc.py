@@ -225,20 +225,3 @@ def expanded_weight_table(datum: RootDatum, char: Character):
     mults = np.repeat(np.array(list(char.entries.values()), dtype=np.int64),
                       [len(orb) for orb in orbits])
     return rows, mults
-
-
-def is_saturated_weight_set(datum: RootDatum, weights) -> bool:
-    """Root-string saturation: for every lam in the set, every root alpha and
-    0 <= i <= <lam, alpha^vee>, lam - i alpha stays in the set."""
-    ws = {datum.check_weight(w) for w in weights}
-    for lam in ws:
-        for alpha in datum.positive_roots:
-            for a_fund, a_coroot in ((alpha.fund, alpha.coroot),
-                                     (tuple(-x for x in alpha.fund),
-                                      tuple(-x for x in alpha.coroot))):
-                height = sum(c * x for c, x in zip(a_coroot, lam))
-                for i in range(height + 1):
-                    probe = tuple(x - i * a for x, a in zip(lam, a_fund))
-                    if probe not in ws:
-                        return False
-    return True

@@ -71,16 +71,18 @@ def _parse_support(text: str) -> tuple[int, ...] | None:
             f"--support must be 'all' or a comma-separated factor list, got {text!r}") from None
 
 
-def _nonnegative_int(text: str) -> int:
-    """A count or bound; argparse reports the ArgumentTypeError as a usage
-    error that names the option."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+def _int_at_least(low: int):
+    """A count or bound of at least ``low``; argparse reports the
+    ArgumentTypeError as a usage error that names the option."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return convert
 
 
 def _parse_lattice(text: str) -> LatticeSpec:
@@ -228,7 +230,7 @@ def build_parser() -> _Parser:
     p = verb("closure", _closure, "box-truncated perfect closure")
     p.add_argument("--generators", type=_parse_weights, required=True,
                    help="';'-separated weights")
-    p.add_argument("--box", type=int, default=DEFAULT_BOX)
+    p.add_argument("--box", type=_int_at_least(1), default=DEFAULT_BOX)
 
     p = verb("classify", _classify, "symbolic descriptor of the closure")
     p.add_argument("--generators", type=_parse_weights, required=True)
@@ -239,7 +241,7 @@ def build_parser() -> _Parser:
 
     p = verb("verify", _verify, "closure vs prediction on a box")
     p.add_argument("--generators", type=_parse_weights, required=True)
-    p.add_argument("--box", type=int, default=DEFAULT_BOX)
+    p.add_argument("--box", type=_int_at_least(1), default=DEFAULT_BOX)
 
     p = verb("construct", _construct, "antifixed-weight construction trace")
     p.add_argument("--omega", type=_optional_weight,
@@ -250,8 +252,8 @@ def build_parser() -> _Parser:
     p.add_argument("--check", action="store_true", help="replay and verify the chain")
 
     p = verb("prv-check", _prv_check, "randomized summand-membership property run")
-    p.add_argument("--count", type=_nonnegative_int, default=100)
-    p.add_argument("--max-coord", type=_nonnegative_int, default=4)
+    p.add_argument("--count", type=_int_at_least(0), default=100)
+    p.add_argument("--max-coord", type=_int_at_least(0), default=4)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

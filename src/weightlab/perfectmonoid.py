@@ -14,7 +14,9 @@ member b is reached, one numpy test compares every total a + b of its row
 with the missing weights of the total's class, componentwise; a pair with
 nothing missing below its total cannot add a member and is settled.  The
 pairs the test flags are tested again, in order, against the members of
-that moment, and only those still flagged are decomposed.
+that moment, and only those still flagged are decomposed.  A set is
+perfect in the box when its closure adds nothing.  The prediction from a
+descriptor decides the lattice and the subgroup once per coset class.
 """
 
 from __future__ import annotations
@@ -101,12 +103,8 @@ class PerfectDescriptor:
 def component_support(spec: MonoidSpec) -> frozenset[int]:
     """1-based indices of the simple factors where some generator is nonzero."""
     datum = spec.datum
-    out = set()
-    for g in spec.generators:
-        for k in range(1, datum.n_factors + 1):
-            if any(spec.datum.project_factor(g, k)):
-                out.add(k)
-    return frozenset(out)
+    return frozenset(k for k in range(1, datum.n_factors + 1)
+                     if any(any(datum.project_factor(g, k)) for g in spec.generators))
 
 
 def classify(spec: MonoidSpec) -> PerfectDescriptor:
@@ -123,33 +121,33 @@ def classify(spec: MonoidSpec) -> PerfectDescriptor:
 
 def predicted_members(datum: RootDatum, desc: PerfectDescriptor, box: Box) -> set[Weight]:
     """In-box members of the perfect submonoid a descriptor denotes: dominant,
-    supported on the descriptor's factors, in the lattice, class in the subgroup."""
+    supported on the descriptor's factors, in the lattice, class in the
+    subgroup.  The last two depend on the coset of Q alone, so they are
+    decided once per coset, on its first weight in the box."""
+    region = _CosetRegion(datum, box)
     cocenter = datum.cocenter
-    support = desc.support
-    out = set()
-    off_support = [k for k in range(1, datum.n_factors + 1) if k not in support]
-    for lam in box.region(datum):
-        if any(any(datum.project_factor(lam, k)) for k in off_support):
-            continue
-        if not in_lattice(datum, lam):
-            continue
-        cls = cocenter.restrict_element(
-            latticecalc.project_to_cocenter(cocenter, lam), support)
-        if cls in desc.subgroup:
-            out.add(lam)
-    return out
+    classes = (latticecalc.project_to_cocenter(cocenter, w)
+               for w in region.rows[region.firsts].tolist())
+    admitted = np.array([c in datum.lattice_subgroup and
+                         cocenter.restrict_element(c, desc.support) in desc.subgroup
+                         for c in classes])
+    off_support = [i for k in range(1, datum.n_factors + 1) if k not in desc.support
+                   for i in range(*datum.factor_block(k))]
+    keep = admitted[region.cls] & (region.rows[:, off_support] == 0).all(axis=1)
+    return set(map(tuple, region.rows[keep].tolist()))
 
 
 class _CosetRegion:
-    """The box's dominant weights in adjugate coordinates, det * C^-1 lam
-    (the coordinates :meth:`RootDatum.in_root_cone` tests), with a mask of
-    the weights that are not yet members.
+    """The box's dominant weights, as ``rows`` and in adjugate coordinates,
+    det * C^-1 lam (the coordinates :meth:`RootDatum.in_root_cone` tests),
+    with a mask of the weights that are not yet members.
 
-    Each weight's coset class is the residue of those coordinates mod det:
-    mu lies below a total t exactly when both have the same class and
-    adj(mu) <= adj(t) componentwise.  Every class of P/Q holds a weight with
-    coordinates 0 or 1 (0 or a sum of minuscule weights), so the class of
-    every total occurs in the region.
+    Each weight's coset class ``cls`` is the residue of those coordinates
+    mod det, that is its coset of Q, and ``firsts`` indexes the first weight
+    of each class.  mu lies below a total t exactly when both have the same
+    class and adj(mu) <= adj(t) componentwise.  Every class of P/Q holds a
+    weight with coordinates 0 or 1 (0 or a sum of minuscule weights), so the
+    class of every total occurs in the region.
 
     The coordinates stay inside int64.  A box within ``MAX_REGION`` has
     2^rank <= (bound + 1)^rank <= 10^6, so rank <= 19 and bound < 10^6.
@@ -162,16 +160,17 @@ class _CosetRegion:
 
     def __init__(self, datum: RootDatum, box: Box):
         self.box = box
-        rows = np.array(box.region(datum), dtype=np.int64).reshape(-1, datum.rank)
+        self.rows = np.array(box.region(datum), dtype=np.int64).reshape(-1, datum.rank)
         self._strides = tuple((box.bound + 1) ** (datum.rank - 1 - i) for i in range(datum.rank))
         self._det = datum._det
-        self.adj = rows @ datum._np_adjugate.T
-        self._residues, cls = np.unique(self.adj % self._det, axis=0, return_inverse=True)
+        self.adj = self.rows @ datum._np_adjugate.T
+        self._residues, self.firsts, cls = np.unique(
+            self.adj % self._det, axis=0, return_index=True, return_inverse=True)
         self.cls = cls.reshape(-1)
         self._class_of = {tuple(r): c for c, r in enumerate(self._residues.tolist())}
         by_class = np.argsort(self.cls, kind="stable")
         self._class_rows = np.split(by_class, np.cumsum(np.bincount(self.cls))[:-1])
-        self.missing = np.ones(len(rows), dtype=bool)
+        self.missing = np.ones(len(self.rows), dtype=bool)
 
     def index(self, w: Weight) -> int:
         return sum(x * s for x, s in zip(w, self._strides))
@@ -224,12 +223,11 @@ def _dominates_any(totals: np.ndarray, missing: np.ndarray) -> np.ndarray:
         for s in range(0, len(totals), step)])
 
 
-def _settle_pairs(datum: RootDatum, box: Box, members, grow: bool):
-    """One pass over the pairs of a member list, a row per later member b
-    (see the module docstring); members only grow, so a pair the row test
-    settles stays settled.  With ``grow`` the in-box summands of each
-    decomposed pair join the list and the final list is returned; without
-    it, None is returned as soon as one is missing from ``members``."""
+def _settle_pairs(datum: RootDatum, box: Box, members) -> list[Weight]:
+    """The closure of a member list: one pass over its pairs, a row per later
+    member b (see the module docstring), in which the in-box summands of
+    each decomposed pair join the list.  Members only grow, so a pair the
+    row test settles stays settled."""
     order = sorted(members)
     region = _CosetRegion(datum, box)
     at = np.empty(len(region.missing), dtype=np.int64)   # region index of each member
@@ -247,10 +245,7 @@ def _settle_pairs(datum: RootDatum, box: Box, members, grow: bool):
                 stats["closure_rechecked"] += 1
                 continue
             stats["closure_decomposed"] += 1
-            adds = region.missing_among(tensor_decompose(datum, order[k], b).support())
-            if adds and not grow:
-                return None
-            for w in adds:
+            for w in region.missing_among(tensor_decompose(datum, order[k], b).support()):
                 i = region.index(w)
                 region.missing[i] = False
                 at[len(order)] = i
@@ -269,19 +264,19 @@ def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
     for g in spec.generators:
         if g not in box:
             raise ValueError(f"generator {g} lies outside the box (bound {box.bound})")
-    return set(_settle_pairs(datum, box, {(0,) * datum.rank, *spec.generators}, grow=True))
+    return set(_settle_pairs(datum, box, {(0,) * datum.rank, *spec.generators}))
 
 
 def is_perfect_in_box(datum: RootDatum, members, box: Box) -> bool:
     """Whether a finite set is closed, inside the box, under sums and under
-    taking all tensor summands of pairs, by the closure's row test."""
+    taking all tensor summands of pairs: whether its closure adds nothing."""
     members = {datum.check_weight(w) for w in members}
     if (0,) * datum.rank not in members:
         raise ValueError("a perfect submonoid must contain 0")
     for w in members:
         if w not in box:
             raise ValueError(f"member {w} lies outside the box")
-    return _settle_pairs(datum, box, members, grow=False) is not None
+    return len(_settle_pairs(datum, box, members)) == len(members)
 
 
 @dataclass(frozen=True)
@@ -349,9 +344,9 @@ def is_saturated_monoid(datum: RootDatum, members, box: Box) -> bool:
     for w in members:
         if w not in box:
             raise ValueError(f"member {w} lies outside the box")
-    for lam in box.region(datum):
-        if not in_lattice(datum, lam) or not any(lam):
-            continue
+    # the lattice's dominant weights are the perfect submonoid of its subgroup
+    lattice = PerfectDescriptor(frozenset(range(1, datum.n_factors + 1)), datum.lattice_subgroup)
+    for lam in predicted_members(datum, lattice, box) - {(0,) * datum.rank}:
         top = max(lam)
         for n in range(2, box.bound // top + 1):
             scaled = tuple(n * x for x in lam)

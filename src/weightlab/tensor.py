@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import weyl
-from .charcalc import character, expanded_weight_table, expand_character, weyl_dimension
+from .charcalc import _weyl_dimension, character, expanded_weight_table, expand_character
 from .rootdata import RootDatum, Weight, memoized, wadd
 from .weyl import apply_word, make_dominant, orbit
 
@@ -73,9 +73,9 @@ def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight) -> TensorDecompo
 
 @memoized
 def _summands(datum: RootDatum, pair: tuple[Weight, Weight]) -> dict[Weight, int]:
-    """Summands of an unordered pair, folded over the smaller factor."""
+    """Summands of an unordered checked pair, folded over the smaller factor."""
     big, small = pair
-    if weyl_dimension(datum, big) < weyl_dimension(datum, small):
+    if _weyl_dimension(datum, big) < _weyl_dimension(datum, small):
         big, small = small, big
     return _klimyk(datum, big, small)
 
@@ -102,7 +102,7 @@ def _fold_dtype(datum: RootDatum, lam: Weight, mu: Weight) -> np.dtype:
     and stay int64.
     """
     bound = datum._cartan_entry * datum._coroot_height * (max(lam) + max(mu) + 1)
-    if bound > INT64_MAX or weyl_dimension(datum, mu) > INT64_MAX:
+    if bound > INT64_MAX or _weyl_dimension(datum, mu) > INT64_MAX:
         raise ValueError(
             f"tensor product of {lam} and {mu} is out of int64 range for the fold")
     return next(dtype for top, dtype in _FOLD_DTYPES if bound <= top)

@@ -16,7 +16,10 @@ root),
 the Brauer-Klimyk fold from its earlier implementation
 (leftmost-negative reflection rounds, then ``np.unique`` over rows), and
 box closures from the earlier sweep-until-stable loop and from the earlier
-one-pass loop that tests each pair alone against a frozenset envelope.
+one-pass loop that tests each pair alone against a frozenset envelope, and
+the members a perfect descriptor predicts from the earlier loop that
+projects every box weight to the cocenter.  Root-string saturation of a
+weight set is checked here too; the library does not need it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from math import factorial, floor
 
 import numpy as np
 
-from weightlab import apply_word, character, reflect, root_coordinates
+from weightlab import apply_word, character, in_lattice, latticecalc, reflect, root_coordinates
 from weightlab.charcalc import _below_with_depth
 from weightlab.perfectmonoid import Box
 from weightlab.rootdata import PositiveRoot, RootDatum, Weight, wadd, wsub
@@ -560,3 +563,39 @@ def pairwise_is_perfect_in_box(datum, members, box: Box) -> bool:
     envelope = _BoxEnvelope(datum, box)
     return not any(_pair_adds(envelope, members, a, b)
                    for a, b in combinations_with_replacement(sorted(members), 2))
+
+
+def per_weight_predicted_members(datum, desc, box: Box) -> set[Weight]:
+    """Predicted members as weightlab computed them before the per-coset
+    table: every box weight projected to the cocenter on its own."""
+    cocenter = datum.cocenter
+    support = desc.support
+    out = set()
+    off_support = [k for k in range(1, datum.n_factors + 1) if k not in support]
+    for lam in box.region(datum):
+        if any(any(datum.project_factor(lam, k)) for k in off_support):
+            continue
+        if not in_lattice(datum, lam):
+            continue
+        cls = cocenter.restrict_element(
+            latticecalc.project_to_cocenter(cocenter, lam), support)
+        if cls in desc.subgroup:
+            out.add(lam)
+    return out
+
+
+def is_saturated_weight_set(datum, weights) -> bool:
+    """Root-string saturation: for every lam in the set, every root alpha and
+    0 <= i <= <lam, alpha^vee>, lam - i alpha stays in the set."""
+    ws = {datum.check_weight(w) for w in weights}
+    for lam in ws:
+        for alpha in datum.positive_roots:
+            for a_fund, a_coroot in ((alpha.fund, alpha.coroot),
+                                     (tuple(-x for x in alpha.fund),
+                                      tuple(-x for x in alpha.coroot))):
+                height = sum(c * x for c, x in zip(a_coroot, lam))
+                for i in range(height + 1):
+                    probe = tuple(x - i * a for x, a in zip(lam, a_fund))
+                    if probe not in ws:
+                        return False
+    return True

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from weightlab import (RootDataError, build_root_datum, character, charcalc,
-                       dominant_weights_below, expand_character, is_saturated_weight_set,
-                       orbit, tensor_decompose, weyl_dimension)
+                       dominant_weights_below, expand_character, orbit, tensor_decompose,
+                       weyl_dimension)
 from weightlab.charcalc import expanded_weight_table
 from weightlab.cli import run
 from conftest import get_datum
-from oracles import kostant_multiplicity, per_root_freudenthal
+from oracles import is_saturated_weight_set, kostant_multiplicity, per_root_freudenthal
 
 
 def test_dominant_weights_below_examples():

@@ -136,9 +136,14 @@ def test_prv_check_deterministic(capsys):
     assert json.loads(out1)["failures"] == []
 
 
-@pytest.mark.parametrize("option, value", [("--count", "-3"), ("--max-coord", "-1")])
-def test_prv_check_refuses_a_negative_option(capsys, option, value):
-    status, out, err = run_cli(capsys, "prv-check", "--type", "A1", option, value)
+@pytest.mark.parametrize("verb, option, value", [
+    pytest.param(verb, option, value, id=f"{verb} {option} {value}")
+    for verb, option, value in [("prv-check", "--count", "-3"), ("prv-check", "--max-coord", "-1"),
+                                ("closure", "--box", "-1"), ("closure", "--box", "0"),
+                                ("verify", "--box", "-1"), ("verify", "--box", "0")]])
+def test_refuses_an_option_below_its_bound(capsys, verb, option, value):
+    generators = () if verb == "prv-check" else ("--generators", "2")
+    status, out, err = run_cli(capsys, verb, "--type", "A1", *generators, option, value)
     assert status == 2 and out == ""
     error = json.loads(err)
     assert error["kind"] == "usage"

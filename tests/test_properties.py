@@ -4,13 +4,15 @@ representatives against make_dominant, the dominant-weight walk, the
 orbit-sum Freudenthal recursion against the per-root one and its
 root-string classes against W_J-orbits, the orbit walk, orbit sizes, Weyl
 group orders and elements, expanded weight systems, the Brauer-Klimyk fold,
-single tensor coefficients, box closures and the perfectness predicate
-against the oracles in oracles.py, commutativity of tensor products,
-conservation of dimension, monotonicity of box closures in the box, and
-JSON round trips of traces, monoid specs and lattice specs."""
+single tensor coefficients, box closures, the perfectness predicate and
+the members a descriptor predicts against the oracles in oracles.py,
+commutativity of tensor products, conservation of dimension, monotonicity
+of box closures in the box, and JSON round trips of traces, monoid specs
+and lattice specs."""
 
 import json
 from collections import Counter
+from itertools import combinations
 from math import floor, lcm
 from unittest import mock
 
@@ -18,12 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from weightlab import (Box, LatticeSpec, MonoidSpec, bounded_perfect_closure, character,
-                       dominance_leq, dominant_weights_below, expand_character, in_lattice,
+from weightlab import (Box, LatticeSpec, MonoidSpec, PerfectDescriptor, Subgroup,
+                       bounded_perfect_closure, character, dominance_leq,
+                       dominant_weights_below, enumerate_perfect, expand_character, in_lattice,
                        is_perfect_in_box, make_dominant, orbit, orbit_size, perfectmonoid,
-                       reflect, root_coordinates, support_regular_weight, tensor_decompose,
-                       tensor_multiplicity, w0_antifixed_weight, weyl_dimension,
-                       weyl_group_elements)
+                       predicted_members, reflect, root_coordinates, support_regular_weight,
+                       tensor_decompose, tensor_multiplicity, w0_antifixed_weight,
+                       weyl_dimension, weyl_group_elements)
 from weightlab.charcalc import _below_with_depth, _root_strings
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.tensor import _expanded_table, _klimyk
@@ -32,7 +35,8 @@ from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
                      classifier_orbit_size, expanded, fraction_inverse_cartan,
                      pairwise_is_perfect_in_box, pairwise_perfect_closure, per_root_freudenthal,
-                     sweep_perfect_closure, table_weyl_order, unique_klimyk)
+                     per_weight_predicted_members, sweep_perfect_closure, table_weyl_order,
+                     unique_klimyk)
 
 # every simple type of rank <= 6, and two products
 TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
@@ -420,6 +424,27 @@ def test_perfectness_matches_pairwise_oracle(type_string, mode, factor, data):
         members = closure - {drop}
         assert is_perfect_in_box(datum, members, box) \
             == pairwise_is_perfect_in_box(datum, members, box)
+
+
+# RANK4 under sc and adjoint, and three lattices strictly between Q and P
+PREDICTION_LATTICES = ([(t, mode, ()) for t in RANK4 for mode in ("sc", "adjoint")]
+                       + [("A1xA1", "subgroup", ((1, 1),)), ("A3", "subgroup", ((2,),)),
+                          ("D4", "subgroup", ((1, 1),))])
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("type_string, mode, generators", PREDICTION_LATTICES)
+def test_prediction_by_coset_matches_per_weight_oracle(type_string, mode, generators, bound):
+    datum = get_datum(type_string, mode, generators)
+    factors = range(1, datum.n_factors + 1)
+    descs = [desc for size in range(datum.n_factors + 1)
+             for support in combinations(factors, size)
+             for desc in enumerate_perfect(datum, support)]
+    # and the whole cocenter, which only the lattice trims
+    descs.append(PerfectDescriptor(frozenset(factors), Subgroup.full(datum.cocenter)))
+    for desc in descs:
+        assert predicted_members(datum, desc, Box(bound)) \
+            == per_weight_predicted_members(datum, desc, Box(bound)), desc
 
 
 def round_trip(obj: dict) -> dict:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from weightlab import weyl
+from weightlab import charcalc, weyl
 from weightlab import (DominanceRegimeError, prv_component, stable_multiplicity_check,
                        tensor_decompose, tensor_multiplicity, weyl_dimension,
                        weyl_group_elements)
@@ -218,3 +218,20 @@ def test_narrow_fold_matches_int64_oracle(type_string, mu, limit, side):
     assert datum.memo["expanded_table"][mu][1] is mults
     assert rows.dtype == mults.dtype == np.int64
     assert np.array_equal(rows, saved[0]) and np.array_equal(mults, saved[1])
+
+
+def test_cold_decomposition_checks_its_weights_once(monkeypatch):
+    # tensor_decompose checks both factors itself; past it only the
+    # character of the expanded factor goes through the public check
+    datum = build_root_datum("A2")
+    calls = []
+    check = charcalc._check_dominant
+
+    def counted(d, lam):
+        calls.append(lam)
+        return check(d, lam)
+    monkeypatch.setattr(charcalc, "_check_dominant", counted)
+    tensor_decompose(datum, (2, 1), (1, 0))
+    assert len(calls) == 1
+    assert datum.stats["weyl_dimension_misses"] == 2
+    assert datum.stats["weyl_dimension_hits"] == 1
