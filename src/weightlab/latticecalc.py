@@ -114,21 +114,12 @@ class FinAbGroup:
 
     @property
     def invariants(self) -> tuple[int, ...]:
-        """Moduli rewritten as a divisibility chain d1 | d2 | ... (display form)."""
-        primes: dict[int, list[int]] = {}
-        for d in self.orders:
-            for p, e in _factorize(d).items():
-                primes.setdefault(p, []).append(e)
-        depth = max((len(v) for v in primes.values()), default=0)
-        chain = []
-        for slot in range(depth):
-            d = 1
-            for p, exps in primes.items():
-                exps_sorted = sorted(exps, reverse=True)
-                if slot < len(exps_sorted):
-                    d *= p ** exps_sorted[slot]
-            chain.append(d)
-        return tuple(sorted(chain))
+        """Moduli rewritten as a divisibility chain d1 | d2 | ... (display
+        form): the nonunit diagonal of the Smith form of diag(orders)."""
+        n = len(self.orders)
+        s, _, _ = smith_normal_form([[d if i == j else 0 for j, d in enumerate(self.orders)]
+                                     for i in range(n)])
+        return tuple(s[i][i] for i in range(n) if s[i][i] != 1)
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * len(self.orders)
@@ -160,19 +151,6 @@ class FinAbGroup:
     def restrict_element(self, a, factors) -> tuple[int, ...]:
         keep = [c for c, k in enumerate(self.coord_factor) if k in set(factors)]
         return tuple(a[c] for c in keep)
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def fundamental_group(datum: RootDatum) -> FinAbGroup:

@@ -9,14 +9,16 @@ classification side is exact and symbolic.
 
 The closure settles its pairs a row at a time.  The box is held in
 adjugate coordinates, det * C^-1 lam, grouped into coset classes by their
-residue mod det, with a mask of the weights not yet members.  When a
-member b is reached, one numpy test compares every total a + b of its row
-with the missing weights of the total's class, componentwise; a pair with
-nothing missing below its total cannot add a member and is settled.  The
-pairs the test flags are tested again, in order, against the members of
-that moment, and only those still flagged are decomposed.  A set is
-perfect in the box when its closure adds nothing.  The prediction from a
-descriptor decides the lattice and the subgroup once per coset class.
+residue mod det; this region is read-only and kept once per datum and box,
+and the closure's own state is a mask of the weights not yet members and
+the list of members' region indices.  When a member b is reached, one numpy
+test compares every total a + b of its row with the missing weights of the
+total's class, componentwise; a pair with nothing missing below its total
+cannot add a member and is settled.  The pairs the test flags are tested
+again, in order, against the members of that moment, and only those still
+flagged are decomposed.  A set is perfect in the box when its closure adds
+nothing.  The prediction from a descriptor reads the same region and
+decides the lattice and the subgroup once per coset class.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import latticecalc
 from .rootdata import (LatticeSpec, RootDataError, RootDatum, Weight, build_root_datum,
-                       in_lattice, is_int_list)
+                       in_lattice, is_int_list, memoized)
 from .tensor import tensor_decompose
 
 # most weights Box.region lists; refused before anything is allocated
@@ -42,8 +44,8 @@ class Box:
     bound: int
 
     def __post_init__(self):
-        if self.bound < 1:
-            raise ValueError("box bound must be a positive integer")
+        if type(self.bound) is not int or self.bound < 1:
+            raise ValueError(f"box bound must be a positive integer, got {self.bound!r}")
 
     def __contains__(self, lam: Weight) -> bool:
         return all(0 <= x <= self.bound for x in lam)
@@ -124,7 +126,7 @@ def predicted_members(datum: RootDatum, desc: PerfectDescriptor, box: Box) -> se
     supported on the descriptor's factors, in the lattice, class in the
     subgroup.  The last two depend on the coset of Q alone, so they are
     decided once per coset, on its first weight in the box."""
-    region = _CosetRegion(datum, box)
+    region = _coset_region(datum, box)
     cocenter = datum.cocenter
     classes = (latticecalc.project_to_cocenter(cocenter, w)
                for w in region.rows[region.firsts].tolist())
@@ -138,16 +140,18 @@ def predicted_members(datum: RootDatum, desc: PerfectDescriptor, box: Box) -> se
 
 
 class _CosetRegion:
-    """The box's dominant weights, as ``rows`` and in adjugate coordinates,
-    det * C^-1 lam (the coordinates :meth:`RootDatum.in_root_cone` tests),
-    with a mask of the weights that are not yet members.
+    """The box's dominant weights, as ``rows`` in the box's lexicographic
+    order and in adjugate coordinates ``adj``, det * C^-1 lam (the
+    coordinates :meth:`RootDatum.in_root_cone` tests).  Read-only: one
+    region per datum and box is kept by :func:`_coset_region`.
 
     Each weight's coset class ``cls`` is the residue of those coordinates
-    mod det, that is its coset of Q, and ``firsts`` indexes the first weight
-    of each class.  mu lies below a total t exactly when both have the same
-    class and adj(mu) <= adj(t) componentwise.  Every class of P/Q holds a
-    weight with coordinates 0 or 1 (0 or a sum of minuscule weights), so the
-    class of every total occurs in the region.
+    mod det, that is its coset of Q; ``firsts`` indexes the first weight of
+    each class and ``class_rows`` lists the weights of each.  mu lies below a
+    total t exactly when both have the same class and adj(mu) <= adj(t)
+    componentwise.  Every class of P/Q holds a weight with coordinates 0 or 1
+    (0 or a sum of minuscule weights), so the class of every total occurs in
+    the region.
 
     The coordinates stay inside int64.  A box within ``MAX_REGION`` has
     2^rank <= (bound + 1)^rank <= 10^6, so rank <= 19 and bound < 10^6.
@@ -159,56 +163,27 @@ class _CosetRegion:
     """
 
     def __init__(self, datum: RootDatum, box: Box):
-        self.box = box
         self.rows = np.array(box.region(datum), dtype=np.int64).reshape(-1, datum.rank)
-        self._strides = tuple((box.bound + 1) ** (datum.rank - 1 - i) for i in range(datum.rank))
-        self._det = datum._det
         self.adj = self.rows @ datum._np_adjugate.T
+        self._det = datum._det
         self._residues, self.firsts, cls = np.unique(
             self.adj % self._det, axis=0, return_index=True, return_inverse=True)
         self.cls = cls.reshape(-1)
         self._class_of = {tuple(r): c for c, r in enumerate(self._residues.tolist())}
         by_class = np.argsort(self.cls, kind="stable")
-        self._class_rows = np.split(by_class, np.cumsum(np.bincount(self.cls))[:-1])
-        self.missing = np.ones(len(self.rows), dtype=bool)
+        self.class_rows = tuple(np.split(by_class, np.cumsum(np.bincount(self.cls))[:-1]))
+        for a in (self.rows, self.adj, self._residues, self.firsts, self.cls, *self.class_rows):
+            a.flags.writeable = False
 
-    def index(self, w: Weight) -> int:
-        return sum(x * s for x, s in zip(w, self._strides))
-
-    def missing_among(self, weights) -> list[Weight]:
-        """The in-box weights of a list that are not members, in list order."""
-        weights = list(weights)
-        rows = np.array(weights, dtype=np.int64).reshape(len(weights), -1)
-        inbox = np.flatnonzero((rows <= self.box.bound).all(axis=1))
-        keep = self.missing[rows[inbox] @ np.array(self._strides)]
-        return [weights[i] for i in inbox[keep].tolist()]
-
-    def _sum_class(self, ca: int, cb: int) -> int:
+    def sum_class(self, ca: int, cb: int) -> int:
+        """The class of a total of weights of classes ca and cb."""
         r = (self._residues[ca] + self._residues[cb]) % self._det
         return self._class_of[tuple(r.tolist())]
 
-    def _missing_in(self, c: int) -> np.ndarray:
-        rows = self._class_rows[c]
-        return self.adj[rows[self.missing[rows]]]
 
-    def row_test(self, row: np.ndarray, b: int) -> list[int]:
-        """The positions in ``row``, region indices of members, whose total
-        with the member at region index b has a missing weight below it."""
-        totals = self.adj[row] + self.adj[b]
-        cls_row = self.cls[row]
-        cb = int(self.cls[b])
-        flagged = np.zeros(len(row), dtype=bool)
-        for ca in np.unique(cls_row).tolist():
-            missing = self._missing_in(self._sum_class(ca, cb))
-            if len(missing):
-                sel = np.flatnonzero(cls_row == ca)
-                flagged[sel] = _dominates_any(totals[sel], missing)
-        return np.flatnonzero(flagged).tolist()
-
-    def below_missing(self, a: int, b: int) -> bool:
-        """The row test for one pair, at region indices a and b."""
-        missing = self._missing_in(self._sum_class(int(self.cls[a]), int(self.cls[b])))
-        return bool((missing <= self.adj[a] + self.adj[b]).all(axis=1).any())
+@memoized
+def _coset_region(datum: RootDatum, box: Box) -> _CosetRegion:
+    return _CosetRegion(datum, box)
 
 
 # most elements one comparison in a row test holds: totals x missing x rank
@@ -223,34 +198,58 @@ def _dominates_any(totals: np.ndarray, missing: np.ndarray) -> np.ndarray:
         for s in range(0, len(totals), step)])
 
 
-def _settle_pairs(datum: RootDatum, box: Box, members) -> list[Weight]:
-    """The closure of a member list: one pass over its pairs, a row per later
+def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
+    """The closure of a member set: one pass over its pairs, a row per later
     member b (see the module docstring), in which the in-box summands of
-    each decomposed pair join the list.  Members only grow, so a pair the
-    row test settles stays settled."""
-    order = sorted(members)
-    region = _CosetRegion(datum, box)
-    at = np.empty(len(region.missing), dtype=np.int64)   # region index of each member
-    at[:len(order)] = [region.index(w) for w in order]
-    region.missing[at[:len(order)]] = False
+    each decomposed pair join the members.  Members only grow, so a pair
+    the row test settles stays settled."""
+    region = _coset_region(datum, box)
+    adj, cls = region.adj, region.cls
+    strides = (box.bound + 1) ** np.arange(datum.rank - 1, -1, -1)
+    missing = np.ones(len(region.rows), dtype=bool)
+    at = np.empty(len(region.rows), dtype=np.int64)   # region index of each member
+    n = len(members)
+    at[:n] = np.sort(np.array(list(members), dtype=np.int64).reshape(n, -1) @ strides)
+    missing[at[:n]] = False
+
+    def row_test(row: np.ndarray, b: int) -> np.ndarray:
+        """Per member in ``row`` (region indices), whether its total with the
+        member at region index b has a missing weight below it."""
+        totals = adj[row] + adj[b]
+        cls_row = cls[row]
+        cb = int(cls[b])
+        flagged = np.zeros(len(row), dtype=bool)
+        for ca in set(cls_row.tolist()):
+            c = region.class_rows[region.sum_class(ca, cb)]
+            below = adj[c[missing[c]]]
+            if len(below):
+                sel = cls_row == ca
+                flagged[sel] = _dominates_any(totals[sel], below)
+        return flagged
+
     stats = datum.stats
-    for j, b in enumerate(order):
-        flagged = region.row_test(at[:j + 1], at[j])
+    j = 0
+    while j < n:
+        b = at[j]
+        flagged = np.flatnonzero(row_test(at[:j + 1], b)).tolist()
         stats["closure_pairs"] += j + 1
         stats["closure_settled"] += j + 1 - len(flagged)
-        grown = len(order)
+        grown = n
         for k in flagged:
             # untouched since the row test, the pair still fails it
-            if len(order) > grown and not region.below_missing(at[k], at[j]):
+            if n > grown and not row_test(at[k:k + 1], b)[0]:
                 stats["closure_rechecked"] += 1
                 continue
             stats["closure_decomposed"] += 1
-            for w in region.missing_among(tensor_decompose(datum, order[k], b).support()):
-                i = region.index(w)
-                region.missing[i] = False
-                at[len(order)] = i
-                order.append(w)
-    return order
+            lam, mu = (tuple(w) for w in region.rows[[at[k], b]].tolist())
+            summands = np.array(list(tensor_decompose(datum, lam, mu).support()), dtype=np.int64)
+            new = summands[(summands <= box.bound).all(axis=1)] @ strides
+            new = new[missing[new]]
+            missing[new] = False
+            at[n:n + len(new)] = new
+            n += len(new)
+        j += 1
+    return set(map(tuple, region.rows[at[:n]].tolist()))
 
 
 def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
@@ -264,7 +263,7 @@ def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
     for g in spec.generators:
         if g not in box:
             raise ValueError(f"generator {g} lies outside the box (bound {box.bound})")
-    return set(_settle_pairs(datum, box, {(0,) * datum.rank, *spec.generators}))
+    return _settle_pairs(datum, box, {(0,) * datum.rank, *spec.generators})
 
 
 def is_perfect_in_box(datum: RootDatum, members, box: Box) -> bool:

@@ -18,8 +18,10 @@ the Brauer-Klimyk fold from its earlier implementation
 box closures from the earlier sweep-until-stable loop and from the earlier
 one-pass loop that tests each pair alone against a frozenset envelope, and
 the members a perfect descriptor predicts from the earlier loop that
-projects every box weight to the cocenter.  Root-string saturation of a
-weight set is checked here too; the library does not need it.
+projects every box weight to the cocenter.  The invariant factors of a
+finite abelian group come from the earlier prime-power bookkeeping.
+Root-string saturation of a weight set is checked here too; the library
+does not need it.
 """
 
 from __future__ import annotations
@@ -599,3 +601,36 @@ def is_saturated_weight_set(datum, weights) -> bool:
                     if probe not in ws:
                         return False
     return True
+
+
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def prime_power_invariants(orders) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of Z/orders[0] x ...: the largest
+    power of each prime goes to the last factor, the next to the one
+    before, and so on."""
+    primes: dict[int, list[int]] = {}
+    for d in orders:
+        for p, e in _factorize(d).items():
+            primes.setdefault(p, []).append(e)
+    depth = max((len(v) for v in primes.values()), default=0)
+    chain = []
+    for slot in range(depth):
+        d = 1
+        for p, exps in primes.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if slot < len(exps_sorted):
+                d *= p ** exps_sorted[slot]
+        chain.append(d)
+    return tuple(sorted(chain))

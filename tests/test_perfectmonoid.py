@@ -32,6 +32,18 @@ def test_closure_generator_must_fit_box():
         bounded_perfect_closure(MonoidSpec(a1, ((5,),)), Box(4))
 
 
+@pytest.mark.parametrize("bound", [2.5, True, "3"])
+def test_box_refuses_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(ValueError):
+        Box(bound)
+
+
+def test_verify_builds_one_region_for_both_sides():
+    datum = build_root_datum("A2", LatticeSpec("sc"))
+    verify_classification(MonoidSpec(datum, ((1, 0),)), Box(4))
+    assert datum.stats["coset_region_misses"] == datum.stats["coset_region_hits"] == 1
+
+
 def test_is_perfect_in_box_examples():
     a1 = get_datum("A1")
     assert is_perfect_in_box(a1, {(0,), (2,), (4,)}, Box(4))

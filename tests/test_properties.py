@@ -20,13 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from weightlab import (Box, LatticeSpec, MonoidSpec, PerfectDescriptor, Subgroup,
-                       bounded_perfect_closure, character, dominance_leq,
+from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescriptor, Subgroup,
+                       bounded_perfect_closure, build_root_datum, character, dominance_leq,
                        dominant_weights_below, enumerate_perfect, expand_character, in_lattice,
                        is_perfect_in_box, make_dominant, orbit, orbit_size, perfectmonoid,
                        predicted_members, reflect, root_coordinates, support_regular_weight,
-                       tensor_decompose, tensor_multiplicity, w0_antifixed_weight,
-                       weyl_dimension, weyl_group_elements)
+                       tensor_decompose, tensor_multiplicity, verify_classification,
+                       w0_antifixed_weight, weyl_dimension, weyl_group_elements)
 from weightlab.charcalc import _below_with_depth, _root_strings
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.tensor import _expanded_table, _klimyk
@@ -35,8 +35,8 @@ from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
                      classifier_orbit_size, expanded, fraction_inverse_cartan,
                      pairwise_is_perfect_in_box, pairwise_perfect_closure, per_root_freudenthal,
-                     per_weight_predicted_members, sweep_perfect_closure, table_weyl_order,
-                     unique_klimyk)
+                     per_weight_predicted_members, prime_power_invariants, sweep_perfect_closure,
+                     table_weyl_order, unique_klimyk)
 
 # every simple type of rank <= 6, and two products
 TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
@@ -426,6 +426,32 @@ def test_perfectness_matches_pairwise_oracle(type_string, mode, factor, data):
             == pairwise_is_perfect_in_box(datum, members, box)
 
 
+@pytest.mark.parametrize("type_string, mode, factor", ROW_TEST_STRATA)
+@given(data=st.data())
+def test_kept_region_holds_no_closure_state(type_string, mode, factor, data):
+    # one datum runs closures at B, B + 1 and B again, the perfectness test
+    # and a verify on its kept regions; each matches a fresh datum's result
+    # and decomposes as many pairs
+    spec, box = closure_spec(data, type_string, mode, factor)
+    shared = build_root_datum(type_string, LatticeSpec(mode))
+
+    def check(call):
+        before = shared.stats["closure_decomposed"]
+        got = call(shared), shared.stats["closure_decomposed"] - before
+        fresh = build_root_datum(type_string, LatticeSpec(mode))
+        assert got == (call(fresh), fresh.stats["closure_decomposed"])
+        return got[0]
+
+    def closure(b):
+        return lambda datum: bounded_perfect_closure(MonoidSpec(datum, spec.generators), b)
+    members = check(closure(box))
+    check(closure(Box(box.bound + 1)))
+    check(closure(box))
+    check(lambda datum: is_perfect_in_box(datum, members, box))
+    check(lambda datum: verify_classification(MonoidSpec(datum, spec.generators), box).to_json())
+    assert shared.stats["coset_region_misses"] == 2
+
+
 # RANK4 under sc and adjoint, and three lattices strictly between Q and P
 PREDICTION_LATTICES = ([(t, mode, ()) for t in RANK4 for mode in ("sc", "adjoint")]
                        + [("A1xA1", "subgroup", ((1, 1),)), ("A3", "subgroup", ((2,),)),
@@ -507,3 +533,16 @@ def test_monoid_and_lattice_spec_json_round_trip(type_string, data):
     assert again.datum.lattice == lattice
     assert again.generators == spec.generators
     assert again.to_json() == spec.to_json()
+
+
+@pytest.mark.parametrize("type_string", INVERSE_TYPES)
+def test_cocenter_invariants_match_prime_power_oracle(type_string):
+    group = get_datum(type_string).cocenter
+    assert group.invariants == prime_power_invariants(group.orders)
+
+
+@settings(max_examples=200)
+@given(orders=st.lists(st.integers(2, 60), max_size=5))
+def test_drawn_invariants_match_prime_power_oracle(orders):
+    group = FinAbGroup(tuple(orders), (1,) * len(orders), ((0,),) * len(orders))
+    assert group.invariants == prime_power_invariants(orders)
