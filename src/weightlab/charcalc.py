@@ -7,7 +7,9 @@ explicitly only where needed (tensor decomposition, brute-force checks).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -81,10 +83,10 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
         for w in frontier:
             depth = seen[w]
             for fund, rc in roots:
-                nw = tuple(x - a for x, a in zip(w, fund))
+                nw = tuple(map(sub, w, fund))
                 if min(nw) < 0 or nw in seen:
                     continue
-                seen[nw] = tuple(d + r for d, r in zip(depth, rc))
+                seen[nw] = tuple(map(add, depth, rc))
                 nxt.append(nw)
         frontier = nxt
     return sorted(seen.items(), key=lambda item: (sum(item[1]), item[0]))
@@ -138,20 +140,38 @@ def character(datum: RootDatum, lam: Weight) -> Character:
         sum over J-dominant alpha > 0 of |W_J| / |W_{J cap zeros(alpha)}| S_alpha,
 
     halved when the support of alpha lies inside J.  A regular mu walks
-    every positive root once; the strings walked are counted in
-    ``datum.stats["freudenthal_strings"]``.
+    every positive root once.  Each string stops early at a stored sum; see
+    ``_character``.
     """
     return _character(datum, _check_dominant(datum, lam))
 
 
 @memoized
 def _character(datum: RootDatum, lam: Weight) -> Character:
+    """The recursion of ``character`` on a checked lam, with each string
+    sum built from the sums of the strings above it,
+
+        S_alpha(mu) = (mu + alpha, alpha) m(mu + alpha) + S_alpha(mu + alpha).
+
+    The sum S_alpha(mu) of every string walked from a dominant mu is
+    stored, and a later walk along alpha stops at the first dominant nu
+    whose S_alpha(nu) is stored, adding it.  The weights are taken highest
+    first and nu lies above the mu being computed, so every stored sum is
+    complete.  Only dominant nu walked along the same alpha are reused: for
+    a non-dominant nu, S_alpha(nu) = S_{w alpha}(w nu) with w nu dominant,
+    and w nu need not have been walked along w alpha.
+    ``datum.stats`` counts the strings (``freudenthal_strings``), their
+    steps (``freudenthal_steps``) and the strings closed by a stored sum
+    (``freudenthal_reused``).
+    """
     below = _below_with_depth(datum, lam)
     table: dict[Weight, int] = {lam: 1}
     dom_set = {w for w, _ in below}
     sym = datum.symmetrizer
     dominant_of: dict[Weight, Weight] = {}
-    walked = 0
+    # fund of alpha -> {dominant nu: S_alpha(nu)} for every nu walked along alpha
+    sums: defaultdict[Weight, dict[Weight, int]] = defaultdict(dict)
+    walked = steps = reused = 0
     for mu, depth in below[1:]:
         # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
         mid = tuple(a + b + 2 for a, b in zip(lam, mu))
@@ -162,21 +182,35 @@ def _character(datum: RootDatum, lam: Weight) -> Character:
         total = 0
         for fund, pair, norm, count in strings:
             # nu runs over mu + k alpha, k >= 1, with prod = (alpha, nu)
+            along = sums[fund]
             nu = mu
-            prod = sum(p * x for p, x in zip(pair, mu))
+            prod = sum(map(mul, pair, mu))
             string = 0
             while True:
-                nu = tuple(x + a for x, a in zip(nu, fund))
+                nu = tuple(map(add, nu, fund))
                 prod += norm
-                nu_dom = dominant_of.get(nu)
-                if nu_dom is None:
-                    nu_dom = dominant_of[nu] = _dominant_representative(datum, nu)
+                steps += 1
+                dominant = min(nu) >= 0
+                if dominant:
+                    nu_dom = nu
+                else:
+                    nu_dom = dominant_of.get(nu)
+                    if nu_dom is None:
+                        nu_dom = dominant_of[nu] = _dominant_representative(datum, nu)
                 n = table.get(nu_dom)
                 if n is None:
                     if nu_dom not in dom_set:
                         break  # left the weight system; the string is contiguous
                     raise AssertionError("multiplicity requested before computed")
                 string += n * prod
+                if dominant:
+                    rest = along.get(nu)
+                    if rest is not None:
+                        # S_alpha(mu) = sum of the steps so far + S_alpha(nu)
+                        string += rest
+                        reused += 1
+                        break
+            along[mu] = string
             total += count * string
         num = 2 * total
         assert num % denom == 0
@@ -186,6 +220,8 @@ def _character(datum: RootDatum, lam: Weight) -> Character:
         assert mult > 0
         table[mu] = mult
     datum.stats["freudenthal_strings"] += walked
+    datum.stats["freudenthal_steps"] += steps
+    datum.stats["freudenthal_reused"] += reused
     return Character(datum, table)
 
 

@@ -318,7 +318,9 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
     The confirmation is one coefficient, ``tensor_multiplicity``, which walks
     the |W| points of one regular orbit.  When |W| exceeds
     ``weyl.MAX_WEYL_ELEMENTS`` the steps keep the exact arithmetic checks
-    but skip the confirmation (reported via ``tensor_checked``).
+    but skip the confirmation (reported via ``tensor_checked``).  Confirmed
+    and skipped steps are counted as ``prv_confirmed`` and ``prv_skipped``
+    in ``datum.stats``.
     """
     failures: list[str] = []
     prv_steps = 0
@@ -343,9 +345,12 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
             failures.append(f"step {idx}: recorded weight {step.weight} != replay {expected}")
             continue
         if datum.weyl_order > weyl.MAX_WEYL_ELEMENTS:
+            datum.stats["prv_skipped"] += 1
             continue
         tensor_checked += 1
-        if not tensor_multiplicity(datum, lw, rw, step.weight):
+        if tensor_multiplicity(datum, lw, rw, step.weight):
+            datum.stats["prv_confirmed"] += 1
+        else:
             failures.append(
                 f"step {idx}: {step.weight} is not a summand of {lw} (x) {rw}")
     return ChainReport(not failures, prv_steps, tensor_checked, tuple(failures))

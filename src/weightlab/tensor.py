@@ -133,7 +133,8 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     totals = np.add.reduceat(mults, starts)
     assert (totals >= 0).all(), "negative accumulated tensor multiplicity"
     kept = totals > 0
-    return dict(zip(map(tuple, dom[:, starts[kept]].T.tolist()), totals[kept].tolist()))
+    # zip(*rows) reads each column of dom as one weight tuple
+    return dict(zip(zip(*dom[:, starts[kept]].tolist()), totals[kept].tolist()))
 
 
 def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray | None = None) -> None:

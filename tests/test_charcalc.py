@@ -71,6 +71,28 @@ def test_freudenthal_walks_one_string_per_stabilizer_orbit():
     assert d5.stats["freudenthal_strings"] == 4651
 
 
+@pytest.mark.parametrize("type_string, lam, counts", [
+    ("G2", (20, 20), (4936, 9632, 4559)),
+    ("D5", (2, 2, 3, 2, 0), (4651, 9317, 1899)),
+])
+def test_freudenthal_string_walks_stop_at_a_stored_sum(type_string, lam, counts):
+    # (strings, steps, strings closed by the stored sum of a dominant weight)
+    datum = build_root_datum(type_string)
+    assert character(datum, lam).entries == per_root_freudenthal(datum, lam)
+    assert (datum.stats["freudenthal_strings"], datum.stats["freudenthal_steps"],
+            datum.stats["freudenthal_reused"]) == counts
+
+
+def test_a1_string_walk_takes_at_most_two_steps_per_weight():
+    # each mu < lam steps to mu + alpha, dominant and walked, and stops there;
+    # the one string from lam - alpha walks through lam and out of the system
+    a1 = build_root_datum("A1")
+    char = character(a1, (10000,))
+    assert char.entries == {(k,): 1 for k in range(0, 10001, 2)}
+    assert a1.stats["freudenthal_steps"] <= 2 * len(char.entries)
+    assert a1.stats["freudenthal_reused"] == len(char.entries) - 2
+
+
 @pytest.mark.parametrize("bad", [(1.0, 0), (True, 0)], ids=["float", "bool"])
 @pytest.mark.parametrize("call", [
     character, weyl_dimension, dominant_weights_below,

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from weightlab import weyl
-from weightlab import (Box, ConstructionError, MonoidSpec, check_prv_chain, classify,
-                       factor_antifixed_sequence, predicted_members,
+from weightlab import (Box, ConstructionError, MonoidSpec, build_root_datum, check_prv_chain,
+                       classify, factor_antifixed_sequence, predicted_members,
                        smallest_dominating_multiple, support_growing_step,
                        support_regular_weight, w0_action, w0_antifixed_weight)
 from weightlab.constructions import ConstructionTrace, TraceStep
@@ -187,6 +187,21 @@ def test_chain_verification_skips_confirmation_above_the_weyl_cap(monkeypatch):
     report = check_prv_chain(d5, ConstructionTrace(tuple(steps)))
     assert not report.ok and report.tensor_checked == 0
     assert "replay" in report.failures[0]
+
+
+def test_chain_step_counts_follow_the_weyl_cap(monkeypatch):
+    # fresh data, so that the counts start at zero
+    a2 = build_root_datum("A2")
+    trace = factor_antifixed_sequence(a2, 1, (1, 1))
+    report = check_prv_chain(a2, trace)
+    assert report.ok and report.prv_steps > 0
+    assert (a2.stats["prv_confirmed"], a2.stats["prv_skipped"]) == (report.tensor_checked, 0)
+    assert report.tensor_checked == report.prv_steps
+    capped = build_root_datum("A2")
+    monkeypatch.setattr(weyl, "MAX_WEYL_ELEMENTS", capped.weyl_order - 1)
+    report = check_prv_chain(capped, trace)
+    assert report.ok and report.tensor_checked == 0
+    assert (capped.stats["prv_confirmed"], capped.stats["prv_skipped"]) == (0, report.prv_steps)
 
 
 def test_chain_verification_single_generator():

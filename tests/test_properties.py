@@ -33,7 +33,7 @@ from weightlab.tensor import _expanded_table, _klimyk
 from weightlab.weyl import _dominant_representative
 from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
-                     classifier_orbit_size, expanded, fraction_inverse_cartan,
+                     classifier_orbit_size, expanded, fraction_inverse_cartan, kostant_multiplicity,
                      pairwise_is_perfect_in_box, pairwise_perfect_closure, per_root_freudenthal,
                      per_weight_predicted_members, prime_power_invariants, sweep_perfect_closure,
                      table_weyl_order, unique_klimyk)
@@ -164,6 +164,23 @@ def test_character_matches_per_root_freudenthal(type_string, data):
     datum = get_datum(type_string)
     lam = data.draw(weights_with_zeros(datum, 10 ** 5), label="lam")
     assert character(datum, lam).entries == per_root_freudenthal(datum, lam)
+
+
+# types with long root strings through lam, each with its coordinate cap:
+# where the recursion closes most strings by a stored sum
+LONG_STRINGS = [("A1", 300), ("A2", 12), ("B2", 12), ("G2", 12)]
+
+
+@pytest.mark.parametrize("type_string, cap", LONG_STRINGS)
+@given(data=st.data())
+def test_stored_string_sums_match_per_root_freudenthal(type_string, cap, data):
+    # a fresh datum, so that every draw runs the recursion cold
+    datum = build_root_datum(type_string)
+    lam = data.draw(st.tuples(*[st.integers(0, cap)] * datum.rank), label="lam")
+    entries = character(datum, lam).entries
+    assert entries == per_root_freudenthal(datum, lam)
+    for mu in data.draw(st.lists(st.sampled_from(sorted(entries)), max_size=2), label="mu"):
+        assert entries[mu] == kostant_multiplicity(datum, lam, mu)
 
 
 def w_j_orbit(datum, fund, nodes) -> set:
