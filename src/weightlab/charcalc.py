@@ -168,7 +168,6 @@ def _character(datum: RootDatum, lam: Weight) -> Character:
     table: dict[Weight, int] = {lam: 1}
     dom_set = {w for w, _ in below}
     sym = datum.symmetrizer
-    dominant_of: dict[Weight, Weight] = {}
     # fund of alpha -> {dominant nu: S_alpha(nu)} for every nu walked along alpha
     sums: defaultdict[Weight, dict[Weight, int]] = defaultdict(dict)
     walked = steps = reused = 0
@@ -191,12 +190,7 @@ def _character(datum: RootDatum, lam: Weight) -> Character:
                 prod += norm
                 steps += 1
                 dominant = min(nu) >= 0
-                if dominant:
-                    nu_dom = nu
-                else:
-                    nu_dom = dominant_of.get(nu)
-                    if nu_dom is None:
-                        nu_dom = dominant_of[nu] = _dominant_representative(datum, nu)
+                nu_dom = nu if dominant else _dominant_representative(datum, nu)
                 n = table.get(nu_dom)
                 if n is None:
                     if nu_dom not in dom_set:

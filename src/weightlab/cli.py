@@ -61,11 +61,11 @@ def _optional_weight(text: str) -> tuple[int, ...] | None:
 
 
 def _parse_support(text: str) -> tuple[int, ...] | None:
-    """'all' (None) or a comma-separated list of 1-based factors."""
+    """'all' (None) or the sorted distinct factors of a comma-separated list."""
     if text.strip() == "all":
         return None
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(sorted({int(part) for part in text.split(",") if part.strip()}))
     except ValueError:
         raise UsageError(
             f"--support must be 'all' or a comma-separated factor list, got {text!r}") from None
@@ -153,7 +153,7 @@ def _classify(args, datum):
 def _enumerate(args, datum):
     support = range(1, datum.n_factors + 1) if args.support is None else args.support
     descriptors = enumerate_perfect(datum, support)
-    return {"params": {"support": sorted(support)}, "count": len(descriptors),
+    return {"params": {"support": list(support)}, "count": len(descriptors),
             "descriptors": [d.to_json() for d in descriptors]}, 0
 
 

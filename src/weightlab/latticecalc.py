@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
+import numpy as np
+
 from .rootdata import RootDatum, Weight
 
 # largest group whose subgroups enumerate_subgroups lists
@@ -135,6 +137,16 @@ class FinAbGroup:
 
     def elements(self) -> list[tuple[int, ...]]:
         return [tuple(e) for e in product(*(range(d) for d in self.orders))]
+
+    def index(self, coords) -> np.ndarray:
+        """Position in ``elements()`` of classes given along the last axis of
+        an int64 array, reduced mod ``orders``: mixed radix in ``orders``, the
+        last coordinate fastest, as ``elements()`` lists them.  The trivial
+        group has no coordinates and puts every class at 0."""
+        out = np.zeros(coords.shape[:-1], dtype=np.int64)
+        for c, d in enumerate(self.orders):
+            out = out * d + coords[..., c] % d
+        return out
 
     def pairing(self, a, b) -> Fraction:
         """Perfect pairing with the dual group, valued in Q/Z (as [0,1))."""

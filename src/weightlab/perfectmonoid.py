@@ -8,8 +8,8 @@ computation here is truncated to a finite coordinate box, while the
 classification side is exact and symbolic.
 
 The closure settles its pairs a row at a time.  The box is held in
-adjugate coordinates, det * C^-1 lam, grouped into coset classes by their
-residue mod det; this region is read-only and kept once per datum and box,
+adjugate coordinates, det * C^-1 lam, grouped by their class in the
+cocenter P/Q; this region is read-only and kept once per datum and box,
 and the closure's own state is a mask of the weights not yet members and
 the list of members' region indices.  When a member b is reached, one numpy
 test compares every total a + b of its row with the missing weights of the
@@ -18,7 +18,7 @@ cannot add a member and is settled.  The pairs the test flags are tested
 again, in order, against the members of that moment, and only those still
 flagged are decomposed.  A set is perfect in the box when its closure adds
 nothing.  The prediction from a descriptor reads the same region and
-decides the lattice and the subgroup once per coset class.
+decides the lattice and the subgroup once per element of P/Q.
 """
 
 from __future__ import annotations
@@ -125,14 +125,12 @@ def predicted_members(datum: RootDatum, desc: PerfectDescriptor, box: Box) -> se
     """In-box members of the perfect submonoid a descriptor denotes: dominant,
     supported on the descriptor's factors, in the lattice, class in the
     subgroup.  The last two depend on the coset of Q alone, so they are
-    decided once per coset, on its first weight in the box."""
+    decided once per element of the cocenter P/Q."""
     region = _coset_region(datum, box)
     cocenter = datum.cocenter
-    classes = (latticecalc.project_to_cocenter(cocenter, w)
-               for w in region.rows[region.firsts].tolist())
     admitted = np.array([c in datum.lattice_subgroup and
                          cocenter.restrict_element(c, desc.support) in desc.subgroup
-                         for c in classes])
+                         for c in cocenter.elements()])
     off_support = [i for k in range(1, datum.n_factors + 1) if k not in desc.support
                    for i in range(*datum.factor_block(k))]
     keep = admitted[region.cls] & (region.rows[:, off_support] == 0).all(axis=1)
@@ -145,13 +143,12 @@ class _CosetRegion:
     coordinates :meth:`RootDatum.in_root_cone` tests).  Read-only: one
     region per datum and box is kept by :func:`_coset_region`.
 
-    Each weight's coset class ``cls`` is the residue of those coordinates
-    mod det, that is its coset of Q; ``firsts`` indexes the first weight of
-    each class and ``class_rows`` lists the weights of each.  mu lies below a
-    total t exactly when both have the same class and adj(mu) <= adj(t)
-    componentwise.  Every class of P/Q holds a weight with coordinates 0 or 1
-    (0 or a sum of minuscule weights), so the class of every total occurs in
-    the region.
+    Each weight's coset class ``cls`` is its class in the cocenter P/Q, as
+    a position in ``cocenter.elements()``; ``class_rows`` lists the weights
+    of each class, empty for a class the box misses, and ``class_sum`` is
+    the class of a total of weights of two classes.  mu lies below a total t
+    exactly when both have the same class and adj(mu) <= adj(t)
+    componentwise.
 
     The coordinates stay inside int64.  A box within ``MAX_REGION`` has
     2^rank <= (bound + 1)^rank <= 10^6, so rank <= 19 and bound < 10^6.
@@ -159,26 +156,24 @@ class _CosetRegion:
     at most r + 1 <= 2^r for rank r, so det <= 2^rank <= 10^6.  C^-1 is
     nonnegative with row sums at most 189 up to rank 19 (C19), so a total of
     two box weights, coordinates at most 2 * bound, has adjugate coordinates
-    at most det * 189 * 2 * bound < 2 * 10^6 * 10^6 * 189 < 2^63.
+    at most det * 189 * 2 * bound < 2 * 10^6 * 10^6 * 189 < 2^63.  The rows
+    of ``cocenter.proj_rows`` have entries at most 38 up to rank 19 (D19),
+    so the class coordinates stay far smaller.
     """
 
     def __init__(self, datum: RootDatum, box: Box):
+        cocenter = datum.cocenter
         self.rows = np.array(box.region(datum), dtype=np.int64).reshape(-1, datum.rank)
         self.adj = self.rows @ datum._np_adjugate.T
-        self._det = datum._det
-        self._residues, self.firsts, cls = np.unique(
-            self.adj % self._det, axis=0, return_index=True, return_inverse=True)
-        self.cls = cls.reshape(-1)
-        self._class_of = {tuple(r): c for c, r in enumerate(self._residues.tolist())}
+        proj = np.array(cocenter.proj_rows, dtype=np.int64).reshape(-1, datum.rank)
+        self.cls = cocenter.index(self.rows @ proj.T)
+        classes = np.array(cocenter.elements(), dtype=np.int64)
+        self.class_sum = cocenter.index(classes[:, None] + classes[None])
         by_class = np.argsort(self.cls, kind="stable")
-        self.class_rows = tuple(np.split(by_class, np.cumsum(np.bincount(self.cls))[:-1]))
-        for a in (self.rows, self.adj, self._residues, self.firsts, self.cls, *self.class_rows):
+        sizes = np.bincount(self.cls, minlength=cocenter.order)
+        self.class_rows = tuple(np.split(by_class, np.cumsum(sizes)[:-1]))
+        for a in (self.rows, self.adj, self.cls, self.class_sum, *self.class_rows):
             a.flags.writeable = False
-
-    def sum_class(self, ca: int, cb: int) -> int:
-        """The class of a total of weights of classes ca and cb."""
-        r = (self._residues[ca] + self._residues[cb]) % self._det
-        return self._class_of[tuple(r.tolist())]
 
 
 @memoized
@@ -216,14 +211,13 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
         """Per member in ``row`` (region indices), whether its total with the
         member at region index b has a missing weight below it."""
         totals = adj[row] + adj[b]
-        cls_row = cls[row]
-        cb = int(cls[b])
+        targets = region.class_sum[cls[row], cls[b]]
         flagged = np.zeros(len(row), dtype=bool)
-        for ca in set(cls_row.tolist()):
-            c = region.class_rows[region.sum_class(ca, cb)]
+        for t in set(targets.tolist()):
+            c = region.class_rows[t]
             below = adj[c[missing[c]]]
             if len(below):
-                sel = cls_row == ca
+                sel = targets == t
                 flagged[sel] = _dominates_any(totals[sel], below)
         return flagged
 

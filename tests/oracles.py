@@ -18,8 +18,11 @@ the Brauer-Klimyk fold from its earlier implementation
 box closures from the earlier sweep-until-stable loop and from the earlier
 one-pass loop that tests each pair alone against a frozenset envelope, and
 the members a perfect descriptor predicts from the earlier loop that
-projects every box weight to the cocenter.  The invariant factors of a
-finite abelian group come from the earlier prime-power bookkeeping.
+projects every box weight to the cocenter, and the coset classes of a box
+from the earlier residues of its adjugate coordinates mod det.  The
+Freudenthal oracle folds weights by leftmost-negative reflections, apart
+from the library's fold.  The invariant factors of a finite abelian group
+come from the earlier prime-power bookkeeping.
 Root-string saturation of a weight set is checked here too; the library
 does not need it.
 """
@@ -39,7 +42,6 @@ from weightlab.charcalc import _below_with_depth
 from weightlab.perfectmonoid import Box
 from weightlab.rootdata import PositiveRoot, RootDatum, Weight, wadd, wsub
 from weightlab.tensor import _expanded_table, tensor_decompose
-from weightlab.weyl import _dominant_representative
 
 
 def cg_closed_form(a: int, b: int) -> dict[tuple[int], int]:
@@ -149,7 +151,7 @@ def per_root_freudenthal(datum, lam) -> dict[Weight, int]:
                 prod += norm
                 nu_dom = dominant_of.get(nu)
                 if nu_dom is None:
-                    nu_dom = dominant_of[nu] = _dominant_representative(datum, nu)
+                    nu_dom = dominant_of[nu] = leftmost_dominant(datum, nu)
                 n = table.get(nu_dom)
                 if n is None:
                     if nu_dom not in dom_set:
@@ -269,6 +271,16 @@ def batch_make_dominant(datum, arr: np.ndarray):
             arr[rows] -= coef[:, None] * cols[:, i][None, :]
             sign[rows] = -sign[rows]
     return arr, sign
+
+
+def leftmost_dominant(datum, lam) -> Weight:
+    """Dominant representative by reflections in the leftmost negative
+    coordinate, one weight at a time: the scalar form of batch_make_dominant."""
+    x = list(lam)
+    while (i := next((i for i, c in enumerate(x) if c < 0), None)) is not None:
+        c = x[i]
+        x = [v - c * a for v, a in zip(x, datum.cartan_columns[i])]
+    return tuple(x)
 
 
 def bfs_weyl_group_elements(datum, max_order: int = 100000):
@@ -584,6 +596,28 @@ def per_weight_predicted_members(datum, desc, box: Box) -> set[Weight]:
         if cls in desc.subgroup:
             out.add(lam)
     return out
+
+
+class ResidueClasses:
+    """Coset classes of a box's weights as weightlab computed them before it
+    read them from the cocenter: one class per distinct residue mod det of
+    the adjugate coordinates det * C^-1 lam, numbered in sorted residue
+    order, and the class of a total from the sum of two residues.  Every
+    class of P/Q holds a weight with coordinates 0 or 1 (0 or a sum of
+    minuscule weights), so the class of every total occurs in the box."""
+
+    def __init__(self, datum, box: Box):
+        rows = np.array(box.region(datum), dtype=np.int64).reshape(-1, datum.rank)
+        self.det = datum._det
+        self.residues, cls = np.unique(rows @ datum._np_adjugate.T % self.det, axis=0,
+                                       return_inverse=True)
+        self.cls = cls.reshape(-1)
+        self.class_of = {tuple(r): c for c, r in enumerate(self.residues.tolist())}
+
+    def sum_class(self, ca: int, cb: int) -> int:
+        """The class of a total of weights of classes ca and cb."""
+        r = (self.residues[ca] + self.residues[cb]) % self.det
+        return self.class_of[tuple(r.tolist())]
 
 
 def is_saturated_weight_set(datum, weights) -> bool:

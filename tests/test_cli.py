@@ -61,6 +61,16 @@ def test_enumerate_counts(capsys):
     assert json.loads(out)["count"] == 5
 
 
+@pytest.mark.parametrize("type_string, support, factors", [
+    ("D4", "1,1", [1]), ("A1xA3", "2,1,2", [1, 2]), ("A1xA3", "2", [2])])
+def test_enumerate_echoes_distinct_sorted_support(capsys, type_string, support, factors):
+    status, out, _ = run_cli(capsys, "enumerate", "--type", type_string, "--support", support)
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["params"]["support"] == factors
+    assert all(d["support"] == factors for d in payload["descriptors"])
+
+
 def test_character_output_sorted(capsys):
     status, out, _ = run_cli(capsys, "character", "--type", "A2", "--weight", "1,1")
     assert status == 0

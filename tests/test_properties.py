@@ -5,7 +5,8 @@ orbit-sum Freudenthal recursion against the per-root one and its
 root-string classes against W_J-orbits, the orbit walk, orbit sizes, Weyl
 group orders and elements, expanded weight systems, the Brauer-Klimyk fold,
 single tensor coefficients, box closures, the perfectness predicate and
-the members a descriptor predicts against the oracles in oracles.py,
+the members a descriptor predicts and the coset classes of a box region
+against the oracles in oracles.py,
 commutativity of tensor products, conservation of dimension, monotonicity
 of box closures in the box, and JSON round trips of traces, monoid specs
 and lattice specs."""
@@ -16,6 +17,7 @@ from itertools import combinations
 from math import floor, lcm
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,10 +25,11 @@ import oracles
 from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescriptor, Subgroup,
                        bounded_perfect_closure, build_root_datum, character, dominance_leq,
                        dominant_weights_below, enumerate_perfect, expand_character, in_lattice,
-                       is_perfect_in_box, make_dominant, orbit, orbit_size, perfectmonoid,
-                       predicted_members, reflect, root_coordinates, support_regular_weight,
-                       tensor_decompose, tensor_multiplicity, verify_classification,
-                       w0_antifixed_weight, weyl_dimension, weyl_group_elements)
+                       is_perfect_in_box, latticecalc, make_dominant, orbit, orbit_size,
+                       perfectmonoid, predicted_members, reflect, root_coordinates,
+                       support_regular_weight, tensor_decompose, tensor_multiplicity,
+                       verify_classification, w0_antifixed_weight, weyl_dimension,
+                       weyl_group_elements)
 from weightlab.charcalc import _below_with_depth, _root_strings
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.tensor import _expanded_table, _klimyk
@@ -488,6 +491,34 @@ def test_prediction_by_coset_matches_per_weight_oracle(type_string, mode, genera
     for desc in descs:
         assert predicted_members(datum, desc, Box(bound)) \
             == per_weight_predicted_members(datum, desc, Box(bound)), desc
+
+
+# trivial (G2, F4), cyclic (A3, E6) and non-cyclic (D4, D6, A1xA1, A1xA3) cocenters
+COCENTER_TYPES = ["G2", "F4", "A3", "E6", "D4", "D6", "A1xA1", "A1xA3"]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["sc", "adjoint"])
+@pytest.mark.parametrize("type_string", COCENTER_TYPES)
+@given(data=st.data())
+def test_region_classes_match_residue_oracle(type_string, mode, bound, data):
+    datum = get_datum(type_string, mode)
+    cocenter = datum.cocenter
+    elements = np.array(cocenter.elements(), dtype=np.int64)
+    assert cocenter.index(elements).tolist() == list(range(cocenter.order))
+    region = perfectmonoid._coset_region(datum, Box(bound))
+    oracle = oracles.ResidueClasses(datum, Box(bound))
+    # two weights share a class iff their residues agree: the labels biject
+    labels = set(zip(oracle.cls.tolist(), region.cls.tolist()))
+    assert len(labels) == len(set(oracle.cls.tolist())) == len(set(region.cls.tolist()))
+    to_region = dict(labels)
+    index = st.integers(0, len(region.rows) - 1)
+    for a, b in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=8), label="pairs"):
+        total = tuple((region.rows[a] + region.rows[b]).tolist())
+        cls = region.class_sum[region.cls[a], region.cls[b]]
+        projected = np.array(latticecalc.project_to_cocenter(cocenter, total), dtype=np.int64)
+        assert cls == cocenter.index(projected)
+        assert cls == to_region[oracle.sum_class(oracle.cls[a], oracle.cls[b])]
 
 
 def round_trip(obj: dict) -> dict:
