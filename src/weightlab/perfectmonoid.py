@@ -144,11 +144,14 @@ class _CosetRegion:
     region per datum and box is kept by :func:`_coset_region`.
 
     Each weight's coset class ``cls`` is its class in the cocenter P/Q, as
-    a position in ``cocenter.elements()``; ``class_rows`` lists the weights
-    of each class, empty for a class the box misses, and ``class_sum`` is
-    the class of a total of weights of two classes.  mu lies below a total t
-    exactly when both have the same class and adj(mu) <= adj(t)
-    componentwise.
+    a position in ``cocenter.elements()``, whose coordinates are the rows
+    of ``classes``; ``class_rows`` lists the weights of each class, empty
+    for a class the box misses.  mu lies below a total t exactly when both
+    have the same class and adj(mu) <= adj(t) componentwise.
+
+    A region takes O(box + |P/Q|) memory, and |P/Q| <= det <= 2^rank is at
+    most the box's size, so a product of many small factors (2^19 classes
+    for A1^19) costs no more than its box.
 
     The coordinates stay inside int64.  A box within ``MAX_REGION`` has
     2^rank <= (bound + 1)^rank <= 10^6, so rank <= 19 and bound < 10^6.
@@ -167,12 +170,11 @@ class _CosetRegion:
         self.adj = self.rows @ datum._np_adjugate.T
         proj = np.array(cocenter.proj_rows, dtype=np.int64).reshape(-1, datum.rank)
         self.cls = cocenter.index(self.rows @ proj.T)
-        classes = np.array(cocenter.elements(), dtype=np.int64)
-        self.class_sum = cocenter.index(classes[:, None] + classes[None])
+        self.classes = np.array(cocenter.elements(), dtype=np.int64).reshape(cocenter.order, -1)
         by_class = np.argsort(self.cls, kind="stable")
         sizes = np.bincount(self.cls, minlength=cocenter.order)
         self.class_rows = tuple(np.split(by_class, np.cumsum(sizes)[:-1]))
-        for a in (self.rows, self.adj, self.cls, self.class_sum, *self.class_rows):
+        for a in (self.rows, self.adj, self.cls, self.classes, *self.class_rows):
             a.flags.writeable = False
 
 
@@ -199,7 +201,7 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
     each decomposed pair join the members.  Members only grow, so a pair
     the row test settles stays settled."""
     region = _coset_region(datum, box)
-    adj, cls = region.adj, region.cls
+    adj, cls, cocenter = region.adj, region.cls, datum.cocenter
     strides = (box.bound + 1) ** np.arange(datum.rank - 1, -1, -1)
     missing = np.ones(len(region.rows), dtype=bool)
     at = np.empty(len(region.rows), dtype=np.int64)   # region index of each member
@@ -211,7 +213,7 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
         """Per member in ``row`` (region indices), whether its total with the
         member at region index b has a missing weight below it."""
         totals = adj[row] + adj[b]
-        targets = region.class_sum[cls[row], cls[b]]
+        targets = cocenter.index(region.classes[cls[row]] + region.classes[cls[b]])
         flagged = np.zeros(len(row), dtype=bool)
         for t in set(targets.tolist()):
             c = region.class_rows[t]

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -42,6 +43,22 @@ def test_verify_builds_one_region_for_both_sides():
     datum = build_root_datum("A2", LatticeSpec("sc"))
     verify_classification(MonoidSpec(datum, ((1, 0),)), Box(4))
     assert datum.stats["coset_region_misses"] == datum.stats["coset_region_hits"] == 1
+
+
+def test_region_of_many_small_factors_stays_small():
+    # A1^12 at box 1: 4,096 weights in 4,096 classes of P/Q; a table indexed
+    # by pairs of classes would take gigabytes
+    n = 12
+    datum = build_root_datum("x".join(["A1"] * n), LatticeSpec("sc"))
+    spec = MonoidSpec(datum, ((1,) + (0,) * (n - 1),))
+    datum.cocenter
+    tracemalloc.start()
+    try:
+        verify_classification(spec, Box(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_is_perfect_in_box_examples():
