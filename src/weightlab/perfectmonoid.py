@@ -147,11 +147,8 @@ class _CosetRegion:
     a position in ``cocenter.elements()``, whose coordinates are the rows
     of ``classes``; ``class_rows`` lists the weights of each class, empty
     for a class the box misses.  mu lies below a total t exactly when both
-    have the same class and adj(mu) <= adj(t) componentwise.
-
-    A region takes O(box + |P/Q|) memory, and |P/Q| <= det <= 2^rank is at
-    most the box's size, so a product of many small factors (2^19 classes
-    for A1^19) costs no more than its box.
+    have the same class and adj(mu) <= adj(t) componentwise.  Memory is
+    O(box + |P/Q|), and |P/Q| = det C <= 2^rank is at most the box's size.
 
     The coordinates stay inside int64.  A box within ``MAX_REGION`` has
     2^rank <= (bound + 1)^rank <= 10^6, so rank <= 19 and bound < 10^6.
