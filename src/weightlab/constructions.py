@@ -233,11 +233,9 @@ def _recipe_a(builder: _TraceBuilder, n: int, start: int, base: int) -> int:
         cur = base
         for i in range(1, n):
             prev = cur
-            step = cur
             for m in range(2, i + 2):
                 word = tuple(lt(t) for t in range(i - m + 2, i + 1))
-                step = builder.prv(step, word, prev)
-            cur = step
+                cur = builder.prv(cur, word, prev)
         return cur
 
     zeta_idx = staircase(False)
@@ -299,8 +297,7 @@ def w0_antifixed_weight(datum: RootDatum, omega: Weight, mu: Weight) -> Construc
     eta = builder.weight(cur)
     if w0_action(datum, eta) != wneg(eta):
         raise ConstructionError(f"assembled weight {eta} is not negated by w0")
-    trace = builder.build()
-    return trace
+    return builder.build()
 
 
 @dataclass(frozen=True)
@@ -320,18 +317,22 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
     ``weyl.MAX_WEYL_ELEMENTS`` the steps keep the exact arithmetic checks
     but skip the confirmation (reported via ``tensor_checked``).  Confirmed
     and skipped steps are counted as ``prv_confirmed`` and ``prv_skipped``
-    in ``datum.stats``.
+    in ``datum.stats``.  A step with a malformed weight, kind, parent index
+    or word raises ``ValueError`` naming the step.
     """
     failures: list[str] = []
     prv_steps = 0
     tensor_checked = 0
     for idx, step in enumerate(trace.steps):
+        try:
+            datum.check_weight(step.weight)
+        except RootDataError as exc:
+            raise ValueError(f"step {idx}: {exc}") from None
         if step.kind == "generator":
             continue
         if step.kind not in ("sum", "prv"):
             raise ValueError(f"step {idx}: unknown kind {step.kind!r}")
-        if step.left is None or step.right is None \
-                or not 0 <= step.left < idx or not 0 <= step.right < idx:
+        if step.left not in range(idx) or step.right not in range(idx):
             raise ValueError(f"step {idx}: malformed parent indices")
         lw = trace.steps[step.left].weight
         rw = trace.steps[step.right].weight
@@ -339,6 +340,9 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
             if step.weight != wadd(lw, rw):
                 failures.append(f"step {idx}: recorded sum {step.weight} != {wadd(lw, rw)}")
             continue
+        if step.word is None or any(type(i) is not int or not 1 <= i <= datum.rank
+                                    for i in step.word):
+            raise ValueError(f"step {idx}: prv word {step.word} is not a word in 1..{datum.rank}")
         prv_steps += 1
         expected = prv_component(datum, lw, rw, step.word)
         if step.weight != expected:

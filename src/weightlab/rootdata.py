@@ -211,8 +211,8 @@ class RootDatum:
 
     Built once via :func:`build_root_datum`.  Derived values are kept on
     it and never invalidated: per datum as ``cached_property``s, per key
-    (characters, tensor products, dominant cones) in ``memo``.
-    """
+    (characters, dominant cones, expanded weight tables) in ``memo``.
+    Tensor decompositions are not kept."""
 
     def __init__(self, ctype: CartanType, lattice: LatticeSpec):
         self.ctype = ctype

@@ -67,17 +67,9 @@ def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight) -> TensorDecompo
     mu = datum.check_weight(mu)
     if any(x < 0 for x in lam) or any(x < 0 for x in mu):
         raise ValueError("tensor factors must be dominant")
-    summands = _summands(datum, (lam, mu) if lam <= mu else (mu, lam))
-    return TensorDecomposition(datum, lam, mu, dict(summands))
-
-
-@memoized
-def _summands(datum: RootDatum, pair: tuple[Weight, Weight]) -> dict[Weight, int]:
-    """Summands of an unordered checked pair, folded over the smaller factor."""
-    big, small = pair
-    if _weyl_dimension(datum, big) < _weyl_dimension(datum, small):
-        big, small = small, big
-    return _klimyk(datum, big, small)
+    # fold over the smaller factor; on a tie the lexicographically larger, in either order
+    big, small = sorted((lam, mu), key=lambda w: (-_weyl_dimension(datum, w), w))
+    return TensorDecomposition(datum, lam, mu, _klimyk(datum, big, small))
 
 
 @memoized

@@ -137,6 +137,26 @@ def test_construct_single_factor(capsys):
     assert payload["check"]["tensor_checked"] == payload["check"]["prv_steps"]
 
 
+@pytest.mark.parametrize("type_string, factor", [("A1xA2", "2"), ("B2xD3", "1")])
+def test_construct_single_factor_default_omega(capsys, type_string, factor):
+    # the default omega is ones on the chosen factor alone
+    status, out, _ = run_cli(capsys, "construct", "--type", type_string,
+                             "--factor", factor, "--check")
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["check"]["ok"] is True
+    assert payload["check"]["tensor_checked"] == payload["check"]["prv_steps"]
+
+
+def test_construct_refuses_a_shift_with_a_factor(capsys):
+    status, out, err = run_cli(capsys, "construct", "--type", "A2", "--factor", "1",
+                               "--mu", "5,0")
+    assert (status, out) == (2, "")
+    error = json.loads(err)
+    assert error["kind"] == "usage"
+    assert "--mu" in error["error"] and "--factor" in error["error"]
+
+
 def test_prv_check_deterministic(capsys):
     args = ("prv-check", "--type", "B2", "--count", "25", "--seed", "11")
     status1, out1, _ = run_cli(capsys, *args)
@@ -285,8 +305,7 @@ def test_stats_count_one_miss_per_memo_entry(capsys, monkeypatch):
                    "--box", "4")[0] == 0
     (datum,) = built
     assert set(datum.memo) == {"parabolic_order", "root_strings", "below_with_depth",
-                               "character", "weyl_dimension", "summands", "expanded_table",
-                               "coset_region"}
+                               "character", "weyl_dimension", "expanded_table", "coset_region"}
     misses = {key[:-len("_misses")] for key in datum.stats if key.endswith("_misses")}
     assert misses == set(datum.memo)
     for name, values in datum.memo.items():

@@ -220,6 +220,28 @@ def test_chain_verification_malformed_indices():
         check_prv_chain(a2, trace).ok
 
 
+GEN = TraceStep((1, 1), "generator")
+
+
+@pytest.mark.parametrize("steps, bad", [
+    pytest.param((GEN, TraceStep((2, 2), "prv", left=0, right=0)), 1, id="prv-without-word"),
+    pytest.param((GEN, TraceStep((2, 2), "prv", left=0, word=(3,), right=0)), 1,
+                 id="letter-above-rank"),
+    pytest.param((GEN, TraceStep((2, 2), "prv", left=0, word=(0,), right=0)), 1,
+                 id="letter-zero"),
+    pytest.param((GEN, TraceStep((2, 2), "prv", left=0, word=(True,), right=0)), 1,
+                 id="letter-bool"),
+    pytest.param((GEN, TraceStep((2, 2, 0), "sum", left=0, right=0)), 1, id="sum-of-rank-3"),
+    pytest.param((GEN, TraceStep((2, 2.0), "sum", left=0, right=0)), 1, id="float-coordinate"),
+    # a generator of the wrong rank plus a sum once replayed as ok
+    pytest.param((TraceStep((1, 1, 1), "generator"), TraceStep((2, 2, 2), "sum", left=0, right=0)),
+                 0, id="generator-of-rank-3"),
+])
+def test_chain_verification_refuses_malformed_steps(steps, bad):
+    with pytest.raises(ValueError, match=f"^step {bad}:"):
+        check_prv_chain(get_datum("A2"), ConstructionTrace(steps))
+
+
 def test_factor_recipes_at_block_offsets():
     # recipes on a later factor must be the pure recipe shifted into its block
     mixed = get_datum("B2xD3")

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,3 +237,26 @@ def test_cold_decomposition_checks_its_weights_once(monkeypatch):
     assert len(calls) == 1
     assert datum.stats["weyl_dimension_misses"] == 2
     assert datum.stats["weyl_dimension_hits"] == 1
+
+
+def test_decompositions_are_not_kept_on_the_datum():
+    # a result is freed with its last reference: the datum keeps the folded
+    # factor's expanded table, not one summand dict per pair (8 MB for
+    # these twenty when it did)
+    datum = build_root_datum("B4")
+    mu = (2, 2, 2, 2)
+    tensor_decompose(datum, mu, mu)  # warms the character and table of mu
+    lams = [(2, 2, 2 + a, 3 + b) for a in range(4) for b in range(5)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for lam in lams:
+            assert tensor_decompose(datum, lam, mu).summands
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 ** 20
+    assert "summands" not in datum.memo
+    assert datum.stats["expanded_table_misses"] == 1
