@@ -241,8 +241,8 @@ def test_cold_decomposition_checks_its_weights_once(monkeypatch):
 
 def test_decompositions_are_not_kept_on_the_datum():
     # a result is freed with its last reference: the datum keeps the folded
-    # factor's expanded table, not one summand dict per pair (8 MB for
-    # these twenty when it did)
+    # factor's expanded table, not one summand dict per pair, which would
+    # hold about 8 MB for these twenty
     datum = build_root_datum("B4")
     mu = (2, 2, 2, 2)
     tensor_decompose(datum, mu, mu)  # warms the character and table of mu
