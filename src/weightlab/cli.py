@@ -165,12 +165,12 @@ def _verify(args, datum):
 
 
 def _construct(args, datum):
-    if args.factor and args.mu is not None:
+    if args.factor is not None and args.mu is not None:
         raise UsageError("--mu does not combine with --factor, whose recipe takes no shift")
     omega = args.omega if args.omega is not None else tuple(
-        int(not args.factor or k == args.factor)
+        int(args.factor is None or k == args.factor)
         for k, (_, r) in enumerate(datum.ctype.factors, 1) for _ in range(r))
-    if args.factor:
+    if args.factor is not None:
         trace = factor_antifixed_sequence(datum, args.factor, omega)
     else:
         mu = args.mu if args.mu is not None else wzero(datum.rank)
@@ -251,7 +251,7 @@ def build_parser() -> _Parser:
     p.add_argument("--omega", type=_optional_weight,
                    help="starting weight (default: ones, on factor K alone with --factor K)")
     p.add_argument("--mu", type=_optional_weight, help="optional dominant shift (no --factor)")
-    p.add_argument("--factor", type=int, default=0,
+    p.add_argument("--factor", type=int,
                    help="run the single-factor recipe on this 1-based factor")
     p.add_argument("--check", action="store_true", help="replay and verify the chain")
 

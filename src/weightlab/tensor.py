@@ -14,8 +14,10 @@ summed with ``np.add.reduceat``.
 
 A single coefficient, the multiplicity of L(nu) in L(lam) (x) L(mu), is the
 same alternating sum read from the other side (Racah-Speiser): one term per
-point of the regular orbit W(nu + rho), so it costs |W| points whatever the
-weights are, and it is what a PRV chain check asks for.
+point of the regular orbit W(nu + rho).  It walks that orbit as a tree in
+Python ints and cuts every subtree that lies too low to meet a weight of
+L(mu), so it visits a part of the |W| points, and it is what a PRV chain
+check asks for.
 
 Multiplicities are int64.  The fold's coordinates run in the narrowest
 signed dtype that holds their bound (``_fold_dtype``): int8 or int16 for
@@ -32,8 +34,8 @@ import numpy as np
 
 from . import weyl
 from .charcalc import _weyl_dimension, character, expanded_weight_table, expand_character
-from .rootdata import RootDatum, Weight, memoized, wadd
-from .weyl import apply_word, make_dominant, orbit
+from .rootdata import RootDatum, Weight, memoized, wadd, wsub
+from .weyl import _dominant_representative, apply_word, make_dominant, w0_action
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -129,7 +131,7 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     return dict(zip(zip(*dom[:, starts[kept]].tolist()), totals[kept].tolist()))
 
 
-def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray | None = None) -> None:
+def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray) -> None:
     """One sweep over i = 1..rank: reflect in place every column of x (one
     coordinate per array row) with x_i < 0, negating its entry of signs.
     The arithmetic runs in the dtype of x."""
@@ -138,14 +140,14 @@ def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray | None = None) -> 
         # s_i x = x - x_i alpha_i on the columns with x_i < 0
         c = np.minimum(x[i], 0)
         x -= cols[:, i, None] * c
-        if signs is not None:
-            np.negative(signs, out=signs, where=c < 0)
+        np.negative(signs, out=signs, where=c < 0)
 
 
 def _check_coefficient(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> None:
     """Refuse a coefficient whose orbit has more than
-    ``weyl.MAX_WEYL_ELEMENTS`` points, or whose int64 arithmetic could
-    overflow.
+    ``weyl.MAX_WEYL_ELEMENTS`` points, or whose numbers could leave int64.
+    The walk runs in Python ints, so nothing wraps; the int64 bound is kept
+    as the documented input range of ``tensor_multiplicity``.
 
     Let h be the height of the highest coroot, so |<x, beta^vee>| <= h max|x_i|
     for every coroot beta^vee, and let M = h (max lam + max mu + max nu + 2).
@@ -178,30 +180,56 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
 
         c = sum over w in W of eps(w) m_mu(w(nu + rho) - lam - rho).
 
-    nu + rho is regular, so its orbit has |W| points, and eps(w) is the
-    parity of the number of positive coroots that pair negatively with
-    w(nu + rho).  Every point minus lam + rho is folded into the dominant
-    chamber by the sweeps of the decomposition; only points whose dominant
-    representative p satisfies p <= mu carry a multiplicity.  It is 1 when
-    p = mu, and otherwise is read from ``character(datum, mu)``.  Refused
-    with ``ValueError`` when |W| > ``weyl.MAX_WEYL_ELEMENTS`` or when int64
-    could overflow (see ``_check_coefficient``).
+    The sum walks the tree that :func:`weyl.orbit` walks down from the
+    dominant nu + rho, which is regular, so eps(w) = (-1)^depth.  A child
+    s_i(x) = x - x_i alpha_i lies lower than x, and every weight of L(mu)
+    lies at or above w0 mu, so each entry carries d = det C^-1 (x - lam -
+    rho - w0 mu), of which s_i lowers only d_i, by det x_i; a child with
+    d_i < 0 is cut with its whole subtree.  When d at the top is negative or
+    not divisible by det, the sum is 0 without a walk.  Each point left is
+    folded, minus lam + rho, to its dominant representative p, which
+    carries a multiplicity only if p <= mu: 1 when p = mu, otherwise read
+    from ``character(datum, mu)``.  The points walked are counted as
+    ``coefficient_points`` in ``datum.stats``.  Refused with ``ValueError``
+    when |W| > ``weyl.MAX_WEYL_ELEMENTS`` or outside the documented int64
+    range (see ``_check_coefficient``).
     """
     lam, mu, nu = (datum.check_weight(w) for w in (lam, mu, nu))
     if min(lam + mu + nu) < 0:
         raise ValueError("tensor coefficient needs dominant weights")
     _check_coefficient(datum, lam, mu, nu)
-    points = np.array(list(orbit(datum, wadd(nu, datum.weyl_vector))), dtype=np.int64)
-    coroots = np.array([alpha.coroot for alpha in datum.positive_roots], dtype=np.int64)
-    signs = 1 - 2 * ((points @ coroots.T < 0).sum(axis=1) & 1)
-    shift = np.array(wadd(lam, datum.weyl_vector), dtype=np.int64)
-    y = np.ascontiguousarray(points.T) - shift[:, None]
-    while (y < 0).any():
-        _sweep(datum, y)
-    kept = np.flatnonzero(datum.in_root_cone(np.array(mu, dtype=np.int64) - y.T))
-    total = 0
-    for p, sign in zip(map(tuple, y[:, kept].T.tolist()), signs[kept].tolist()):
-        total += sign * (1 if p == mu else character(datum, mu).entries[p])
+    det, rank = datum._det, datum.rank
+    adjugate = datum._np_adjugate.tolist()
+    cols, neighbors = datum.cartan_columns, datum.neighbors
+    shift = wadd(lam, datum.weyl_vector)
+    top = wadd(nu, datum.weyl_vector)
+    gap = wsub(wsub(top, shift), w0_action(datum, mu))
+    d = tuple(sum(a * x for a, x in zip(row, gap)) for row in adjugate)
+    if min(d) < 0 or any(k % det for k in d):
+        return 0
+    total = points = 0
+    # (point, index of its first negative coordinate, d, sign)
+    stack = [(top, rank, d, 1)]
+    while stack:
+        x, f, d, sign = stack.pop()
+        points += 1
+        p = _dominant_representative(datum, wsub(x, shift))
+        if p == mu:
+            total += sign
+        elif all(sum(a * (m - q) for a, m, q in zip(row, mu, p)) >= 0 for row in adjugate):
+            total += sign * character(datum, mu).entries[p]
+        for i in range(rank):
+            c = x[i]
+            if c > 0 and (i < f or cols[i][f]) and d[i] >= det * c:
+                # s_i(x) = x - c alpha_i moves only coordinate i and its neighbours
+                y = list(x)
+                y[i] = -c
+                col = cols[i]
+                for j in neighbors[i]:
+                    y[j] -= c * col[j]
+                if i < f or min(y[:i]) >= 0:
+                    stack.append((tuple(y), i, d[:i] + (d[i] - det * c,) + d[i + 1:], -sign))
+    datum.stats["coefficient_points"] += points
     assert total >= 0, "negative tensor coefficient"
     return total
 

@@ -14,7 +14,9 @@ the inverse Cartan matrix from Gauss-Jordan over Fractions, multiplicities
 also from the earlier Freudenthal recursion (one root string per positive
 root),
 the Brauer-Klimyk fold from its earlier implementation
-(leftmost-negative reflection rounds, then ``np.unique`` over rows), and
+(leftmost-negative reflection rounds, then ``np.unique`` over rows), single
+tensor coefficients from the earlier unpruned sweep over every point of the
+orbit of nu + rho, and
 box closures from the earlier sweep-until-stable loop and from the earlier
 one-pass loop that tests each pair alone against a frozenset envelope, and
 the members a perfect descriptor predicts from the earlier loop that
@@ -37,11 +39,12 @@ from math import factorial, floor
 
 import numpy as np
 
-from weightlab import apply_word, character, in_lattice, latticecalc, reflect, root_coordinates
+from weightlab import (apply_word, character, in_lattice, latticecalc, orbit, reflect,
+                       root_coordinates)
 from weightlab.charcalc import _below_with_depth
 from weightlab.perfectmonoid import Box
 from weightlab.rootdata import PositiveRoot, RootDatum, Weight, wadd, wsub
-from weightlab.tensor import _expanded_table, tensor_decompose
+from weightlab.tensor import _check_coefficient, _expanded_table, _sweep, tensor_decompose
 
 
 def cg_closed_form(a: int, b: int) -> dict[tuple[int], int]:
@@ -245,6 +248,41 @@ def unique_klimyk(datum, lam, mu) -> dict:
         if total:
             out[tuple(row)] = total
     return out
+
+
+def unpruned_tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> int:
+    """Multiplicity of L(nu) in L(lam) (x) L(mu), by the Racah-Speiser form
+    of the Brauer-Klimyk formula (Humphreys, *Introduction to Lie Algebras*,
+    section 24):
+
+        c = sum over w in W of eps(w) m_mu(w(nu + rho) - lam - rho).
+
+    nu + rho is regular, so its orbit has |W| points, and eps(w) is the
+    parity of the number of positive coroots that pair negatively with
+    w(nu + rho).  Every point minus lam + rho is folded into the dominant
+    chamber by the sweeps of the decomposition; only points whose dominant
+    representative p satisfies p <= mu carry a multiplicity.  It is 1 when
+    p = mu, and otherwise is read from ``character(datum, mu)``.  Refused
+    with ``ValueError`` when |W| > ``weyl.MAX_WEYL_ELEMENTS`` or when int64
+    could overflow (see ``_check_coefficient``).
+    """
+    lam, mu, nu = (datum.check_weight(w) for w in (lam, mu, nu))
+    if min(lam + mu + nu) < 0:
+        raise ValueError("tensor coefficient needs dominant weights")
+    _check_coefficient(datum, lam, mu, nu)
+    points = np.array(list(orbit(datum, wadd(nu, datum.weyl_vector))), dtype=np.int64)
+    coroots = np.array([alpha.coroot for alpha in datum.positive_roots], dtype=np.int64)
+    signs = 1 - 2 * ((points @ coroots.T < 0).sum(axis=1) & 1)
+    shift = np.array(wadd(lam, datum.weyl_vector), dtype=np.int64)
+    y = np.ascontiguousarray(points.T) - shift[:, None]
+    while (y < 0).any():
+        _sweep(datum, y, np.ones(len(points), dtype=np.int64))  # the signs are unused
+    kept = np.flatnonzero(datum.in_root_cone(np.array(mu, dtype=np.int64) - y.T))
+    total = 0
+    for p, sign in zip(map(tuple, y[:, kept].T.tolist()), signs[kept].tolist()):
+        total += sign * (1 if p == mu else character(datum, mu).entries[p])
+    assert total >= 0, "negative tensor coefficient"
+    return total
 
 
 def batch_make_dominant(datum, arr: np.ndarray):

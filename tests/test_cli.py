@@ -157,6 +157,26 @@ def test_construct_refuses_a_shift_with_a_factor(capsys):
     assert "--mu" in error["error"] and "--factor" in error["error"]
 
 
+def test_construct_refuses_factor_zero(capsys):
+    # factors are 1-based, so 0 is out of range, not "no factor"
+    status, out, err = run_cli(capsys, "construct", "--type", "A1xA2", "--factor", "0")
+    assert (status, out) == (2, "")
+    error = json.loads(err)
+    assert error["kind"] == "input" and "out of range 1..2" in error["error"]
+    status, out, err = run_cli(capsys, "construct", "--type", "A1xA2", "--factor", "0",
+                               "--mu", "1,0,0")
+    assert (status, out) == (2, "")
+
+
+def test_chain_check_walks_a_pruned_orbit(capsys):
+    # an unpruned coefficient walks all 1,920 points of W(D5) per PRV step
+    status, _, err = run_cli(capsys, "--stats", "construct", "--type", "D5", "--check")
+    assert status == 0
+    stats = json.loads(err)
+    assert stats["prv_confirmed"] == 2
+    assert stats["coefficient_points"] <= 2 * 1920 // 4
+
+
 def test_prv_check_deterministic(capsys):
     args = ("prv-check", "--type", "B2", "--count", "25", "--seed", "11")
     status1, out1, _ = run_cli(capsys, *args)

@@ -4,7 +4,8 @@ representatives against make_dominant, the dominant-weight walk, the
 orbit-sum Freudenthal recursion against the per-root one and its
 root-string classes against W_J-orbits, the orbit walk, orbit sizes, Weyl
 group orders and elements, expanded weight systems, the Brauer-Klimyk fold,
-single tensor coefficients, box closures, the perfectness predicate and
+single tensor coefficients against decompositions and the unpruned orbit
+sweep, box closures, the perfectness predicate and
 the members a descriptor predicts and the coset classes of a box region
 against the oracles in oracles.py,
 commutativity of tensor products, conservation of dimension, monotonicity
@@ -365,6 +366,24 @@ def test_coefficient_matches_decomposition(type_string, data):
     # every dominant nu <= lam + mu: summands, zeros and non-extremal points
     for nu in dominant_weights_below(datum, tuple(a + b for a, b in zip(lam, mu))):
         assert tensor_multiplicity(datum, lam, mu, nu) == summands.get(nu, 0), nu
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_pruned_coefficient_matches_unpruned_oracle(type_string, data):
+    datum = get_datum(type_string)
+    lam, mu = data.draw(dominant_pairs(datum, 3, 3, 10 ** 4), label="pair")
+    top = tuple(a + b for a, b in zip(lam, mu))
+    # every dominant nu <= lam + mu, and lam + mu -+ omega_i: the former in
+    # another coset on a nontrivial cocenter, the latter not below lam + mu
+    nus = list(dominant_weights_below(datum, top))
+    shifted = [top[:i] + (top[i] + step,) + top[i + 1:]
+               for i in range(datum.rank) for step in (-1, 1) if top[i] + step >= 0]
+    assert datum._det == 1 or any(not dominance_leq(datum, nu, top)
+                                  and not dominance_leq(datum, top, nu) for nu in shifted)
+    for nu in nus + shifted:
+        assert tensor_multiplicity(datum, lam, mu, nu) \
+            == oracles.unpruned_tensor_multiplicity(datum, lam, mu, nu), nu
 
 
 # the strata of the sweep oracle test, and A1xA2 with generators on one factor
