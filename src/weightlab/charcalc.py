@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import add, mul, sub
 
 import numpy as np
@@ -246,12 +247,14 @@ def expanded_weight_table(datum: RootDatum, char: Character):
     orbit after another in no particular order within an orbit.  Refused
     with ``ValueError`` before anything is allocated when it would hold more
     than ``MAX_EXPANDED_ROWS`` rows."""
-    size = sum(orbit_size(datum, w) for w in char.entries)
+    sizes = [orbit_size(datum, w) for w in char.entries]
+    size = sum(sizes)
     if size > MAX_EXPANDED_ROWS:
         raise ValueError(f"expanded weight system of {size} weights exceeds bound "
                          f"{MAX_EXPANDED_ROWS}")
     orbits = [orbit(datum, w) for w in char.entries]
-    rows = np.array([v for orb in orbits for v in orb], dtype=np.int64)
-    mults = np.repeat(np.array(list(char.entries.values()), dtype=np.int64),
-                      [len(orb) for orb in orbits])
+    # every coordinate of every orbit point, row after row, in one pass
+    rows = np.fromiter(chain.from_iterable(chain.from_iterable(orbits)), dtype=np.int64,
+                       count=size * datum.rank).reshape(size, datum.rank)
+    mults = np.repeat(np.array(list(char.entries.values()), dtype=np.int64), sizes)
     return rows, mults

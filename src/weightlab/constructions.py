@@ -313,7 +313,8 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
     PRV step confirmed as a tensor summand of its parents.
 
     The confirmation is one coefficient, ``tensor_multiplicity``, which walks
-    the part of one regular orbit that lies high enough.  When |W| exceeds
+    the part of one regular orbit that lies high enough and folds only the
+    points of it that pass a norm test.  When |W| exceeds
     ``weyl.MAX_WEYL_ELEMENTS`` the steps keep the exact arithmetic checks
     but skip the confirmation (reported via ``tensor_checked``).  Confirmed
     and skipped steps are counted as ``prv_confirmed`` and ``prv_skipped``

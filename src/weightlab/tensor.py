@@ -9,15 +9,18 @@ again after each sweep.  A sweep reflects, for each i in turn, every row
 with x_i < 0 in place and negates its multiplicity; any order of reflections
 in negative coordinates takes a regular weight to its dominant
 representative in exactly l(w) steps, so the sign is (-1)^l(w).  The rows
-left, minus rho, are sorted once with ``np.lexsort`` and equal rows are
-summed with ``np.add.reduceat``.
+left, minus rho, are ordered once with ``np.lexsort``; a group of equal rows
+starts wherever one coordinate, gathered on its own in that order, changes,
+and each group's multiplicities are summed with ``np.add.reduceat``.  Only
+the first row of each summand is gathered whole.
 
 A single coefficient, the multiplicity of L(nu) in L(lam) (x) L(mu), is the
 same alternating sum read from the other side (Racah-Speiser): one term per
 point of the regular orbit W(nu + rho).  It walks that orbit as a tree in
 Python ints and cuts every subtree that lies too low to meet a weight of
-L(mu), so it visits a part of the |W| points, and it is what a PRV chain
-check asks for.
+L(mu), so it visits a part of the |W| points, and folds only the points
+near enough to lam + rho, by the invariant form, to meet one.  It is what a
+PRV chain check asks for.
 
 Multiplicities are int64.  The fold's coordinates run in the narrowest
 signed dtype that holds their bound (``_fold_dtype``): int8 or int16 for
@@ -121,14 +124,19 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     # nonnegative now; the narrowest dtype that holds them sorts fastest
     dom = dom.astype(np.min_scalar_type(dom.max()))
     order = np.lexsort(dom[::-1])
-    dom, mults = dom[:, order], mults[order]
-    changed = (dom[:, 1:] != dom[:, :-1]).any(axis=0)
-    starts = np.flatnonzero(np.concatenate(([True], changed)))
-    totals = np.add.reduceat(mults, starts)
+    # a group of equal columns starts wherever some coordinate changes along
+    # the sorted order; one 1-D gather per coordinate, none of dom as a whole
+    changed = np.zeros(len(order), dtype=bool)
+    changed[0] = True
+    for row in dom:
+        r = row[order]
+        changed[1:] |= r[1:] != r[:-1]
+    starts = np.flatnonzero(changed)
+    totals = np.add.reduceat(mults[order], starts)
     assert (totals >= 0).all(), "negative accumulated tensor multiplicity"
     kept = totals > 0
-    # zip(*rows) reads each column of dom as one weight tuple
-    return dict(zip(zip(*dom[:, starts[kept]].tolist()), totals[kept].tolist()))
+    # zip(*rows) reads each summand column of dom as one weight tuple
+    return dict(zip(zip(*dom[:, order[starts[kept]]].tolist()), totals[kept].tolist()))
 
 
 def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray) -> None:
@@ -173,6 +181,15 @@ def _check_coefficient(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) ->
         raise ValueError(f"coefficient of {nu} in {lam} (x) {mu} is out of int64 range")
 
 
+def _form(datum: RootDatum, a: Weight, b: Weight) -> int:
+    """B(a, b) = sum_i a_i (det C^-1 b)_i d_i = det (a, b), the invariant form
+    of ``rootdata.pairing`` scaled to an integer, with det = ``datum._det``
+    and d the symmetrizer; B(alpha_i, b) = det d_i b_i."""
+    adjugate = datum._np_adjugate.tolist()
+    return sum(x * sum(a_ij * y for a_ij, y in zip(row, b)) * d
+               for x, row, d in zip(a, adjugate, datum.symmetrizer))
+
+
 def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> int:
     """Multiplicity of L(nu) in L(lam) (x) L(mu), by the Racah-Speiser form
     of the Brauer-Klimyk formula (Humphreys, *Introduction to Lie Algebras*,
@@ -186,13 +203,21 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     lies at or above w0 mu, so each entry carries d = det C^-1 (x - lam -
     rho - w0 mu), of which s_i lowers only d_i, by det x_i; a child with
     d_i < 0 is cut with its whole subtree.  When d at the top is negative or
-    not divisible by det, the sum is 0 without a walk.  Each point left is
-    folded, minus lam + rho, to its dominant representative p, which
+    not divisible by det, the sum is 0 without a walk.
+
+    Every weight y of L(mu) has B(y, y) <= B(mu, mu), for the integer
+    invariant form B = ``_form``.  With s = lam + rho and B(x, x) constant
+    on the orbit, B(x - s, x - s) = B(nu + rho - s, nu + rho - s) + t with
+    t = 2 B(nu + rho - x, s), so only a point with t <= B(mu, mu) -
+    B(nu + rho - s, nu + rho - s) can count (the norm test).  Each entry
+    carries t, which s_i raises by 2 det d_i x_i s_i.  Each point that
+    passes is folded, minus s, to its dominant representative p, which
     carries a multiplicity only if p <= mu: 1 when p = mu, otherwise read
-    from ``character(datum, mu)``.  The points walked are counted as
-    ``coefficient_points`` in ``datum.stats``.  Refused with ``ValueError``
-    when |W| > ``weyl.MAX_WEYL_ELEMENTS`` or outside the documented int64
-    range (see ``_check_coefficient``).
+    from ``character(datum, mu)``.  The points walked and folded are
+    counted as ``coefficient_points`` and ``coefficient_folds`` in
+    ``datum.stats``.  Refused with ``ValueError`` when |W| >
+    ``weyl.MAX_WEYL_ELEMENTS`` or outside the documented int64 range (see
+    ``_check_coefficient``).
     """
     lam, mu, nu = (datum.check_weight(w) for w in (lam, mu, nu))
     if min(lam + mu + nu) < 0:
@@ -203,21 +228,29 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     cols, neighbors = datum.cartan_columns, datum.neighbors
     shift = wadd(lam, datum.weyl_vector)
     top = wadd(nu, datum.weyl_vector)
-    gap = wsub(wsub(top, shift), w0_action(datum, mu))
+    diff = wsub(top, shift)
+    gap = wsub(diff, w0_action(datum, mu))
     d = tuple(sum(a * x for a, x in zip(row, gap)) for row in adjugate)
     if min(d) < 0 or any(k % det for k in d):
         return 0
-    total = points = 0
-    # (point, index of its first negative coordinate, d, sign)
-    stack = [(top, rank, d, 1)]
+    # the norm test B(x - shift, x - shift) <= B(mu, mu) reads t <= slack for
+    # t = 2 B(top - x, shift), as B(x, x) = B(top, top) on the orbit; s_i
+    # raises t by c * step[i]
+    slack = _form(datum, wsub(mu, diff), wadd(mu, diff))
+    step = [2 * det * a * b for a, b in zip(datum.symmetrizer, shift)]
+    total = points = folds = 0
+    # (point, index of its first negative coordinate, d, t, sign)
+    stack = [(top, rank, d, 0, 1)]
     while stack:
-        x, f, d, sign = stack.pop()
+        x, f, d, t, sign = stack.pop()
         points += 1
-        p = _dominant_representative(datum, wsub(x, shift))
-        if p == mu:
-            total += sign
-        elif all(sum(a * (m - q) for a, m, q in zip(row, mu, p)) >= 0 for row in adjugate):
-            total += sign * character(datum, mu).entries[p]
+        if t <= slack:
+            folds += 1
+            p = _dominant_representative(datum, wsub(x, shift))
+            if p == mu:
+                total += sign
+            elif all(sum(a * (m - q) for a, m, q in zip(row, mu, p)) >= 0 for row in adjugate):
+                total += sign * character(datum, mu).entries[p]
         for i in range(rank):
             c = x[i]
             if c > 0 and (i < f or cols[i][f]) and d[i] >= det * c:
@@ -228,8 +261,10 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
                 for j in neighbors[i]:
                     y[j] -= c * col[j]
                 if i < f or min(y[:i]) >= 0:
-                    stack.append((tuple(y), i, d[:i] + (d[i] - det * c,) + d[i + 1:], -sign))
+                    stack.append((tuple(y), i, d[:i] + (d[i] - det * c,) + d[i + 1:],
+                                  t + c * step[i], -sign))
     datum.stats["coefficient_points"] += points
+    datum.stats["coefficient_folds"] += folds
     assert total >= 0, "negative tensor coefficient"
     return total
 

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from weightlab import (RootDataError, build_root_datum, character, charcalc,
-                       dominant_weights_below, expand_character, orbit, tensor_decompose,
-                       weyl_dimension)
+                       dominant_weights_below, expand_character, orbit, orbit_size,
+                       tensor_decompose, weyl_dimension)
 from weightlab.charcalc import expanded_weight_table
 from weightlab.cli import run
 from conftest import get_datum
@@ -125,6 +125,20 @@ def test_expansion_is_refused_above_the_row_cap(monkeypatch, capsys):
     assert status == 2
     assert out == ""
     assert json.loads(err)["kind"] == "input"
+
+
+def test_row_cap_refuses_before_any_orbit_is_walked(monkeypatch):
+    a2 = get_datum("A2")
+    char = character(a2, (2, 2))
+    rows = sum(orbit_size(a2, w) for w in char.entries)
+
+    def no_orbit(*args):
+        raise AssertionError("orbit walked before the row cap")
+
+    monkeypatch.setattr(charcalc, "orbit", no_orbit)
+    monkeypatch.setattr(charcalc, "MAX_EXPANDED_ROWS", rows - 1)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        expanded_weight_table(a2, char)
 
 
 def test_weyl_dimension_examples():

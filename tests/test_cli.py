@@ -177,6 +177,14 @@ def test_chain_check_walks_a_pruned_orbit(capsys):
     assert stats["coefficient_points"] <= 2 * 1920 // 4
 
 
+def test_chain_check_folds_only_points_that_count(capsys):
+    # from rho, only the walked points on the orbit of mu pass the norm test
+    status, _, err = run_cli(capsys, "--stats", "construct", "--type", "D5", "--check")
+    assert status == 0
+    stats = json.loads(err)
+    assert stats["coefficient_folds"] == stats["prv_confirmed"] == 2
+
+
 def test_prv_check_deterministic(capsys):
     args = ("prv-check", "--type", "B2", "--count", "25", "--seed", "11")
     status1, out1, _ = run_cli(capsys, *args)

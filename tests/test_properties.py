@@ -5,7 +5,7 @@ orbit-sum Freudenthal recursion against the per-root one and its
 root-string classes against W_J-orbits, the orbit walk, orbit sizes, Weyl
 group orders and elements, expanded weight systems, the Brauer-Klimyk fold,
 single tensor coefficients against decompositions and the unpruned orbit
-sweep, box closures, the perfectness predicate and
+sweep, the invariant form of their norm test, box closures, the perfectness predicate and
 the members a descriptor predicts and the coset classes of a box region
 against the oracles in oracles.py,
 commutativity of tensor products, conservation of dimension, monotonicity
@@ -31,9 +31,10 @@ from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescript
                        support_regular_weight, tensor_decompose, tensor_multiplicity,
                        verify_classification, w0_antifixed_weight, weyl_dimension,
                        weyl_group_elements)
-from weightlab.charcalc import _below_with_depth, _root_strings
+from weightlab.charcalc import _below_with_depth, _root_strings, expanded_weight_table
 from weightlab.constructions import ConstructionTrace, TraceStep
-from weightlab.tensor import _expanded_table, _klimyk
+from weightlab.rootdata import pairing
+from weightlab.tensor import _expanded_table, _form, _klimyk
 from weightlab.weyl import _dominant_representative
 from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
@@ -271,6 +272,20 @@ def test_expand_character_matches_bfs_expansion(type_string, data):
     assert expand_character(datum, character(datum, lam)) == expanded(datum, lam)
 
 
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_expanded_weight_table_matches_bfs_orbits(type_string, data):
+    datum = get_datum(type_string)
+    lam = data.draw(dominant_weights(datum, max_box=500), label="lam")
+    char = character(datum, lam)
+    rows, mults = expanded_weight_table(datum, char)
+    assert rows.dtype == mults.dtype == np.int64
+    assert rows.shape == (len(mults), datum.rank)
+    # the same (row, mult) pairs, each as often, order aside
+    assert Counter(zip(map(tuple, rows.tolist()), mults.tolist())) \
+        == Counter((v, m) for w, m in char.entries.items() for v in bfs_orbit(datum, w))
+
+
 @pytest.mark.parametrize("type_string", TYPES)
 @given(data=st.data())
 def test_character_conserves_dimension(type_string, data):
@@ -384,6 +399,42 @@ def test_pruned_coefficient_matches_unpruned_oracle(type_string, data):
     for nu in nus + shifted:
         assert tensor_multiplicity(datum, lam, mu, nu) \
             == oracles.unpruned_tensor_multiplicity(datum, lam, mu, nu), nu
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_coefficient_folds_every_weight_and_nothing_outside_the_norm_ball(type_string, data):
+    datum = get_datum(type_string)
+    lam, mu = data.draw(dominant_pairs(datum, 3, 3, 10 ** 4), label="pair")
+    top = tuple(a + b for a, b in zip(lam, mu))
+    nu = data.draw(st.sampled_from(dominant_weights_below(datum, top)), label="nu")
+    folds = datum.stats["coefficient_folds"]
+    tensor_multiplicity(datum, lam, mu, nu)
+    folds = datum.stats["coefficient_folds"] - folds
+    # each point x of W(nu + rho) with x - lam - rho a weight of L(mu) is
+    # walked and folded; a point outside |x - lam - rho| <= |mu| is not folded
+    weights = expanded(datum, mu)
+    ys = [tuple(a - b - 1 for a, b in zip(x, lam))
+          for x in bfs_orbit(datum, tuple(c + 1 for c in nu))]
+    assert sum(y in weights for y in ys) <= folds \
+        <= sum(pairing(datum, y, y) <= pairing(datum, mu, mu) for y in ys)
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_coefficient_form_is_symmetric_and_invariant(type_string, data):
+    # the norm test of tensor_multiplicity reads |x - lam - rho|^2 through B
+    datum = get_datum(type_string)
+    coords = st.tuples(*[st.integers(-5, 5)] * datum.rank)
+    a, b = data.draw(coords, label="a"), data.draw(coords, label="b")
+    assert _form(datum, a, b) == _form(datum, b, a) == datum._det * pairing(datum, a, b)
+    for i in range(datum.rank):
+        s_a, s_b = reflect(datum, i + 1, a), reflect(datum, i + 1, b)
+        assert _form(datum, s_a, s_b) == _form(datum, a, b)
+        # B(alpha_i, b) = det d_i b_i sets the step by which s_i raises the
+        # norm test's t
+        alpha = datum.cartan_columns[i]
+        assert _form(datum, alpha, b) == datum._det * datum.symmetrizer[i] * b[i]
 
 
 # the strata of the sweep oracle test, and A1xA2 with generators on one factor
