@@ -69,26 +69,32 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
 
     Walks dominant weights only: from each dominant mu subtract every
     positive root alpha and keep mu - alpha when it is dominant, one level
-    deeper by alpha's root coordinates.  The walk is complete by Stembridge,
-    *The partial order of dominant weights* (Adv. Math. 136, 1998): when one
-    dominant weight covers another in dominance order, the two differ by a
-    positive root, so every dominant mu <= lam is reached from lam through
-    dominant weights.  Sorted by total depth (decreasing height of mu), then
-    by weight.
+    deeper by alpha's root coordinates.  mu - alpha is dominant iff
+    mu_j >= alpha_j on alpha's positive fundamental coordinates, usually one
+    or two, so those are tested before mu - alpha is built.  The walk is
+    complete by Stembridge, *The partial order of dominant weights* (Adv.
+    Math. 136, 1998): when one dominant weight covers another in dominance
+    order, the two differ by a positive root, so every dominant mu <= lam is
+    reached from lam through dominant weights.  Sorted by total depth
+    (decreasing height of mu), then by weight.
     """
-    roots = [(alpha.fund, alpha.rc) for alpha in datum.positive_roots]
+    roots = [(alpha.fund, alpha.rc, [(j, f) for j, f in enumerate(alpha.fund) if f > 0])
+             for alpha in datum.positive_roots]
     seen: dict[Weight, tuple[int, ...]] = {lam: (0,) * datum.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for w in frontier:
             depth = seen[w]
-            for fund, rc in roots:
-                nw = tuple(map(sub, w, fund))
-                if min(nw) < 0 or nw in seen:
-                    continue
-                seen[nw] = tuple(map(add, depth, rc))
-                nxt.append(nw)
+            for fund, rc, positive in roots:
+                for j, f in positive:
+                    if w[j] < f:
+                        break
+                else:
+                    nw = tuple(map(sub, w, fund))
+                    if nw not in seen:
+                        seen[nw] = tuple(map(add, depth, rc))
+                        nxt.append(nw)
         frontier = nxt
     return sorted(seen.items(), key=lambda item: (sum(item[1]), item[0]))
 
@@ -96,23 +102,25 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
 @memoized
 def _root_strings(datum: RootDatum, zeros: int) -> list:
     """The root strings the recursion walks from a dominant mu whose zero
-    coordinates are the bitmask ``zeros``: one (fund, pair, norm, count)
-    per J-dominant positive root alpha, with pair . nu = (alpha, nu),
-    norm = (alpha, alpha) and count the positive roots it stands for."""
-    nodes = [j for j in range(datum.rank) if zeros >> j & 1]
+    coordinates are the bitmask ``zeros``: one (fund, pair, norm, coords,
+    count) per J-dominant positive root alpha, with pair . nu = (alpha, nu),
+    norm = (alpha, alpha), coords the (j, rc_j) over alpha's support and
+    count the positive roots it stands for.  Each is read from the per-root
+    table ``datum._root_table`` by bitmask tests: alpha is J-dominant when
+    none of its negative coordinates lies in J, its stabilizer in W_J is the
+    parabolic subgroup on its zero coordinates in J, and its orbit lies in
+    Phi_J when its support does."""
     order = parabolic_order(datum, zeros)
     strings = []
-    for alpha, (support, _) in zip(datum.positive_roots, datum.root_supports):
-        fund = alpha.fund
-        if any(fund[j] < 0 for j in nodes):
+    for fund, pair, norm, negative, zero, support, coords in datum._root_table:
+        if negative & zeros:
             continue
-        count = order // parabolic_order(datum, sum(1 << j for j in nodes if fund[j] == 0))
+        count = order // parabolic_order(datum, zero & zeros)
         if support & ~zeros == 0:
             # the orbit lies in Phi_J and holds -beta with each beta
             assert count % 2 == 0
             count //= 2
-        pair = tuple(r * d for r, d in zip(alpha.rc, datum.symmetrizer))
-        strings.append((fund, pair, sum(p * a for p, a in zip(pair, fund)), count))
+        strings.append((fund, pair, norm, coords, count))
     return strings
 
 
@@ -141,8 +149,8 @@ def character(datum: RootDatum, lam: Weight) -> Character:
         sum over J-dominant alpha > 0 of |W_J| / |W_{J cap zeros(alpha)}| S_alpha,
 
     halved when the support of alpha lies inside J.  A regular mu walks
-    every positive root once.  Each string stops early at a stored sum; see
-    ``_character``.
+    every positive root once.  Each string stops early at a stored sum or
+    at the root cone below lam; see ``_character``.
     """
     return _character(datum, _check_dominant(datum, lam))
 
@@ -161,6 +169,14 @@ def _character(datum: RootDatum, lam: Weight) -> Character:
     complete.  Only dominant nu walked along the same alpha are reused: for
     a non-dominant nu, S_alpha(nu) = S_{w alpha}(w nu) with w nu dominant,
     and w nu need not have been walked along w alpha.
+
+    Every weight nu of L(lam) has lam - nu in the root cone Q+.  With
+    lam - mu = sum_j depth_j alpha_j, the weight mu + k alpha keeps that
+    only for k <= top = min over j in the support of alpha of
+    depth_j // rc_j(alpha), so a string stops at k = top, and a stored sum
+    stays complete, as the weights past top have multiplicity 0.  A string
+    can still leave the weight system below top, at a non-dominant nu
+    whose dominant representative is not below lam; it stops there too.
     ``datum.stats`` counts the strings (``freudenthal_strings``), their
     steps (``freudenthal_steps``) and the strings closed by a stored sum
     (``freudenthal_reused``).
@@ -180,13 +196,19 @@ def _character(datum: RootDatum, lam: Weight) -> Character:
         strings = _root_strings(datum, sum(1 << i for i, x in enumerate(mu) if x == 0))
         walked += len(strings)
         total = 0
-        for fund, pair, norm, count in strings:
-            # nu runs over mu + k alpha, k >= 1, with prod = (alpha, nu)
+        height = sum(depth)
+        for fund, pair, norm, coords, count in strings:
+            # nu runs over mu + k alpha, 1 <= k <= top, with prod = (alpha, nu);
+            # every rc_j >= 1, so the height of lam - mu bounds top
+            top = height
+            for j, r in coords:
+                if depth[j] < top * r:
+                    top = depth[j] // r
             along = sums[fund]
             nu = mu
             prod = sum(map(mul, pair, mu))
             string = 0
-            while True:
+            for _ in range(top):
                 nu = tuple(map(add, nu, fund))
                 prod += norm
                 steps += 1

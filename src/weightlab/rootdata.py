@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -299,6 +300,30 @@ class RootDatum:
         """The largest absolute row sum of det C^-1, a scale of the int64
         guards in tensor and weyl."""
         return max(sum(map(abs, row)) for row in self._np_adjugate.tolist())
+
+    # -- per-root values of the Freudenthal strings --------------------------
+
+    @cached_property
+    def _root_table(self) -> tuple:
+        """Per positive root alpha, what the Freudenthal strings of
+        ``charcalc`` read, as (fund, pair, norm, negative, zero, support,
+        coords): pair . nu = (alpha, nu) and norm = (alpha, alpha); negative,
+        zero and support are the bitmasks of the negative and the zero
+        fundamental coordinates and of the simple roots in alpha; coords
+        lists (j, rc_j) over the support."""
+        table = []
+        for alpha, (support, _) in zip(self.positive_roots, self.root_supports):
+            fund, rc = alpha.fund, alpha.rc
+            negative = zero = 0
+            for j, f in enumerate(fund):
+                if f < 0:
+                    negative |= 1 << j
+                elif not f:
+                    zero |= 1 << j
+            pair = tuple(map(mul, rc, self.symmetrizer))
+            table.append((fund, pair, sum(map(mul, pair, fund)), negative, zero, support,
+                          tuple([(j, r) for j, r in enumerate(rc) if r])))
+        return tuple(table)
 
     # -- factor bookkeeping -------------------------------------------------
 

@@ -18,9 +18,9 @@ A single coefficient, the multiplicity of L(nu) in L(lam) (x) L(mu), is the
 same alternating sum read from the other side (Racah-Speiser): one term per
 point of the regular orbit W(nu + rho).  It walks that orbit as a tree in
 Python ints and cuts every subtree that lies too low to meet a weight of
-L(mu), so it visits a part of the |W| points, and folds only the points
-near enough to lam + rho, by the invariant form, to meet one.  It is what a
-PRV chain check asks for.
+L(mu) or lies too far from lam + rho, by the invariant form, to meet one,
+so it visits a part of the |W| points, and folds each one it visits below
+the top.  It is what a PRV chain check asks for.
 
 Multiplicities are int64.  The fold's coordinates run in the narrowest
 signed dtype that holds their bound (``_fold_dtype``): int8 or int16 for
@@ -210,7 +210,9 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     on the orbit, B(x - s, x - s) = B(nu + rho - s, nu + rho - s) + t with
     t = 2 B(nu + rho - x, s), so only a point with t <= B(mu, mu) -
     B(nu + rho - s, nu + rho - s) can count (the norm test).  Each entry
-    carries t, which s_i raises by 2 det d_i x_i s_i.  Each point that
+    carries t, which s_i raises by 2 det d_i x_i s_i > 0, so t only grows
+    down the tree, and a child that fails the test is cut with its whole
+    subtree; every point walked but the top passes.  Each point that
     passes is folded, minus s, to its dominant representative p, which
     carries a multiplicity only if p <= mu: 1 when p = mu, otherwise read
     from ``character(datum, mu)``.  The points walked and folded are
@@ -254,6 +256,9 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
         for i in range(rank):
             c = x[i]
             if c > 0 and (i < f or cols[i][f]) and d[i] >= det * c:
+                u = t + c * step[i]
+                if u > slack:
+                    continue  # t only grows below, so no point there passes
                 # s_i(x) = x - c alpha_i moves only coordinate i and its neighbours
                 y = list(x)
                 y[i] = -c
@@ -262,7 +267,7 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
                     y[j] -= c * col[j]
                 if i < f or min(y[:i]) >= 0:
                     stack.append((tuple(y), i, d[:i] + (d[i] - det * c,) + d[i + 1:],
-                                  t + c * step[i], -sign))
+                                  u, -sign))
     datum.stats["coefficient_points"] += points
     datum.stats["coefficient_folds"] += folds
     assert total >= 0, "negative tensor coefficient"

@@ -178,11 +178,13 @@ def test_chain_check_walks_a_pruned_orbit(capsys):
 
 
 def test_chain_check_folds_only_points_that_count(capsys):
-    # from rho, only the walked points on the orbit of mu pass the norm test
+    # from rho, only the walked points on the orbit of mu pass the norm test,
+    # and the walk pushes no point that fails it
     status, _, err = run_cli(capsys, "--stats", "construct", "--type", "D5", "--check")
     assert status == 0
     stats = json.loads(err)
     assert stats["coefficient_folds"] == stats["prv_confirmed"] == 2
+    assert stats["coefficient_points"] == stats["coefficient_folds"]
 
 
 def test_prv_check_deterministic(capsys):

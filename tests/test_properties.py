@@ -1,8 +1,9 @@
 """Property tests on hypothesis-drawn weights: det C^-1, root coordinates
 and dominance against a Fraction inverse of the Cartan matrix, dominant
 representatives against make_dominant, the dominant-weight walk, the
-orbit-sum Freudenthal recursion against the per-root one and its
-root-string classes against W_J-orbits, the orbit walk, orbit sizes, Weyl
+orbit-sum Freudenthal recursion against the per-root one, its
+root-string classes against W_J-orbits and the weights its strings fold
+against the root cone below lam, the orbit walk, orbit sizes, Weyl
 group orders and elements, expanded weight systems, the Brauer-Klimyk fold,
 single tensor coefficients against decompositions and the unpruned orbit
 sweep, the invariant form of their norm test, box closures, the perfectness predicate and
@@ -26,7 +27,7 @@ import oracles
 from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescriptor, Subgroup,
                        bounded_perfect_closure, build_root_datum, character, dominance_leq,
                        dominant_weights_below, enumerate_perfect, expand_character, in_lattice,
-                       is_perfect_in_box, latticecalc, make_dominant, orbit, orbit_size,
+                       charcalc, is_perfect_in_box, latticecalc, make_dominant, orbit, orbit_size,
                        perfectmonoid, predicted_members, reflect, root_coordinates,
                        support_regular_weight, tensor_decompose, tensor_multiplicity,
                        verify_classification, w0_antifixed_weight, weyl_dimension,
@@ -188,6 +189,46 @@ def test_stored_string_sums_match_per_root_freudenthal(type_string, cap, data):
         assert entries[mu] == kostant_multiplicity(datum, lam, mu)
 
 
+def folded_weights(type_string, lam) -> tuple:
+    """A fresh datum, so that the recursion runs, and the weights nu that
+    character(datum, lam) folds there to their dominant representatives."""
+    datum = build_root_datum(type_string)
+    fold = charcalc._dominant_representative
+    folded = []
+
+    def record(datum, nu):
+        folded.append(nu)
+        return fold(datum, nu)
+
+    with mock.patch.object(charcalc, "_dominant_representative", record):
+        character(datum, lam)
+    return datum, folded
+
+
+def assert_folds_stay_in_the_root_cone(type_string, lam):
+    # a string stops where mu + k alpha leaves lam - Q+, so every weight it
+    # folds lies below lam
+    datum, folded = folded_weights(type_string, lam)
+    if folded:
+        diffs = np.array([[a - b for a, b in zip(lam, nu)] for nu in folded], dtype=np.int64)
+        assert datum.in_root_cone(diffs).all()
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_string_walks_fold_only_weights_below_lam(type_string, data):
+    lam = data.draw(dominant_weights(get_datum(type_string)), label="lam")
+    assert_folds_stay_in_the_root_cone(type_string, lam)
+
+
+@pytest.mark.parametrize("type_string, lam", [("B6", (1, 0, 0, 1, 0, 0)),
+                                              ("D5", (2, 2, 3, 2, 0))])
+def test_string_walks_fold_only_weights_below_lam_examples(type_string, lam):
+    # walks that left lam - Q+ only by folding a weight outside the system
+    assert folded_weights(type_string, lam)[1]
+    assert_folds_stay_in_the_root_cone(type_string, lam)
+
+
 def w_j_orbit(datum, fund, nodes) -> set:
     """Orbit of a root, in fundamental coordinates, under the simple
     reflections of ``nodes``, by breadth-first search."""
@@ -215,7 +256,7 @@ def test_root_string_classes_are_stabilizer_orbits(type_string):
         # each count is the number of positive roots in the W_J-orbit of
         # its representative
         nodes = [j for j in range(datum.rank) if zeros >> j & 1]
-        for fund, _, _, count in strings:
+        for fund, *_, count in strings:
             assert len(w_j_orbit(datum, fund, nodes) & positive) == count
 
 
