@@ -21,6 +21,9 @@ from .weyl import _dominant_representative, orbit, orbit_size
 # orbit sizes of the character's dominant weights, is checked before any
 # orbit is walked
 MAX_EXPANDED_ROWS = 10 ** 6
+# most dominant weights the walk below a highest weight may reach, checked
+# after each level, before any multiplicity is computed
+MAX_DOMINANT_WEIGHTS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,8 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
     Math. 136, 1998): when one dominant weight covers another in dominance
     order, the two differ by a positive root, so every dominant mu <= lam is
     reached from lam through dominant weights.  Sorted by total depth
-    (decreasing height of mu), then by weight.
+    (decreasing height of mu), then by weight.  Refused with ``ValueError``
+    once the walk holds more than ``MAX_DOMINANT_WEIGHTS`` weights.
     """
     roots = [(alpha.fund, alpha.rc, [(j, f) for j, f in enumerate(alpha.fund) if f > 0])
              for alpha in datum.positive_roots]
@@ -95,6 +99,8 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
                     if nw not in seen:
                         seen[nw] = tuple(map(add, depth, rc))
                         nxt.append(nw)
+        if len(seen) > MAX_DOMINANT_WEIGHTS:
+            raise ValueError(f"more than {MAX_DOMINANT_WEIGHTS} dominant weights below {lam}")
         frontier = nxt
     return sorted(seen.items(), key=lambda item: (sum(item[1]), item[0]))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import weyl
 from .charcalc import character, expand_character
 from .rootdata import (RootDataError, RootDatum, Weight, is_int_list, wadd, wneg,
                        wzero)
@@ -314,12 +313,11 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
 
     The confirmation is one coefficient, ``tensor_multiplicity``, which walks
     the part of one regular orbit that lies high enough and folds only the
-    points of it that pass a norm test.  When |W| exceeds
-    ``weyl.MAX_WEYL_ELEMENTS`` the steps keep the exact arithmetic checks
-    but skip the confirmation (reported via ``tensor_checked``).  Confirmed
-    and skipped steps are counted as ``prv_confirmed`` and ``prv_skipped``
-    in ``datum.stats``.  A step with a malformed weight, kind, parent index
-    or word raises ``ValueError`` naming the step.
+    points of it that pass a norm test, at any rank, so every PRV step whose
+    replay matches is checked (``tensor_checked``); the steps confirmed are
+    counted as ``prv_confirmed`` in ``datum.stats``.  A step with a
+    malformed weight, kind, parent index or word raises ``ValueError``
+    naming the step.
     """
     failures: list[str] = []
     prv_steps = 0
@@ -348,9 +346,6 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
         expected = prv_component(datum, lw, rw, step.word)
         if step.weight != expected:
             failures.append(f"step {idx}: recorded weight {step.weight} != replay {expected}")
-            continue
-        if datum.weyl_order > weyl.MAX_WEYL_ELEMENTS:
-            datum.stats["prv_skipped"] += 1
             continue
         tensor_checked += 1
         if tensor_multiplicity(datum, lw, rw, step.weight):

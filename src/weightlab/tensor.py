@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import weyl
 from .charcalc import _weyl_dimension, character, expanded_weight_table, expand_character
 from .rootdata import RootDatum, Weight, memoized, wadd, wsub
 from .weyl import _dominant_representative, apply_word, make_dominant, w0_action
@@ -152,10 +151,9 @@ def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray) -> None:
 
 
 def _check_coefficient(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> None:
-    """Refuse a coefficient whose orbit has more than
-    ``weyl.MAX_WEYL_ELEMENTS`` points, or whose numbers could leave int64.
-    The walk runs in Python ints, so nothing wraps; the int64 bound is kept
-    as the documented input range of ``tensor_multiplicity``.
+    """Refuse a coefficient whose numbers could leave int64.  The walk runs
+    in Python ints, so nothing wraps; the int64 bound is kept as the
+    documented input range of ``tensor_multiplicity``.
 
     Let h be the height of the highest coroot, so |<x, beta^vee>| <= h max|x_i|
     for every coroot beta^vee, and let M = h (max lam + max mu + max nu + 2).
@@ -172,9 +170,6 @@ def _check_coefficient(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) ->
       most a M, with a the largest absolute row sum of det C^-1.
     So max(h, largest Cartan entry, a) * M bounds every number met.
     """
-    if datum.weyl_order > weyl.MAX_WEYL_ELEMENTS:
-        raise ValueError(f"Weyl group of order {datum.weyl_order} exceeds bound "
-                         f"{weyl.MAX_WEYL_ELEMENTS}")
     height = datum._coroot_height
     bound = height * (max(lam) + max(mu) + max(nu) + 2)
     if max(height, datum._cartan_entry, datum._adjugate_row_sum) * bound > INT64_MAX:
@@ -217,9 +212,10 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     carries a multiplicity only if p <= mu: 1 when p = mu, otherwise read
     from ``character(datum, mu)``.  The points walked and folded are
     counted as ``coefficient_points`` and ``coefficient_folds`` in
-    ``datum.stats``.  Refused with ``ValueError`` when |W| >
-    ``weyl.MAX_WEYL_ELEMENTS`` or outside the documented int64 range (see
-    ``_check_coefficient``).
+    ``datum.stats``.  There is no bound on |W|: the walk's memory is one
+    stack, and its cost is the character it reads, which
+    ``charcalc.MAX_DOMINANT_WEIGHTS`` bounds.  Refused with ``ValueError``
+    outside the documented int64 range (see ``_check_coefficient``).
     """
     lam, mu, nu = (datum.check_weight(w) for w in (lam, mu, nu))
     if min(lam + mu + nu) < 0:

@@ -15,9 +15,7 @@ from .rootdata import RootDatum, Weight, parabolic_order, wneg, wsub
 
 WeylWord = tuple[int, ...]
 
-# largest Weyl group whose elements weyl_group_elements lists, and above
-# which tensor.tensor_multiplicity refuses, though its pruned walk visits only
-# part of the orbit of nu + rho (a PRV chain step above it is not confirmed)
+# largest Weyl group whose elements weyl_group_elements lists
 MAX_WEYL_ELEMENTS = 100000
 
 

@@ -40,7 +40,7 @@ from math import factorial, floor
 import numpy as np
 
 from weightlab import (apply_word, character, in_lattice, latticecalc, orbit, reflect,
-                       root_coordinates)
+                       root_coordinates, weyl)
 from weightlab.charcalc import _below_with_depth
 from weightlab.perfectmonoid import Box
 from weightlab.rootdata import PositiveRoot, RootDatum, Weight, wadd, wsub
@@ -262,13 +262,17 @@ def unpruned_tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: 
     w(nu + rho).  Every point minus lam + rho is folded into the dominant
     chamber by the sweeps of the decomposition; only points whose dominant
     representative p satisfies p <= mu carry a multiplicity.  It is 1 when
-    p = mu, and otherwise is read from ``character(datum, mu)``.  Refused
-    with ``ValueError`` when |W| > ``weyl.MAX_WEYL_ELEMENTS`` or when int64
-    could overflow (see ``_check_coefficient``).
+    p = mu, and otherwise is read from ``character(datum, mu)``.  It builds
+    the whole orbit, so it refuses, with ``ValueError``, |W| >
+    ``weyl.MAX_WEYL_ELEMENTS`` itself, which the library's coefficient does
+    not; ``_check_coefficient`` refuses inputs where int64 could overflow.
     """
     lam, mu, nu = (datum.check_weight(w) for w in (lam, mu, nu))
     if min(lam + mu + nu) < 0:
         raise ValueError("tensor coefficient needs dominant weights")
+    if datum.weyl_order > weyl.MAX_WEYL_ELEMENTS:
+        raise ValueError(f"Weyl group of order {datum.weyl_order} exceeds bound "
+                         f"{weyl.MAX_WEYL_ELEMENTS}")
     _check_coefficient(datum, lam, mu, nu)
     points = np.array(list(orbit(datum, wadd(nu, datum.weyl_vector))), dtype=np.int64)
     coroots = np.array([alpha.coroot for alpha in datum.positive_roots], dtype=np.int64)

@@ -5,7 +5,7 @@ import pytest
 
 from weightlab import (RootDataError, build_root_datum, character, charcalc,
                        dominant_weights_below, expand_character, orbit, orbit_size,
-                       tensor_decompose, weyl_dimension)
+                       tensor_decompose, tensor_multiplicity, weyl_dimension)
 from weightlab.charcalc import expanded_weight_table
 from weightlab.cli import run
 from conftest import get_datum
@@ -140,6 +140,27 @@ def test_row_cap_refuses_before_any_orbit_is_walked(monkeypatch):
     monkeypatch.setattr(charcalc, "MAX_EXPANDED_ROWS", rows - 1)
     with pytest.raises(ValueError, match="exceeds bound"):
         expanded_weight_table(a2, char)
+
+
+def test_walk_bound_is_exact(monkeypatch):
+    # A1 (10) has the 6 dominant weights 10, 8, ..., 0; the bound is inclusive
+    monkeypatch.setattr(charcalc, "MAX_DOMINANT_WEIGHTS", 6)
+    a1 = build_root_datum("A1")
+    assert len(dominant_weights_below(a1, (10,))) == 6
+    assert character(a1, (10,)).dimension() == 11
+    assert tensor_multiplicity(a1, (10,), (10,), (10,)) == 1
+    assert tensor_decompose(a1, (10,), (10,)).summands[(10,)] == 1
+    monkeypatch.setattr(charcalc, "MAX_DOMINANT_WEIGHTS", 5)
+    a1 = build_root_datum("A1")
+    # c(10, 10; 10) folds a point onto 0 < 10, so it reads the character of 10
+    for call in (dominant_weights_below, character,
+                 lambda d, w: tensor_multiplicity(d, w, w, w),
+                 lambda d, w: tensor_decompose(d, w, w)):
+        with pytest.raises(ValueError, match="more than 5 dominant weights"):
+            call(a1, (10,))
+    # refused before the recursion, and nothing is kept
+    assert a1.stats["freudenthal_strings"] == 0
+    assert not a1.memo["below_with_depth"] and not a1.memo["character"]
 
 
 def test_weyl_dimension_examples():

@@ -210,6 +210,15 @@ def test_refuses_an_option_below_its_bound(capsys, verb, option, value):
     assert option in error["error"] and repr(value) in error["error"]
 
 
+def test_prv_check_confirms_by_coefficient_above_the_weyl_cap(capsys):
+    # |W(E8)| = 696,729,600; a decomposition of these factors expands past
+    # the row cap, but each component asks for one coefficient
+    status, out, _ = run_cli(capsys, "prv-check", "--type", "E8", "--count", "20",
+                             "--max-coord", "1")
+    assert status == 0
+    assert json.loads(out)["failures"] == []
+
+
 def test_prv_check_zero_count(capsys):
     status, out, _ = run_cli(capsys, "prv-check", "--type", "A1", "--count", "0")
     assert status == 0 and json.loads(out)["checked"] == 0
@@ -264,6 +273,19 @@ def test_verify_oversized_box_is_input_error():
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["kind"] == "input"
+
+
+@pytest.mark.parametrize("argv", [
+    ("character", "--type", "E8", "--weight", "4,4,4,4,4,4,4,4"),
+    ("prv-check", "--type", "E7", "--count", "5"),
+])
+def test_walk_bound_refuses_in_the_cli(argv):
+    # both walk past 10^5 dominant weights, and are refused before any
+    # multiplicity is computed
+    status, out, err = run_process(*argv)
+    assert (status, out) == (2, "")
+    error = json.loads(err)
+    assert error["kind"] == "input" and "dominant weights" in error["error"]
 
 
 @pytest.mark.parametrize("lattice", [

@@ -174,34 +174,29 @@ def test_chain_verification_detects_corruption():
     assert not check_prv_chain(a2, corrupted).ok
 
 
-def test_chain_verification_skips_confirmation_above_the_weyl_cap(monkeypatch):
+def test_chain_verification_ignores_the_weyl_cap(monkeypatch):
     d5 = get_datum("D5")
     trace = factor_antifixed_sequence(d5, 1, d5.weyl_vector)
-    monkeypatch.setattr(weyl, "MAX_WEYL_ELEMENTS", d5.weyl_order - 1)
     report = check_prv_chain(d5, trace)
-    assert report.ok and report.prv_steps == 2 and report.tensor_checked == 0
-    # the arithmetic replay still runs on every step
+    assert report.ok and report.prv_steps == report.tensor_checked == 2
+    monkeypatch.setattr(weyl, "MAX_WEYL_ELEMENTS", d5.weyl_order - 1)
+    assert check_prv_chain(d5, trace) == report
+    # a corrupted step still fails the replay
     steps = list(trace.steps)
     steps[-1] = TraceStep((4, 4, 6, 1, 1), "prv", left=steps[-1].left,
                           word=steps[-1].word, right=steps[-1].right)
     report = check_prv_chain(d5, ConstructionTrace(tuple(steps)))
-    assert not report.ok and report.tensor_checked == 0
-    assert "replay" in report.failures[0]
+    assert not report.ok and "replay" in report.failures[0]
 
 
-def test_chain_step_counts_follow_the_weyl_cap(monkeypatch):
-    # fresh data, so that the counts start at zero
-    a2 = build_root_datum("A2")
-    trace = factor_antifixed_sequence(a2, 1, (1, 1))
-    report = check_prv_chain(a2, trace)
+@pytest.mark.parametrize("type_string", ["A2", "D7"])
+def test_chain_from_rho_confirms_every_prv_step(type_string):
+    # fresh data, so that the counts start at zero; |W(D7)| = 322,560
+    datum = build_root_datum(type_string)
+    trace = w0_antifixed_weight(datum, datum.weyl_vector, (0,) * datum.rank)
+    report = check_prv_chain(datum, trace)
     assert report.ok and report.prv_steps > 0
-    assert (a2.stats["prv_confirmed"], a2.stats["prv_skipped"]) == (report.tensor_checked, 0)
-    assert report.tensor_checked == report.prv_steps
-    capped = build_root_datum("A2")
-    monkeypatch.setattr(weyl, "MAX_WEYL_ELEMENTS", capped.weyl_order - 1)
-    report = check_prv_chain(capped, trace)
-    assert report.ok and report.tensor_checked == 0
-    assert (capped.stats["prv_confirmed"], capped.stats["prv_skipped"]) == (0, report.prv_steps)
+    assert datum.stats["prv_confirmed"] == report.tensor_checked == report.prv_steps
 
 
 def test_chain_verification_single_generator():

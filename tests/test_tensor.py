@@ -175,12 +175,21 @@ def test_coefficient_examples():
         tensor_multiplicity(a2, (1, 0), (1, 0), (-1, 2))
 
 
-def test_coefficient_is_refused_above_the_weyl_cap(monkeypatch):
+def test_coefficient_ignores_the_weyl_cap(monkeypatch):
     a3 = get_datum("A3")
-    assert tensor_multiplicity(a3, (1, 0, 0), (0, 0, 1), (1, 0, 1)) == 1
     monkeypatch.setattr(weyl, "MAX_WEYL_ELEMENTS", a3.weyl_order - 1)
-    with pytest.raises(ValueError, match="exceeds bound"):
-        tensor_multiplicity(a3, (1, 0, 0), (0, 0, 1), (1, 0, 1))
+    assert tensor_multiplicity(a3, (1, 0, 0), (0, 0, 1), (1, 0, 1)) == 1
+    # the int64 guard still refuses
+    with pytest.raises(ValueError, match="int64"):
+        tensor_multiplicity(a3, (INT64_MAX,) * 3, (1, 0, 0), (1, 0, 0))
+
+
+def test_e8_coefficients_above_the_weyl_cap():
+    # |W(E8)| = 696,729,600; c(omega_4, omega_4; omega_j) for j = 1..8
+    e8 = get_datum("E8")
+    fundamental = [tuple(int(i == j) for i in range(8)) for j in range(8)]
+    assert [tensor_multiplicity(e8, fundamental[3], fundamental[3], omega)
+            for omega in fundamental] == [3, 6, 17, 70, 38, 17, 5, 1]
 
 
 def test_coefficient_is_exact_up_to_the_int64_guard():
