@@ -17,10 +17,10 @@ the first row of each summand is gathered whole.
 A single coefficient, the multiplicity of L(nu) in L(lam) (x) L(mu), is the
 same alternating sum read from the other side (Racah-Speiser): one term per
 point of the regular orbit W(nu + rho).  It walks that orbit as a tree in
-Python ints and cuts every subtree that lies too low to meet a weight of
-L(mu) or lies too far from lam + rho, by the invariant form, to meet one,
-so it visits a part of the |W| points, and folds each one it visits below
-the top.  It is what a PRV chain check asks for.
+Python ints and cuts every subtree that lies too far from lam + rho, by the
+invariant form, to meet a weight of L(mu), so it visits only the points
+inside that norm ball, a part of the |W| points, and folds each one.  It is
+what a PRV chain check asks for.
 
 Multiplicities are int64.  The fold's coordinates run in the narrowest
 signed dtype that holds their bound (``_fold_dtype``): int8 or int16 for
@@ -37,7 +37,7 @@ import numpy as np
 
 from .charcalc import _weyl_dimension, character, expanded_weight_table, expand_character
 from .rootdata import RootDatum, Weight, memoized, wadd, wsub
-from .weyl import _dominant_representative, apply_word, make_dominant, w0_action
+from .weyl import _dominant_representative, apply_word, make_dominant
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -165,9 +165,11 @@ def _check_coefficient(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) ->
       w'w(nu + rho) - w'(lam + rho), so its coordinates are at most
       h (max nu + 1) + h (max lam + 1) = M - h max mu; a reflection
       multiplies one by a Cartan entry first.
-    - Dominance: for the dominant p reached, each |mu_j - p_j| is at most
-      max mu + M - h max mu <= M, so det C^-1 (mu - p) has partial sums at
-      most a M, with a the largest absolute row sum of det C^-1.
+    - Root classes: the top's class test reads det C^-1 (nu - lam - mu),
+      whose coordinates are at most max nu + max lam + max mu <= M; a fold's
+      dominance test reads det C^-1 (mu - p), and each |mu_j - p_j| is at
+      most max mu + M - h max mu <= M.  So both have partial sums at most
+      a M, with a the largest absolute row sum of det C^-1.
     So max(h, largest Cartan entry, a) * M bounds every number met.
     """
     height = datum._coroot_height
@@ -193,27 +195,26 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
         c = sum over w in W of eps(w) m_mu(w(nu + rho) - lam - rho).
 
     The sum walks the tree that :func:`weyl.orbit` walks down from the
-    dominant nu + rho, which is regular, so eps(w) = (-1)^depth.  A child
-    s_i(x) = x - x_i alpha_i lies lower than x, and every weight of L(mu)
-    lies at or above w0 mu, so each entry carries d = det C^-1 (x - lam -
-    rho - w0 mu), of which s_i lowers only d_i, by det x_i; a child with
-    d_i < 0 is cut with its whole subtree.  When d at the top is negative or
-    not divisible by det, the sum is 0 without a walk.
-
-    Every weight y of L(mu) has B(y, y) <= B(mu, mu), for the integer
+    dominant nu + rho, which is regular, so eps(w) = (-1)^depth.  Every
+    weight y of L(mu) has B(y, y) <= B(mu, mu), for the integer
     invariant form B = ``_form``.  With s = lam + rho and B(x, x) constant
     on the orbit, B(x - s, x - s) = B(nu + rho - s, nu + rho - s) + t with
     t = 2 B(nu + rho - x, s), so only a point with t <= B(mu, mu) -
     B(nu + rho - s, nu + rho - s) can count (the norm test).  Each entry
-    carries t, which s_i raises by 2 det d_i x_i s_i > 0, so t only grows
-    down the tree, and a child that fails the test is cut with its whole
-    subtree; every point walked but the top passes.  Each point that
-    passes is folded, minus s, to its dominant representative p, which
-    carries a multiplicity only if p <= mu: 1 when p = mu, otherwise read
-    from ``character(datum, mu)``.  The points walked and folded are
-    counted as ``coefficient_points`` and ``coefficient_folds`` in
-    ``datum.stats``.  There is no bound on |W|: the walk's memory is one
-    stack, and its cost is the character it reads, which
+    carries t, which s_i raises by 2 det d_i x_i s_i > 0, so t grows
+    strictly down the tree from 0 at the top, and a child that fails the
+    test is cut with its whole subtree.  The sum is 0 without a walk when
+    the top fails the test, and when det C^-1 (nu - lam - mu) is not
+    divisible by det: W acts trivially on P/Q, so then no point minus s
+    lies in the root class of mu.  Every point walked passes and is folded,
+    minus s, to its dominant representative p, which carries a
+    multiplicity only if p <= mu: 1 when p = mu, otherwise read from
+    ``character(datum, mu)``.  The points walked are counted as
+    ``coefficient_points`` in ``datum.stats``, and again as
+    ``coefficient_folds``.  There is no bound on |W|: the walk's memory is
+    one stack.  Its cost is every orbit point inside the norm ball, which
+    no bound limits (one E8 coefficient with lam, mu in {0,1}^8 walks
+    565,826), plus the character it reads, which
     ``charcalc.MAX_DOMINANT_WEIGHTS`` bounds.  Refused with ``ValueError``
     outside the documented int64 range (see ``_check_coefficient``).
     """
@@ -227,31 +228,28 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     shift = wadd(lam, datum.weyl_vector)
     top = wadd(nu, datum.weyl_vector)
     diff = wsub(top, shift)
-    gap = wsub(diff, w0_action(datum, mu))
-    d = tuple(sum(a * x for a, x in zip(row, gap)) for row in adjugate)
-    if min(d) < 0 or any(k % det for k in d):
-        return 0
     # the norm test B(x - shift, x - shift) <= B(mu, mu) reads t <= slack for
     # t = 2 B(top - x, shift), as B(x, x) = B(top, top) on the orbit; s_i
     # raises t by c * step[i]
     slack = _form(datum, wsub(mu, diff), wadd(mu, diff))
+    gap = wsub(diff, mu)
+    if slack < 0 or any(sum(a * x for a, x in zip(row, gap)) % det for row in adjugate):
+        return 0
     step = [2 * det * a * b for a, b in zip(datum.symmetrizer, shift)]
-    total = points = folds = 0
-    # (point, index of its first negative coordinate, d, t, sign)
-    stack = [(top, rank, d, 0, 1)]
+    total = points = 0
+    # (point, index of its first negative coordinate, t, sign)
+    stack = [(top, rank, 0, 1)]
     while stack:
-        x, f, d, t, sign = stack.pop()
+        x, f, t, sign = stack.pop()
         points += 1
-        if t <= slack:
-            folds += 1
-            p = _dominant_representative(datum, wsub(x, shift))
-            if p == mu:
-                total += sign
-            elif all(sum(a * (m - q) for a, m, q in zip(row, mu, p)) >= 0 for row in adjugate):
-                total += sign * character(datum, mu).entries[p]
+        p = _dominant_representative(datum, wsub(x, shift))
+        if p == mu:
+            total += sign
+        elif all(sum(a * (m - q) for a, m, q in zip(row, mu, p)) >= 0 for row in adjugate):
+            total += sign * character(datum, mu).entries[p]
         for i in range(rank):
             c = x[i]
-            if c > 0 and (i < f or cols[i][f]) and d[i] >= det * c:
+            if c > 0 and (i < f or cols[i][f]):
                 u = t + c * step[i]
                 if u > slack:
                     continue  # t only grows below, so no point there passes
@@ -262,10 +260,9 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
                 for j in neighbors[i]:
                     y[j] -= c * col[j]
                 if i < f or min(y[:i]) >= 0:
-                    stack.append((tuple(y), i, d[:i] + (d[i] - det * c,) + d[i + 1:],
-                                  u, -sign))
+                    stack.append((tuple(y), i, u, -sign))
     datum.stats["coefficient_points"] += points
-    datum.stats["coefficient_folds"] += folds
+    datum.stats["coefficient_folds"] += points
     assert total >= 0, "negative tensor coefficient"
     return total
 

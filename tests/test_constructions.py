@@ -189,14 +189,16 @@ def test_chain_verification_ignores_the_weyl_cap(monkeypatch):
     assert not report.ok and "replay" in report.failures[0]
 
 
-@pytest.mark.parametrize("type_string", ["A2", "D7"])
+@pytest.mark.parametrize("type_string", ["A2", "A1xA2", "A2xA2", "A4", "D7"])
 def test_chain_from_rho_confirms_every_prv_step(type_string):
-    # fresh data, so that the counts start at zero; |W(D7)| = 322,560
+    # fresh data, so that the counts start at zero; |W(D7)| = 322,560.  Each
+    # coefficient walks one orbit point, the product types included
     datum = build_root_datum(type_string)
     trace = w0_antifixed_weight(datum, datum.weyl_vector, (0,) * datum.rank)
     report = check_prv_chain(datum, trace)
     assert report.ok and report.prv_steps > 0
     assert datum.stats["prv_confirmed"] == report.tensor_checked == report.prv_steps
+    assert datum.stats["coefficient_points"] == report.prv_steps
 
 
 def test_chain_verification_single_generator():

@@ -438,8 +438,12 @@ def test_pruned_coefficient_matches_unpruned_oracle(type_string, data):
     assert datum._det == 1 or any(not dominance_leq(datum, nu, top)
                                   and not dominance_leq(datum, top, nu) for nu in shifted)
     for nu in nus + shifted:
+        points, folds = datum.stats["coefficient_points"], datum.stats["coefficient_folds"]
         assert tensor_multiplicity(datum, lam, mu, nu) \
             == oracles.unpruned_tensor_multiplicity(datum, lam, mu, nu), nu
+        # every point walked passes the norm test and is folded
+        assert datum.stats["coefficient_points"] - points \
+            == datum.stats["coefficient_folds"] - folds, nu
 
 
 @pytest.mark.parametrize("type_string", RANK4)

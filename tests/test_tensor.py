@@ -175,6 +175,13 @@ def test_coefficient_examples():
         tensor_multiplicity(a2, (1, 0), (1, 0), (-1, 2))
 
 
+def test_zero_at_the_top_walks_nothing():
+    # nu + rho - lam - rho = (4,) misses the norm ball |y| <= |mu| = 2
+    a1 = build_root_datum("A1")
+    assert tensor_multiplicity(a1, (0,), (2,), (4,)) == 0
+    assert a1.stats["coefficient_points"] == a1.stats["coefficient_folds"] == 0
+
+
 def test_coefficient_ignores_the_weyl_cap(monkeypatch):
     a3 = get_datum("A3")
     monkeypatch.setattr(weyl, "MAX_WEYL_ELEMENTS", a3.weyl_order - 1)
