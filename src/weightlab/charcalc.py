@@ -51,19 +51,10 @@ class Character:
         return [{"weight": list(w), "mult": m} for w, m in self.sorted_items()]
 
 
-def _check_dominant(datum: RootDatum, lam) -> Weight:
-    """lam as a checked weight, refused unless dominant; the public entry
-    points call this before a memoized function sees lam as a key."""
-    lam = datum.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise ValueError(f"expected a dominant weight, got {lam}")
-    return lam
-
-
 def dominant_weights_below(datum: RootDatum, lam: Weight) -> list[Weight]:
     """All dominant mu with mu <= lam and lam - mu in the root lattice,
     sorted by decreasing height then lexicographically."""
-    return [w for w, _ in _below_with_depth(datum, _check_dominant(datum, lam))]
+    return [w for w, _ in _below_with_depth(datum, datum.check_dominant(lam))]
 
 
 @memoized
@@ -158,7 +149,7 @@ def character(datum: RootDatum, lam: Weight) -> Character:
     every positive root once.  Each string stops early at a stored sum or
     at the root cone below lam; see ``_character``.
     """
-    return _character(datum, _check_dominant(datum, lam))
+    return _character(datum, datum.check_dominant(lam))
 
 
 @memoized
@@ -250,7 +241,7 @@ def _character(datum: RootDatum, lam: Weight) -> Character:
 
 def weyl_dimension(datum: RootDatum, lam: Weight) -> int:
     """dim of the irreducible module with highest weight lam (Weyl formula)."""
-    return _weyl_dimension(datum, _check_dominant(datum, lam))
+    return _weyl_dimension(datum, datum.check_dominant(lam))
 
 
 @memoized

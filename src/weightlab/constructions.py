@@ -316,16 +316,16 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
     points of it that pass a norm test, at any rank, so every PRV step whose
     replay matches is checked (``tensor_checked``); the steps confirmed are
     counted as ``prv_confirmed`` in ``datum.stats``.  A step with a
-    malformed weight, kind, parent index or word raises ``ValueError``
-    naming the step.
+    malformed or non-dominant weight, kind, parent index or word raises
+    ``ValueError`` naming the step.
     """
     failures: list[str] = []
     prv_steps = 0
     tensor_checked = 0
     for idx, step in enumerate(trace.steps):
         try:
-            datum.check_weight(step.weight)
-        except RootDataError as exc:
+            datum.check_dominant(step.weight)
+        except ValueError as exc:
             raise ValueError(f"step {idx}: {exc}") from None
         if step.kind == "generator":
             continue

@@ -66,11 +66,9 @@ class MonoidSpec:
     generators: tuple[Weight, ...]
 
     def __post_init__(self):
-        gens = tuple(self.datum.check_weight(g) for g in self.generators)
+        gens = tuple(self.datum.check_dominant(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         for g in gens:
-            if any(x < 0 for x in g):
-                raise ValueError(f"generator {g} is not dominant")
             if not in_lattice(self.datum, g):
                 raise ValueError(f"generator {g} is outside the chosen lattice")
 
@@ -245,6 +243,15 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
     return set(map(tuple, region.rows[at[:n]].tolist()))
 
 
+def _box_members(datum: RootDatum, weights, box: Box) -> set[Weight]:
+    """The set of checked weights, refused unless each lies in the box."""
+    members = {datum.check_weight(w) for w in weights}
+    for w in members:
+        if w not in box:
+            raise ValueError(f"weight {w} lies outside the box (bound {box.bound})")
+    return members
+
+
 def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
     """Least fixed point, inside the box, of adding sums and all tensor
     summands of pairs.  This is the box truncation of the true closure:
@@ -253,21 +260,16 @@ def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
     pair is settled once, by the row test or its recheck, or decomposed;
     the counts land in ``datum.stats``."""
     datum = spec.datum
-    for g in spec.generators:
-        if g not in box:
-            raise ValueError(f"generator {g} lies outside the box (bound {box.bound})")
-    return _settle_pairs(datum, box, {(0,) * datum.rank, *spec.generators})
+    members = _box_members(datum, spec.generators, box)
+    return _settle_pairs(datum, box, members | {(0,) * datum.rank})
 
 
 def is_perfect_in_box(datum: RootDatum, members, box: Box) -> bool:
     """Whether a finite set is closed, inside the box, under sums and under
     taking all tensor summands of pairs: whether its closure adds nothing."""
-    members = {datum.check_weight(w) for w in members}
+    members = _box_members(datum, members, box)
     if (0,) * datum.rank not in members:
         raise ValueError("a perfect submonoid must contain 0")
-    for w in members:
-        if w not in box:
-            raise ValueError(f"member {w} lies outside the box")
     return len(_settle_pairs(datum, box, members)) == len(members)
 
 
@@ -332,10 +334,7 @@ def enumerate_perfect(datum: RootDatum, support) -> list[PerfectDescriptor]:
 def is_saturated_monoid(datum: RootDatum, members, box: Box) -> bool:
     """Divisibility saturation: within the box, n * lam in the set for some
     n > 1 forces lam in the set.  Distinct from root-string saturation."""
-    members = {datum.check_weight(w) for w in members}
-    for w in members:
-        if w not in box:
-            raise ValueError(f"member {w} lies outside the box")
+    members = _box_members(datum, members, box)
     # the lattice's dominant weights are the perfect submonoid of its subgroup
     lattice = PerfectDescriptor(frozenset(range(1, datum.n_factors + 1)), datum.lattice_subgroup)
     for lam in predicted_members(datum, lattice, box) - {(0,) * datum.rank}:

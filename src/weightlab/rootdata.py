@@ -250,12 +250,8 @@ class RootDatum:
             for alpha in self.positive_roots)
         # values of the memoized functions: memo[name][key]
         self.memo: defaultdict[str, dict] = defaultdict(dict)
-        # work counts: of bounded_perfect_closure and is_perfect_in_box,
-        # closure_pairs, each counted once as closure_settled (by the row
-        # test), closure_rechecked (flagged, then settled) or
-        # closure_decomposed; of charcalc.character, freudenthal_strings
-        # (root strings walked); of each memoized function, <name>_hits and
-        # <name>_misses
+        # work counts, as ``--stats`` prints them; the README's --stats
+        # paragraph lists every key
         self.stats: Counter = Counter()
         self.weyl_order = parabolic_order(self, (1 << self.rank) - 1)
         # adjacency of the Dynkin diagram (global coordinates)
@@ -384,6 +380,14 @@ class RootDatum:
             # int() would truncate 1.5, and bool is a subclass of int
             if type(x) is not int:
                 raise RootDataError(f"weight {lam} has a coordinate {x!r} that is not an int")
+        return lam
+
+    def check_dominant(self, lam) -> Weight:
+        """lam as a checked weight, refused unless dominant; the public entry
+        points call this before a memoized function sees lam as a key."""
+        lam = self.check_weight(lam)
+        if any(x < 0 for x in lam):
+            raise ValueError(f"expected a dominant weight, got {lam}")
         return lam
 
     def in_root_cone(self, diffs: np.ndarray) -> np.ndarray:

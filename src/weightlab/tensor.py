@@ -67,10 +67,7 @@ class TensorDecomposition:
 
 def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight) -> TensorDecomposition:
     """Decompose L(lam) (x) L(mu) into irreducibles with exact multiplicities."""
-    lam = datum.check_weight(lam)
-    mu = datum.check_weight(mu)
-    if any(x < 0 for x in lam) or any(x < 0 for x in mu):
-        raise ValueError("tensor factors must be dominant")
+    lam, mu = datum.check_dominant(lam), datum.check_dominant(mu)
     # fold over the smaller factor; on a tie the lexicographically larger, in either order
     big, small = sorted((lam, mu), key=lambda w: (-_weyl_dimension(datum, w), w))
     return TensorDecomposition(datum, lam, mu, _klimyk(datum, big, small))
@@ -218,9 +215,7 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     ``charcalc.MAX_DOMINANT_WEIGHTS`` bounds.  Refused with ``ValueError``
     outside the documented int64 range (see ``_check_coefficient``).
     """
-    lam, mu, nu = (datum.check_weight(w) for w in (lam, mu, nu))
-    if min(lam + mu + nu) < 0:
-        raise ValueError("tensor coefficient needs dominant weights")
+    lam, mu, nu = (datum.check_dominant(w) for w in (lam, mu, nu))
     _check_coefficient(datum, lam, mu, nu)
     det, rank = datum._det, datum.rank
     adjugate = datum._np_adjugate.tolist()
@@ -276,9 +271,10 @@ def prv_component(datum: RootDatum, lam: Weight, mu: Weight, word) -> Weight:
 
 def stable_multiplicity_check(datum: RootDatum, lam: Weight, mu: Weight) -> bool:
     """In the regime where lam + mu' is dominant for every weight mu' of
-    L(mu), the decomposition must be exactly {lam + mu': n_mu'(mu)}."""
-    lam = datum.check_weight(lam)
-    mu = datum.check_weight(mu)
+    L(mu), the decomposition must be exactly {lam + mu': n_mu'(mu)}.  A
+    non-dominant lam or mu is refused as input; ``DominanceRegimeError``
+    means dominant factors outside the regime."""
+    lam, mu = datum.check_dominant(lam), datum.check_dominant(mu)
     expanded = expand_character(datum, character(datum, mu))
     predicted: dict[Weight, int] = {}
     for mu_p, n in expanded.items():

@@ -93,10 +93,7 @@ def w0_action(datum: RootDatum, lam: Weight) -> Weight:
 
 def dual_weight(datum: RootDatum, lam: Weight) -> Weight:
     """Highest weight of the dual module; involution on dominant weights."""
-    lam = datum.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise ValueError(f"dual_weight requires a dominant weight, got {lam}")
-    return make_dominant(datum, wneg(lam)).dominant
+    return make_dominant(datum, wneg(datum.check_dominant(lam))).dominant
 
 
 def dominance_leq(datum: RootDatum, mu: Weight, lam: Weight) -> bool:
@@ -149,9 +146,7 @@ def orbit(datum: RootDatum, lam: Weight) -> frozenset[Weight]:
 def orbit_size(datum: RootDatum, lam: Weight) -> int:
     """|W . lam| for dominant lam: |W| / |W_J| with J the zero coordinates
     of lam, whose stabilizer is the parabolic subgroup W_J."""
-    lam = datum.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise ValueError("orbit_size expects a dominant weight")
+    lam = datum.check_dominant(lam)
     stab = parabolic_order(datum, sum(1 << i for i, x in enumerate(lam) if x == 0))
     assert datum.weyl_order % stab == 0
     return datum.weyl_order // stab

@@ -100,6 +100,20 @@ def test_generator_outside_box(capsys):
     assert "box" in json.loads(err.strip())["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--type", "A2", "--lhs=-1,2", "--rhs", "1,0"),
+    ("character", "--type", "A2", "--weight=-1,2"),
+    ("closure", "--type", "A2", "--generators=-1,2"),
+])
+def test_non_dominant_weight_is_refused_with_one_message(capsys, argv):
+    # "=" keeps argparse from reading -1,2 as an option
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""
+    assert json.loads(err.strip()) == {"error": "expected a dominant weight, got (-1, 2)",
+                                       "kind": "input"}
+
+
 def test_pipe_separator_accepted(capsys):
     status, out, _ = run_cli(capsys, "classify", "--type", "A1xA1",
                              "--generators", "1|1")

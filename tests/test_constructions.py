@@ -239,6 +239,19 @@ def test_chain_verification_refuses_malformed_steps(steps, bad):
         check_prv_chain(get_datum("A2"), ConstructionTrace(steps))
 
 
+@pytest.mark.parametrize("child", [
+    {"weight": [-2, 4], "kind": "sum", "left": 0, "right": 0},
+    {"weight": [0, 3], "kind": "prv", "left": 0, "right": 0, "word": [1]},
+], ids=["sum", "prv"])
+def test_chain_verification_refuses_a_step_outside_the_dominant_cone(child):
+    # a sum of a non-dominant generator once replayed as ok, and a PRV child
+    # that matches its replay once raised without naming a step
+    trace = ConstructionTrace.from_json(
+        {"steps": [{"weight": [-1, 2], "kind": "generator"}, child]})
+    with pytest.raises(ValueError, match="^step 0: expected a dominant weight"):
+        check_prv_chain(get_datum("A2"), trace)
+
+
 def test_factor_recipes_at_block_offsets():
     # recipes on a later factor must be the pure recipe shifted into its block
     mixed = get_datum("B2xD3")

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from weightlab import (CartanType, LatticeSpec, MonoidSpec, RootDataError, TraceStep,
-                       build_root_datum, in_lattice, root_coordinates)
+                       build_root_datum, character, dominant_weights_below, dual_weight,
+                       in_lattice, orbit_size, root_coordinates, tensor_decompose,
+                       tensor_multiplicity, weyl_dimension)
 from weightlab import cli
 from weightlab.rootdata import pairing, positive_root_count
 from conftest import get_datum
@@ -270,6 +272,34 @@ READERS = {
 def test_readers_refuse_what_is_not_an_int(reader, obj):
     with pytest.raises(RootDataError):
         READERS[reader](obj)
+
+
+# entry points that take a dominant weight w, each refusing through
+# RootDatum.check_dominant
+DOMINANT_ENTRY_POINTS = {
+    "check_dominant": lambda d, w: d.check_dominant(w),
+    "character": character,
+    "dominant_weights_below": dominant_weights_below,
+    "weyl_dimension": weyl_dimension,
+    "tensor_decompose-lhs": lambda d, w: tensor_decompose(d, w, (1, 0)),
+    "tensor_decompose-rhs": lambda d, w: tensor_decompose(d, (1, 0), w),
+    "tensor_multiplicity-lam": lambda d, w: tensor_multiplicity(d, w, (1, 0), (1, 1)),
+    "tensor_multiplicity-nu": lambda d, w: tensor_multiplicity(d, (1, 0), (0, 1), w),
+    "orbit_size": orbit_size,
+    "dual_weight": dual_weight,
+    "MonoidSpec": lambda d, w: MonoidSpec(d, (w,)),
+}
+
+
+@pytest.mark.parametrize("entry", DOMINANT_ENTRY_POINTS)
+def test_entry_points_share_the_dominance_refusal(entry):
+    datum = get_datum("A2")
+    with pytest.raises(ValueError, match="^expected a dominant weight, got \\(-1, 2\\)$"):
+        DOMINANT_ENTRY_POINTS[entry](datum, (-1, 2))
+    # a coordinate that is not an int is refused before its sign is read
+    for bad in ((-1, True), (-1, 1.5)):
+        with pytest.raises(RootDataError, match="not an int"):
+            DOMINANT_ENTRY_POINTS[entry](datum, bad)
 
 
 def test_readers_accept_plain_ints():

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weightlab import charcalc, weyl
+from weightlab import weyl
 from weightlab import (DominanceRegimeError, prv_component, stable_multiplicity_check,
                        tensor_decompose, tensor_multiplicity, weyl_dimension,
                        weyl_group_elements)
-from weightlab.rootdata import build_root_datum
+from weightlab.rootdata import RootDatum, build_root_datum
 from weightlab.tensor import INT64_MAX, _expanded_table, _fold_dtype
 from conftest import get_datum
 from oracles import brute_tensor, cg_closed_form, random_dominant, unique_klimyk
@@ -134,6 +134,13 @@ def test_stable_multiplicity_examples():
         stable_multiplicity_check(a1, (1,), (2,))
 
 
+def test_stable_multiplicity_refuses_a_non_dominant_factor_as_input():
+    # a non-dominant factor is an input error, not a failed regime
+    with pytest.raises(ValueError, match="expected a dominant weight") as info:
+        stable_multiplicity_check(get_datum("A1"), (-1,), (0,))
+    assert not isinstance(info.value, DominanceRegimeError)
+
+
 def test_stable_multiplicity_transfers_inner_multiplicities():
     # the adjoint module of B2 carries the zero weight twice, and the regime
     # reproduces that multiplicity at the shifted highest weight
@@ -240,17 +247,18 @@ def test_narrow_fold_matches_int64_oracle(type_string, mu, limit, side):
 
 def test_cold_decomposition_checks_its_weights_once(monkeypatch):
     # tensor_decompose checks both factors itself; past it only the
-    # character of the expanded factor goes through the public check
+    # character of the expanded factor and the orbit size of its one
+    # dominant weight go through the public check
     datum = build_root_datum("A2")
     calls = []
-    check = charcalc._check_dominant
+    check = RootDatum.check_dominant
 
     def counted(d, lam):
         calls.append(lam)
         return check(d, lam)
-    monkeypatch.setattr(charcalc, "_check_dominant", counted)
+    monkeypatch.setattr(RootDatum, "check_dominant", counted)
     tensor_decompose(datum, (2, 1), (1, 0))
-    assert len(calls) == 1
+    assert calls == [(2, 1), (1, 0), (1, 0), (1, 0)]
     assert datum.stats["weyl_dimension_misses"] == 2
     assert datum.stats["weyl_dimension_hits"] == 1
 
