@@ -3,6 +3,10 @@
 The character of an irreducible module is stored on dominant weights only;
 the full weight system is the union of their W-orbits and is expanded
 explicitly only where needed (tensor decomposition, brute-force checks).
+The expansion walks one orbit per zero pattern J among the dominant weights
+(per simple factor), that of one weight encoding the free coordinates, which
+gives w omega_i for every coset w W_J and free i; the rows of a pattern are
+then one integer product of its weights with those images.
 """
 
 from __future__ import annotations
@@ -262,18 +266,88 @@ def expand_character(datum: RootDatum, char: Character) -> dict[Weight, int]:
 
 
 def expanded_weight_table(datum: RootDatum, char: Character):
-    """Numpy form of the expanded weight system: (rows, mults) arrays, one
-    orbit after another in no particular order within an orbit.  Refused
-    with ``ValueError`` before anything is allocated when it would hold more
-    than ``MAX_EXPANDED_ROWS`` rows."""
-    sizes = [orbit_size(datum, w) for w in char.entries]
-    size = sum(sizes)
+    """Numpy form of the expanded weight system: (rows, mults) arrays.
+
+    A dominant lam with zero coordinates J has stabilizer W_J, and its orbit
+    is w lam = sum_i lam_i w omega_i over the cosets w W_J.  The weights of
+    one zero pattern J are therefore expanded together, by one integer
+    product of their free coordinates with ``_coset_images`` per simple
+    factor; on a product the orbit is the product of the factors' orbits,
+    each row the sum of one point per factor.  Rows come one orbit after
+    another, the orbits grouped by zero pattern, in no particular order
+    within an orbit.  Refused with ``ValueError`` before any orbit is walked
+    when the table would hold more than ``MAX_EXPANDED_ROWS`` rows, or when
+    a coordinate could leave int64: each is <lam, beta^vee> for a coroot
+    beta^vee, at most the height of the highest coroot times max lam.
+    """
+    size = sum(orbit_size(datum, w) for w in char.entries)
     if size > MAX_EXPANDED_ROWS:
         raise ValueError(f"expanded weight system of {size} weights exceeds bound "
                          f"{MAX_EXPANDED_ROWS}")
-    orbits = [orbit(datum, w) for w in char.entries]
-    # every coordinate of every orbit point, row after row, in one pass
-    rows = np.fromiter(chain.from_iterable(chain.from_iterable(orbits)), dtype=np.int64,
-                       count=size * datum.rank).reshape(size, datum.rank)
-    mults = np.repeat(np.array(list(char.entries.values()), dtype=np.int64), sizes)
-    return rows, mults
+    rank = datum.rank
+    if not size:
+        return np.empty((0, rank), dtype=np.int64), np.empty(0, dtype=np.int64)
+    if max(map(max, char.entries)) * datum._coroot_height > np.iinfo(np.int64).max:
+        raise ValueError("expanded weight system is out of int64 range")
+    lams = np.array(list(char.entries), dtype=np.int64)
+    mults = np.fromiter(char.entries.values(), dtype=np.int64, count=len(lams))
+    patterns = defaultdict(list)
+    for k, w in enumerate(char.entries):
+        patterns[sum(1 << i for i, x in enumerate(w) if x == 0)].append(k)
+    full = (1 << rank) - 1
+    rows, reps = [], []
+    for zeros, at in patterns.items():
+        group = lams[at]
+        # the orbit is the product of the orbits on the simple factors; a
+        # factor's images are zero off its coordinates, so the rows are the
+        # sums of one point per factor
+        table = np.zeros((len(at), 1, rank), dtype=np.int64)
+        for start, end in datum.ctype.blocks:
+            factor_zeros = zeros | (full ^ ((1 << end) - (1 << start)))
+            if factor_zeros == full:
+                continue
+            free = [i for i in range(start, end) if not zeros >> i & 1]
+            part = group[:, free] @ _coset_images(datum, factor_zeros)
+            table = (table[:, :, None] + part.reshape(len(at), 1, -1, rank)).reshape(
+                len(at), -1, rank)
+        rows.append(table.reshape(-1, rank))
+        reps.append(np.repeat(mults[at], table.shape[1]))
+    return np.concatenate(rows), np.concatenate(reps)
+
+
+@memoized
+def _coset_images(datum: RootDatum, zeros: int) -> np.ndarray:
+    """w omega_i for every coset w W_J and every free coordinate i, J the
+    zero coordinates in the bitmask ``zeros``: a (k, n * rank) int64 matrix,
+    k the free coordinates in increasing order and n = |W / W_J|, whose row
+    p holds the images of omega_{i_p}, one coset after another.
+
+    Coordinate j of w omega_i is <omega_i, w^-1 alpha_j^vee>, a coefficient
+    of a coroot, so it lies in [-m_i, m_i], m_i the largest coefficient of
+    alpha_i^vee in a positive coroot.  The free coordinates are encoded in
+    one weight e, e_{i_p} = K_1 ... K_{p-1} with K_p = 2 m_{i_p} + 1 and 0
+    on J.  Its stabilizer is W_J, so ``orbit(datum, e)`` has one point per
+    coset, sum_p e_{i_p} w omega_{i_p}, and the k balanced digit planes are
+    read off it.  The walk runs in Python ints; refused with ``ValueError``
+    before it when a point could leave int64.
+    """
+    rank = datum.rank
+    free = [i for i in range(rank) if not zeros >> i & 1]
+    tops = [max(alpha.coroot[i] for alpha in datum.positive_roots) for i in free]
+    e = [0] * rank
+    place = 1
+    for i, m in zip(free, tops):
+        e[i] = place
+        place *= 2 * m + 1
+    if place > np.iinfo(np.int64).max:
+        raise ValueError(f"coset images of {len(free)} free coordinates are out of int64 range")
+    points = orbit(datum, tuple(e))
+    x = np.fromiter(chain.from_iterable(points), dtype=np.int64, count=len(points) * rank)
+    images = np.empty((len(free), x.size), dtype=np.int64)
+    for p, m in enumerate(tops):
+        # x + m = (2m + 1) q + r with 0 <= r <= 2m: digit r - m, the rest q
+        x, r = np.divmod(x + m, 2 * m + 1)
+        images[p] = r - m
+    assert not x.any()
+    images.flags.writeable = False
+    return images

@@ -358,9 +358,8 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
 
 def smallest_dominating_multiple(datum: RootDatum, lam: Weight, omega: Weight) -> int:
     """Least positive m with mu + m * omega dominant for every weight mu of
-    the module with highest weight lam."""
-    lam = datum.check_weight(lam)
-    omega = datum.check_weight(omega)
+    the module with highest weight lam.  omega must be dominant."""
+    omega = datum.check_dominant(omega)
     expanded = expand_character(datum, character(datum, lam))
     m = 1
     for mu in expanded:

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -139,6 +140,44 @@ def test_row_cap_refuses_before_any_orbit_is_walked(monkeypatch):
     monkeypatch.setattr(charcalc, "orbit", no_orbit)
     monkeypatch.setattr(charcalc, "MAX_EXPANDED_ROWS", rows - 1)
     with pytest.raises(ValueError, match="exceeds bound"):
+        expanded_weight_table(a2, char)
+
+
+def test_coset_images_refuse_a_walk_that_could_leave_int64(monkeypatch):
+    # forty free A1 coordinates encode in base 3, and 3^40 > 2^63
+    datum = build_root_datum("x".join(["A1"] * 40))
+
+    def no_orbit(*args):
+        raise AssertionError("orbit walked before the int64 guard")
+
+    monkeypatch.setattr(charcalc, "orbit", no_orbit)
+    with pytest.raises(ValueError, match="out of int64 range"):
+        charcalc._coset_images(datum, 0)
+
+
+def test_product_expands_factor_by_factor():
+    # A1^12 (1, ..., 1): every sign vector once, from one walk of 2 points
+    # per factor instead of one walk of 4,096
+    n = 12
+    datum = build_root_datum("x".join(["A1"] * n))
+    rows, mults = expanded_weight_table(datum, character(datum, (1,) * n))
+    assert sorted(map(tuple, rows.tolist())) == sorted(product((-1, 1), repeat=n))
+    assert (mults == 1).all()
+    assert datum.stats["coset_images_misses"] == n
+    assert all(images.shape == (1, 2 * n) for images in datum.memo["coset_images"].values())
+
+
+def test_empty_character_expands_to_an_empty_table():
+    a2 = build_root_datum("A2")
+    rows, mults = expanded_weight_table(a2, charcalc.Character(a2, {}))
+    assert rows.shape == (0, 2) and mults.shape == (0,)
+
+
+def test_expansion_refuses_a_coordinate_that_could_leave_int64():
+    # s_1 (2^62, 2^62) = (-2^62, 2^63) on A2
+    a2 = build_root_datum("A2")
+    char = charcalc.Character(a2, {(2 ** 62, 2 ** 62): 1})
+    with pytest.raises(ValueError, match="out of int64 range"):
         expanded_weight_table(a2, char)
 
 

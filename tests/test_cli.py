@@ -371,7 +371,8 @@ def test_stats_count_one_miss_per_memo_entry(capsys, monkeypatch):
                    "--box", "4")[0] == 0
     (datum,) = built
     assert set(datum.memo) == {"parabolic_order", "root_strings", "below_with_depth",
-                               "character", "weyl_dimension", "expanded_table", "coset_region"}
+                               "character", "weyl_dimension", "expanded_table", "coset_region",
+                               "coset_images"}
     misses = {key[:-len("_misses")] for key in datum.stats if key.endswith("_misses")}
     assert misses == set(datum.memo)
     for name, values in datum.memo.items():

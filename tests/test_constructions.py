@@ -335,6 +335,17 @@ def test_smallest_dominating_multiple():
         assert any(any(x < 0 for x in wadd(mu, smaller)) for mu in expanded)
 
 
+@pytest.mark.parametrize("type_string,lam,omega", [
+    ("A1", (1,), (-1,)),
+    ("A2", (1, 0), (-1, 2)),
+])
+def test_smallest_dominating_multiple_refuses_a_non_dominant_omega(type_string, lam, omega):
+    # no multiple of a non-dominant omega need dominate the weights of
+    # L(lam): on A2, (-1, 1) + (-1, 2) = (-2, 3)
+    with pytest.raises(ValueError, match="expected a dominant weight"):
+        smallest_dominating_multiple(get_datum(type_string), lam, omega)
+
+
 def test_trace_json_round_trip():
     import json
     d5 = get_datum("D5")

@@ -4,7 +4,8 @@ representatives against make_dominant, the dominant-weight walk, the
 orbit-sum Freudenthal recursion against the per-root one, its
 root-string classes against W_J-orbits and the weights its strings fold
 against the root cone below lam, the orbit walk, orbit sizes, Weyl
-group orders and elements, expanded weight systems, the Brauer-Klimyk fold,
+group orders and elements, the coset images the expansion decodes,
+expanded weight systems, the Brauer-Klimyk fold,
 single tensor coefficients against decompositions and the unpruned orbit
 sweep, the invariant form of their norm test, box closures, the perfectness predicate and
 the members a descriptor predicts and the coset classes of a box region
@@ -313,7 +314,51 @@ def test_expand_character_matches_bfs_expansion(type_string, data):
     assert expand_character(datum, character(datum, lam)) == expanded(datum, lam)
 
 
-@pytest.mark.parametrize("type_string", RANK4)
+def decoded_images(datum, free) -> np.ndarray:
+    """The coset images of the zero pattern whose free coordinates are
+    ``free``, one (cosets, rank) plane per free coordinate."""
+    zeros = sum(1 << i for i in range(datum.rank) if i not in free)
+    images = charcalc._coset_images(datum, zeros)
+    assert images.dtype == np.int64 and images.shape[0] == len(free)
+    return images.reshape(len(free), -1, datum.rank)
+
+
+def fundamental(datum, i) -> tuple:
+    return tuple(int(j == i) for j in range(datum.rank))
+
+
+@pytest.mark.parametrize("type_string", [t for t in RANK8 if "x" not in t] + ["A1xA2"])
+def test_coset_images_match_bfs_orbits(type_string):
+    datum = get_datum(type_string)
+    m = max(max(alpha.coroot) for alpha in datum.positive_roots)
+    for i in range(datum.rank):
+        # the BFS oracle would take most of a minute on the two largest
+        # fundamental orbits of E8, 241,920 and 483,840 points
+        if orbit_size(datum, fundamental(datum, i)) > 100_000:
+            continue
+        (plane,) = decoded_images(datum, [i])
+        assert Counter(map(tuple, plane.tolist())) \
+            == Counter(bfs_orbit(datum, fundamental(datum, i)))
+        assert np.abs(plane).max() <= m
+    if datum.rank == 1:
+        return
+    # one two-coordinate class, the two ends (on A1xA2, one per factor): each
+    # plane runs over the orbit of its fundamental weight, every point
+    # equally often, and a combination of the planes over the orbit of that
+    # combination
+    i, j = 0, datum.rank - 1
+    planes = decoded_images(datum, [i, j])
+    assert np.abs(planes).max() <= m
+    for plane, k in zip(planes, (i, j)):
+        orb = bfs_orbit(datum, fundamental(datum, k))
+        assert Counter(map(tuple, plane.tolist())) \
+            == Counter({w: len(plane) // len(orb) for w in orb})
+    lam = tuple(int(k == i) + 2 * int(k == j) for k in range(datum.rank))
+    assert Counter(map(tuple, (planes[0] + 2 * planes[1]).tolist())) \
+        == Counter(bfs_orbit(datum, lam))
+
+
+@pytest.mark.parametrize("type_string", RANK4 + ["E6"])
 @given(data=st.data())
 def test_expanded_weight_table_matches_bfs_orbits(type_string, data):
     datum = get_datum(type_string)
