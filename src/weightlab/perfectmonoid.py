@@ -14,11 +14,18 @@ and the closure's own state is a mask of the weights not yet members and
 the list of members' region indices.  When a member b is reached, one numpy
 test compares every total a + b of its row with the missing weights of the
 total's class, componentwise; a pair with nothing missing below its total
-cannot add a member and is settled.  The pairs the test flags are tested
-again, in order, against the members of that moment, and only those still
-flagged are decomposed.  A set is perfect in the box when its closure adds
-nothing.  The prediction from a descriptor reads the same region and
-decides the lattice and the subgroup once per element of P/Q.
+cannot add a member and is settled, and so is every pair with 0.  The
+pairs the test flags are tested again, in order, against the members of
+that moment; the missing weights below the total of a pair still flagged
+are its candidates, and exactly the candidates that are summands join the
+members, in region order.  Each such pair is settled by its smaller
+factor's size: when its Weyl dimension is more than ``_COEFFICIENT_RATIO``
+times the number of candidates, by one tensor coefficient per candidate
+(Humphreys, section 24), which walks a few orbit points; otherwise by a
+decomposition, which builds and folds the smaller factor's whole table.
+A set is perfect in the box when its closure adds nothing.  The prediction
+from a descriptor reads the same region and decides the lattice and the
+subgroup once per element of P/Q.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ import numpy as np
 from . import latticecalc
 from .rootdata import (LatticeSpec, RootDataError, RootDatum, Weight, build_root_datum,
                        in_lattice, is_int_list, memoized)
-from .tensor import tensor_decompose
+from .charcalc import _weyl_dimension
+from .tensor import _big_and_small, _coefficients, tensor_decompose
 
 # most weights Box.region lists; refused before anything is allocated
 MAX_REGION = 10 ** 6
@@ -182,6 +190,16 @@ def _coset_region(datum: RootDatum, box: Box) -> _CosetRegion:
 _ROW_TEST_ELEMENTS = 1 << 22
 
 
+# a flagged pair is settled by one coefficient per candidate when the
+# smaller factor's Weyl dimension is more than this many times the number of
+# candidates, and decomposed otherwise.  Timed pair by pair, each on a fresh
+# datum, over the flagged pairs of the closure benchmark, coefficients take
+# 1.1 times the fold's time at a ratio of at most 1, two thirds of it from 1
+# to 8 and under half above 32; 4 leaves the pairs near the crossover to the
+# fold
+_COEFFICIENT_RATIO = 4
+
+
 def _dominates_any(totals: np.ndarray, missing: np.ndarray) -> np.ndarray:
     """Per total, whether some row of ``missing`` is componentwise <= it."""
     step = max(1, _ROW_TEST_ELEMENTS // missing.size)
@@ -193,8 +211,9 @@ def _dominates_any(totals: np.ndarray, missing: np.ndarray) -> np.ndarray:
 def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
     """The closure of a member set: one pass over its pairs, a row per later
     member b (see the module docstring), in which the in-box summands of
-    each decomposed pair join the members.  Members only grow, so a pair
-    the row test settles stays settled."""
+    each flagged pair join the members.  Members only grow, so a pair the
+    row test settles stays settled.  ``members`` holds 0, which is at
+    region index 0 and so first in the member list."""
     region = _coset_region(datum, box)
     adj, cls, cocenter = region.adj, region.cls, datum.cocenter
     strides = (box.bound + 1) ** np.arange(datum.rank - 1, -1, -1)
@@ -218,24 +237,41 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
                 flagged[sel] = _dominates_any(totals[sel], below)
         return flagged
 
+    def candidates(a: int, b: int) -> np.ndarray:
+        """Region indices of the missing weights below the total of the
+        members at region indices a and b."""
+        c = region.class_rows[cocenter.index(region.classes[cls[a]] + region.classes[cls[b]])]
+        c = c[missing[c]]
+        return c[(adj[c] <= adj[a] + adj[b]).all(axis=1)]
+
     stats = datum.stats
     j = 0
     while j < n:
         b = at[j]
-        flagged = np.flatnonzero(row_test(at[:j + 1], b)).tolist()
+        # at[0] is the zero weight, and L(a) (x) L(0) = L(a) adds nothing
+        flagged = (1 + np.flatnonzero(row_test(at[1:j + 1], b))).tolist()
         stats["closure_pairs"] += j + 1
         stats["closure_settled"] += j + 1 - len(flagged)
-        grown = n
         for k in flagged:
-            # untouched since the row test, the pair still fails it
-            if n > grown and not row_test(at[k:k + 1], b)[0]:
+            below = candidates(at[k], b)
+            if not len(below):  # members grew since the row test
                 stats["closure_rechecked"] += 1
                 continue
-            stats["closure_decomposed"] += 1
             lam, mu = (tuple(w) for w in region.rows[[at[k], b]].tolist())
-            summands = np.array(list(tensor_decompose(datum, lam, mu).support()), dtype=np.int64)
-            new = summands[(summands <= box.bound).all(axis=1)] @ strides
-            new = new[missing[new]]
+            big, small = _big_and_small(datum, lam, mu)
+            if _weyl_dimension(datum, small) > _COEFFICIENT_RATIO * len(below):
+                stats["closure_coefficients"] += 1
+                coefficients = _coefficients(datum, big, small,
+                                             map(tuple, region.rows[below].tolist()))
+                new = below[[c > 0 for c in coefficients]]
+            else:
+                stats["closure_decomposed"] += 1
+                summands = np.array(list(tensor_decompose(datum, lam, mu).support()),
+                                    dtype=np.int64)
+                new = summands[(summands <= box.bound).all(axis=1)] @ strides
+                # in region order, as coefficients find them, so the order of
+                # the pairs does not depend on the path that settled one
+                new = np.sort(new[missing[new]])
             missing[new] = False
             at[n:n + len(new)] = new
             n += len(new)
@@ -257,8 +293,9 @@ def bounded_perfect_closure(spec: MonoidSpec, box: Box) -> set[Weight]:
     summands of pairs.  This is the box truncation of the true closure:
     elements of the true closure outside the box are never represented, so
     the result is a lower bound whose quality grows with the bound.  Each
-    pair is settled once, by the row test or its recheck, or decomposed;
-    the counts land in ``datum.stats``."""
+    pair is settled once: by the row test (or a zero factor), by its
+    recheck, by coefficients or by a decomposition; the counts land in
+    ``datum.stats``."""
     datum = spec.datum
     members = _box_members(datum, spec.generators, box)
     return _settle_pairs(datum, box, members | {(0,) * datum.rank})

@@ -20,7 +20,8 @@ point of the regular orbit W(nu + rho).  It walks that orbit as a tree in
 Python ints and cuts every subtree that lies too far from lam + rho, by the
 invariant form, to meet a weight of L(mu), so it visits only the points
 inside that norm ball, a part of the |W| points, and folds each one.  It is
-what a PRV chain check asks for.
+what a PRV chain check asks for, and what a box closure asks for each
+candidate of a pair, in one batch that shares what lam and mu fix.
 
 Multiplicities are int64.  The fold's coordinates run in the narrowest
 signed dtype that holds their bound (``_fold_dtype``): int8 or int16 for
@@ -68,9 +69,15 @@ class TensorDecomposition:
 def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight) -> TensorDecomposition:
     """Decompose L(lam) (x) L(mu) into irreducibles with exact multiplicities."""
     lam, mu = datum.check_dominant(lam), datum.check_dominant(mu)
-    # fold over the smaller factor; on a tie the lexicographically larger, in either order
+    return TensorDecomposition(datum, lam, mu, _klimyk(datum, *_big_and_small(datum, lam, mu)))
+
+
+def _big_and_small(datum: RootDatum, lam: Weight, mu: Weight) -> tuple[Weight, Weight]:
+    """The two factors, the one of smaller Weyl dimension last: the fold
+    runs over its table, and a coefficient reads its character.  On a tie
+    the lexicographically larger is last, in either order."""
     big, small = sorted((lam, mu), key=lambda w: (-_weyl_dimension(datum, w), w))
-    return TensorDecomposition(datum, lam, mu, _klimyk(datum, big, small))
+    return big, small
 
 
 @memoized
@@ -162,11 +169,11 @@ def _check_coefficient(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) ->
       w'w(nu + rho) - w'(lam + rho), so its coordinates are at most
       h (max nu + 1) + h (max lam + 1) = M - h max mu; a reflection
       multiplies one by a Cartan entry first.
-    - Root classes: the top's class test reads det C^-1 (nu - lam - mu),
-      whose coordinates are at most max nu + max lam + max mu <= M; a fold's
-      dominance test reads det C^-1 (mu - p), and each |mu_j - p_j| is at
-      most max mu + M - h max mu <= M.  So both have partial sums at most
-      a M, with a the largest absolute row sum of det C^-1.
+    - Root classes: the top's class test compares det C^-1 (nu - lam) with
+      det C^-1 mu, and a fold's dominance test det C^-1 p with det C^-1 mu;
+      the coordinates of nu - lam, mu and p are at most max nu + max lam,
+      max mu and M - h max mu, each <= M.  So all have partial sums at
+      most a M, with a the largest absolute row sum of det C^-1.
     So max(h, largest Cartan entry, a) * M bounds every number met.
     """
     height = datum._coroot_height
@@ -215,51 +222,69 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     ``charcalc.MAX_DOMINANT_WEIGHTS`` bounds.  Refused with ``ValueError``
     outside the documented int64 range (see ``_check_coefficient``).
     """
-    lam, mu, nu = (datum.check_dominant(w) for w in (lam, mu, nu))
-    _check_coefficient(datum, lam, mu, nu)
+    return _coefficients(datum, lam, mu, (nu,))[0]
+
+
+def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
+    """``tensor_multiplicity(datum, lam, mu, nu)`` for each nu of ``nus``.
+    What lam and mu fix is done once: the checks, the shift and the steps
+    of t, B(mu, mu), and det C^-1 mu, which the class test and each fold's
+    dominance test compare against.  When a walk visits a point or two, as
+    for the candidates of a box closure, that is most of the cost."""
+    lam, mu = datum.check_dominant(lam), datum.check_dominant(mu)
+    nus = [datum.check_dominant(nu) for nu in nus]
+    for nu in nus:
+        _check_coefficient(datum, lam, mu, nu)
     det, rank = datum._det, datum.rank
     adjugate = datum._np_adjugate.tolist()
     cols, neighbors = datum.cartan_columns, datum.neighbors
     shift = wadd(lam, datum.weyl_vector)
-    top = wadd(nu, datum.weyl_vector)
-    diff = wsub(top, shift)
-    # the norm test B(x - shift, x - shift) <= B(mu, mu) reads t <= slack for
-    # t = 2 B(top - x, shift), as B(x, x) = B(top, top) on the orbit; s_i
-    # raises t by c * step[i]
-    slack = _form(datum, wsub(mu, diff), wadd(mu, diff))
-    gap = wsub(diff, mu)
-    if slack < 0 or any(sum(a * x for a, x in zip(row, gap)) % det for row in adjugate):
-        return 0
     step = [2 * det * a * b for a, b in zip(datum.symmetrizer, shift)]
-    total = points = 0
-    # (point, index of its first negative coordinate, t, sign)
-    stack = [(top, rank, 0, 1)]
-    while stack:
-        x, f, t, sign = stack.pop()
-        points += 1
-        p = _dominant_representative(datum, wsub(x, shift))
-        if p == mu:
-            total += sign
-        elif all(sum(a * (m - q) for a, m, q in zip(row, mu, p)) >= 0 for row in adjugate):
-            total += sign * character(datum, mu).entries[p]
-        for i in range(rank):
-            c = x[i]
-            if c > 0 and (i < f or cols[i][f]):
-                u = t + c * step[i]
-                if u > slack:
-                    continue  # t only grows below, so no point there passes
-                # s_i(x) = x - c alpha_i moves only coordinate i and its neighbours
-                y = list(x)
-                y[i] = -c
-                col = cols[i]
-                for j in neighbors[i]:
-                    y[j] -= c * col[j]
-                if i < f or min(y[:i]) >= 0:
-                    stack.append((tuple(y), i, u, -sign))
+    mu_adj = [sum(a * m for a, m in zip(row, mu)) for row in adjugate]
+    mu_norm = _form(datum, mu, mu)
+    out = []
+    points = 0
+    for nu in nus:
+        top = wadd(nu, datum.weyl_vector)
+        diff = wsub(top, shift)
+        diff_adj = [sum(a * x for a, x in zip(row, diff)) for row in adjugate]
+        # the norm test B(x - shift, x - shift) <= B(mu, mu) reads t <= slack
+        # for t = 2 B(top - x, shift), as B(x, x) = B(top, top) on the orbit;
+        # s_i raises t by c * step[i].  B(diff, diff) as ``_form`` sums it
+        slack = mu_norm - sum(x * y * d for x, y, d in zip(diff, diff_adj, datum.symmetrizer))
+        if slack < 0 or any((y - m) % det for y, m in zip(diff_adj, mu_adj)):
+            out.append(0)
+            continue
+        total = 0
+        # (point, index of its first negative coordinate, t, sign)
+        stack = [(top, rank, 0, 1)]
+        while stack:
+            x, f, t, sign = stack.pop()
+            points += 1
+            p = _dominant_representative(datum, wsub(x, shift))
+            if p == mu:
+                total += sign
+            elif all(sum(a * q for a, q in zip(row, p)) <= m for row, m in zip(adjugate, mu_adj)):
+                total += sign * character(datum, mu).entries[p]
+            for i in range(rank):
+                c = x[i]
+                if c > 0 and (i < f or cols[i][f]):
+                    u = t + c * step[i]
+                    if u > slack:
+                        continue  # t only grows below, so no point there passes
+                    # s_i(x) = x - c alpha_i moves only coordinate i and its neighbours
+                    y = list(x)
+                    y[i] = -c
+                    col = cols[i]
+                    for j in neighbors[i]:
+                        y[j] -= c * col[j]
+                    if i < f or min(y[:i]) >= 0:
+                        stack.append((tuple(y), i, u, -sign))
+        assert total >= 0, "negative tensor coefficient"
+        out.append(total)
     datum.stats["coefficient_points"] += points
     datum.stats["coefficient_folds"] += points
-    assert total >= 0, "negative tensor coefficient"
-    return total
+    return out
 
 
 def prv_component(datum: RootDatum, lam: Weight, mu: Weight, word) -> Weight:

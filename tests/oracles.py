@@ -554,14 +554,14 @@ class _BoxEnvelope:
 
 
 def _pair_adds(envelope: _BoxEnvelope, members, a: Weight, b: Weight) -> list[Weight]:
-    """In-box summands of L(a) (x) L(b) missing from ``members``.  When the
-    envelope below a + b lies in ``members``, no summand can be missing and
-    the pair is not decomposed."""
+    """In-box summands of L(a) (x) L(b) missing from ``members``, sorted, as
+    the closure adds them.  When the envelope below a + b lies in
+    ``members``, no summand can be missing and the pair is not decomposed."""
     if envelope.below(wadd(a, b)) <= members:
         return []
     box = envelope.box
-    return [w for w in tensor_decompose(envelope.datum, a, b).support()
-            if w in box and w not in members]
+    return sorted(w for w in tensor_decompose(envelope.datum, a, b).support()
+                  if w in box and w not in members)
 
 
 def pairwise_perfect_closure(spec, box: Box) -> set[Weight]:

@@ -289,6 +289,16 @@ def test_verify_oversized_box_is_input_error():
     assert json.loads(lines[0])["kind"] == "input"
 
 
+def test_verify_settles_e8_pairs_by_coefficients():
+    # a decomposition of (1,0,...,0) with itself expands a table of
+    # 1,597,681 rows, past the row cap; each missing weight of Box(1) below
+    # a flagged total asks for one coefficient instead
+    status, out, _ = run_process("verify", "--type", "E8",
+                                 "--generators", "1,0,0,0,0,0,0,0", "--box", "1")
+    assert status == 0
+    assert json.loads(out)["equal"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ("character", "--type", "E8", "--weight", "4,4,4,4,4,4,4,4"),
     ("prv-check", "--type", "E7", "--count", "5"),

@@ -249,8 +249,10 @@ def test_closure_settles_each_pair_once():
     m = len(members)
     assert m == 343
     assert stats["closure_pairs"] == m * (m + 1) // 2
-    assert stats["closure_settled"] + stats["closure_rechecked"] \
-        + stats["closure_decomposed"] == stats["closure_pairs"]
+    assert stats["closure_settled"] + stats["closure_rechecked"] + stats["closure_decomposed"] \
+        + stats["closure_coefficients"] == stats["closure_pairs"]
+    # a flagged pair is settled by coefficients or decomposed, by its size
+    assert stats["closure_coefficients"] > 0 and stats["closure_decomposed"] > 0
 
 
 def test_spec_json_round_trip():

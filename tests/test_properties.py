@@ -36,7 +36,7 @@ from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescript
 from weightlab.charcalc import _below_with_depth, _root_strings, expanded_weight_table
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.rootdata import pairing
-from weightlab.tensor import _expanded_table, _form, _klimyk
+from weightlab.tensor import _big_and_small, _coefficients, _expanded_table, _form, _klimyk
 from weightlab.weyl import _dominant_representative
 from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
@@ -582,12 +582,55 @@ def test_row_test_closure_matches_pairwise_oracle(type_string, mode, factor, dat
     stats = Counter(datum.stats) - before
     with mock.patch.object(oracles, "tensor_decompose", wraps=tensor_decompose) as pairwise:
         assert closure == pairwise_perfect_closure(spec, box)
-    # the same pairs are decomposed, and the counts account for every pair
-    assert row.call_count == pairwise.call_count == stats["closure_decomposed"]
+    # the pairs the oracle decomposes are decomposed, settled by coefficients
+    # or, with a zero factor, settled outright; the counts account for every pair
+    zero = sum(not any(call.args[1]) or not any(call.args[2]) for call in pairwise.call_args_list)
+    assert row.call_count == stats["closure_decomposed"]
+    assert pairwise.call_count == stats["closure_decomposed"] + stats["closure_coefficients"] + zero
     m = len(closure)
     assert stats["closure_pairs"] == m * (m + 1) // 2
-    assert stats["closure_settled"] + stats["closure_rechecked"] \
-        + stats["closure_decomposed"] == stats["closure_pairs"]
+    assert stats["closure_settled"] + stats["closure_rechecked"] + stats["closure_decomposed"] \
+        + stats["closure_coefficients"] == stats["closure_pairs"]
+
+
+@pytest.mark.parametrize("type_string, mode, factor", ROW_TEST_STRATA)
+@given(data=st.data())
+def test_coefficients_find_the_missing_summands_below_a_total(type_string, mode, factor, data):
+    # a flagged pair's candidates are the missing box weights below its
+    # total; the in-box missing summands are among them, and one batch of
+    # coefficients, as the closure asks for it, gives each its multiplicity
+    datum = get_datum(type_string, mode)
+    box = Box(data.draw(st.integers(2, 4), label="box"))
+    region = box.region(datum)
+    weights = [w for w in region if in_lattice(datum, w)
+               and (factor is None or sum(datum.project_factor(w, factor)) == sum(w))]
+    a, b = (data.draw(st.sampled_from(weights), label=name) for name in "ab")
+    missing = data.draw(st.one_of(st.just(set(region)), st.sets(st.sampled_from(region))),
+                        label="missing")
+    total = tuple(x + y for x, y in zip(a, b))
+    candidates = sorted(h for h in missing if dominance_leq(datum, h, total))
+    summands = tensor_decompose(datum, a, b).summands
+    assert {w for w in summands if w in box and w in missing} <= set(candidates)
+    assert _coefficients(datum, *_big_and_small(datum, a, b), candidates) \
+        == [summands.get(h, 0) for h in candidates]
+
+
+@pytest.mark.parametrize("type_string, mode, factor", ROW_TEST_STRATA)
+@given(data=st.data())
+def test_closure_pairs_do_not_depend_on_the_settling_path(type_string, mode, factor, data):
+    # every flagged pair by coefficients, or every one by a decomposition:
+    # the same members, in the same order, so the same pairs are flagged
+    spec, box = closure_spec(data, type_string, mode, factor)
+    results = []
+    for ratio in (0, 10 ** 9):
+        datum = build_root_datum(type_string, LatticeSpec(mode))
+        with mock.patch.object(perfectmonoid, "_COEFFICIENT_RATIO", ratio):
+            closure = bounded_perfect_closure(MonoidSpec(datum, spec.generators), box)
+        s = datum.stats
+        results.append((closure, s["closure_settled"], s["closure_rechecked"],
+                        s["closure_coefficients"] + s["closure_decomposed"]))
+        assert s["closure_decomposed" if ratio == 0 else "closure_coefficients"] == 0
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("type_string, mode, factor", ROW_TEST_STRATA)
