@@ -6,7 +6,10 @@ explicitly only where needed (tensor decomposition, brute-force checks).
 The expansion walks one orbit per zero pattern J among the dominant weights
 (per simple factor), that of one weight encoding the free coordinates, which
 gives w omega_i for every coset w W_J and free i; the rows of a pattern are
-then one integer product of its weights with those images.
+then one integer product of its weights with those images.  A single
+tensor coefficient reads only the multiplicities between a weight and the
+highest weight, from one partial table per highest weight, kept on the
+datum and extended downward on demand (``_interval``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import add, mul, sub
+from math import gcd, prod
+from operator import add, gt, le, mul, sub
 
 import numpy as np
 
@@ -61,9 +65,39 @@ def dominant_weights_below(datum: RootDatum, lam: Weight) -> list[Weight]:
     return [w for w, _ in _below_with_depth(datum, datum.check_dominant(lam))]
 
 
+def _below_count_bound(datum: RootDatum, lam: Weight) -> int:
+    """A lower bound on the dominant weights below a dominant lam, read off
+    lam alone: prod_i (lam_i // e_i + 1), e_i the order of omega_i in P/Q.
+    Each lam - sum_i k_i e_i omega_i with 0 <= k_i <= lam_i // e_i is
+    dominant, and lies below lam, as e_i omega_i is in Q and C^-1 >= 0.
+    The root coordinates of omega_i are column i of det C^-1 over det, so
+    e_i = det / gcd(det, that column)."""
+    det = datum._det
+    orders = [det // gcd(det, *col) for col in zip(*datum._np_adjugate.tolist())]
+    return prod(x // e + 1 for x, e in zip(lam, orders))
+
+
 @memoized
 def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple[int, ...]]]:
-    """Dominant weights below lam, each with the root coordinates of lam - mu.
+    """Dominant weights below lam, each with the root coordinates of lam - mu,
+    sorted by total depth (decreasing height of mu), then by weight: the
+    walk of ``_walk`` with no floor.  Refused with ``ValueError`` before the
+    walk when ``_below_count_bound`` already exceeds ``MAX_DOMINANT_WEIGHTS``;
+    that bound is read only when prod_i (lam_i + 1), which it never
+    exceeds, does, so an ordinary character never eliminates C."""
+    if (prod(x + 1 for x in lam) > MAX_DOMINANT_WEIGHTS
+            and _below_count_bound(datum, lam) > MAX_DOMINANT_WEIGHTS):
+        raise ValueError(f"more than {MAX_DOMINANT_WEIGHTS} dominant weights below {lam}")
+    return _walk(datum, {}, {lam: (0,) * datum.rank})
+
+
+def _walk(datum: RootDatum, seen: dict, start: dict, floor=None,
+          cut=None) -> list[tuple[Weight, tuple[int, ...]]]:
+    """Add the dominant weights of ``start`` to ``seen`` and walk down from
+    them, adding each dominant weight reached; both map a weight mu to the
+    root coordinates of lam - mu, its depth, with lam the first key of
+    ``seen``.  Returns the (weight, depth) pairs added, sorted by total
+    depth, then by weight.
 
     Walks dominant weights only: from each dominant mu subtract every
     positive root alpha and keep mu - alpha when it is dominant, one level
@@ -73,15 +107,20 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
     complete by Stembridge, *The partial order of dominant weights* (Adv.
     Math. 136, 1998): when one dominant weight covers another in dominance
     order, the two differ by a positive root, so every dominant mu <= lam is
-    reached from lam through dominant weights.  Sorted by total depth
-    (decreasing height of mu), then by weight.  Refused with ``ValueError``
-    once the walk holds more than ``MAX_DOMINANT_WEIGHTS`` weights.
+    reached from lam through dominant weights, each deeper than the last in
+    every coordinate.  So a walk cut at a depth ``floor`` still reaches
+    every dominant weight whose depth is at most ``floor``: a weight it
+    reaches deeper than that is put in ``cut`` instead, from where a lower
+    floor resumes the walk.  Refused with ``ValueError``, ``seen`` as it
+    was, once it holds more than ``MAX_DOMINANT_WEIGHTS`` weights.
     """
     roots = [(alpha.fund, alpha.rc, [(j, f) for j, f in enumerate(alpha.fund) if f > 0])
              for alpha in datum.positive_roots]
-    seen: dict[Weight, tuple[int, ...]] = {lam: (0,) * datum.rank}
-    frontier = [lam]
+    seen.update(start)
+    added: list[Weight] = []
+    frontier = list(start)
     while frontier:
+        added += frontier
         nxt = []
         for w in frontier:
             depth = seen[w]
@@ -92,12 +131,19 @@ def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple
                 else:
                     nw = tuple(map(sub, w, fund))
                     if nw not in seen:
-                        seen[nw] = tuple(map(add, depth, rc))
-                        nxt.append(nw)
+                        nd = tuple(map(add, depth, rc))
+                        if floor is not None and any(map(gt, nd, floor)):
+                            cut[nw] = nd
+                        else:
+                            seen[nw] = nd
+                            nxt.append(nw)
         if len(seen) > MAX_DOMINANT_WEIGHTS:
+            lam = next(iter(seen))
+            for w in added + nxt:
+                del seen[w]
             raise ValueError(f"more than {MAX_DOMINANT_WEIGHTS} dominant weights below {lam}")
         frontier = nxt
-    return sorted(seen.items(), key=lambda item: (sum(item[1]), item[0]))
+    return sorted(((w, seen[w]) for w in added), key=lambda item: (sum(item[1]), item[0]))
 
 
 @memoized
@@ -158,18 +204,32 @@ def character(datum: RootDatum, lam: Weight) -> Character:
 
 @memoized
 def _character(datum: RootDatum, lam: Weight) -> Character:
-    """The recursion of ``character`` on a checked lam, with each string
-    sum built from the sums of the strings above it,
+    """The recursion of ``character`` on a checked lam, over the whole walk
+    below it: ``_freudenthal`` with no floor."""
+    below = _below_with_depth(datum, lam)
+    table: dict[Weight, int] = {lam: 1}
+    _freudenthal(datum, lam, {w for w, _ in below}, table, defaultdict(dict), below[1:])
+    return Character(datum, table)
+
+
+def _freudenthal(datum: RootDatum, lam: Weight, members, table: dict, sums: defaultdict,
+                 new: list) -> None:
+    """Fill ``table`` with the multiplicity in L(lam) of each (mu, depth) of
+    ``new``, taken in order, by the recursion of ``character``, with each
+    string sum built from the sums of the strings above it,
 
         S_alpha(mu) = (mu + alpha, alpha) m(mu + alpha) + S_alpha(mu + alpha).
 
+    ``members`` holds the weights the walk below lam reached, and ``table``
+    already holds every one that lies above a weight of ``new``.
+
     The sum S_alpha(mu) of every string walked from a dominant mu is
-    stored, and a later walk along alpha stops at the first dominant nu
-    whose S_alpha(nu) is stored, adding it.  The weights are taken highest
-    first and nu lies above the mu being computed, so every stored sum is
-    complete.  Only dominant nu walked along the same alpha are reused: for
-    a non-dominant nu, S_alpha(nu) = S_{w alpha}(w nu) with w nu dominant,
-    and w nu need not have been walked along w alpha.
+    stored in ``sums``, and a later walk along alpha stops at the first
+    dominant nu whose S_alpha(nu) is stored, adding it.  The weights are
+    taken highest first and nu lies above the mu being computed, so every
+    stored sum is complete.  Only dominant nu walked along the same alpha
+    are reused: for a non-dominant nu, S_alpha(nu) = S_{w alpha}(w nu) with
+    w nu dominant, and w nu need not have been walked along w alpha.
 
     Every weight nu of L(lam) has lam - nu in the root cone Q+.  With
     lam - mu = sum_j depth_j alpha_j, the weight mu + k alpha keeps that
@@ -178,18 +238,18 @@ def _character(datum: RootDatum, lam: Weight) -> Character:
     stays complete, as the weights past top have multiplicity 0.  A string
     can still leave the weight system below top, at a non-dominant nu
     whose dominant representative is not below lam; it stops there too.
-    ``datum.stats`` counts the strings (``freudenthal_strings``), their
-    steps (``freudenthal_steps``) and the strings closed by a stored sum
-    (``freudenthal_reused``).
+    The dominant representative of a weight lies above it, so each weight a
+    string reads lies above mu, no deeper than mu in any coordinate: a walk
+    cut at a depth floor holds it whenever it holds mu, and the recursion
+    over such a walk reads only weights it computed.  So a table extended
+    to a lower floor keeps its entries and its string sums, and runs on the
+    new weights alone (``_interval``).  ``datum.stats`` counts the strings
+    (``freudenthal_strings``), their steps (``freudenthal_steps``) and the
+    strings closed by a stored sum (``freudenthal_reused``).
     """
-    below = _below_with_depth(datum, lam)
-    table: dict[Weight, int] = {lam: 1}
-    dom_set = {w for w, _ in below}
     sym = datum.symmetrizer
-    # fund of alpha -> {dominant nu: S_alpha(nu)} for every nu walked along alpha
-    sums: defaultdict[Weight, dict[Weight, int]] = defaultdict(dict)
     walked = steps = reused = 0
-    for mu, depth in below[1:]:
+    for mu, depth in new:
         # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
         mid = tuple(a + b + 2 for a, b in zip(lam, mu))
         denom = sum(k * d * f for k, d, f in zip(depth, sym, mid))
@@ -217,7 +277,7 @@ def _character(datum: RootDatum, lam: Weight) -> Character:
                 nu_dom = nu if dominant else _dominant_representative(datum, nu)
                 n = table.get(nu_dom)
                 if n is None:
-                    if nu_dom not in dom_set:
+                    if nu_dom not in members:
                         break  # left the weight system; the string is contiguous
                     raise AssertionError("multiplicity requested before computed")
                 string += n * prod
@@ -240,7 +300,54 @@ def _character(datum: RootDatum, lam: Weight) -> Character:
     datum.stats["freudenthal_strings"] += walked
     datum.stats["freudenthal_steps"] += steps
     datum.stats["freudenthal_reused"] += reused
-    return Character(datum, table)
+
+
+@dataclass
+class _Interval:
+    """The multiplicities of L(``lam``) on the dominant weights mu below lam
+    whose depth, the root coordinates of lam - mu, is at most ``floor`` in
+    every coordinate: ``seen`` maps them to their depths and ``table`` to
+    their multiplicities.  ``cut`` holds the weights the walk reached past
+    the floor, and ``sums`` the string sums of the recursion."""
+
+    lam: Weight
+    floor: tuple[int, ...]
+    seen: dict[Weight, tuple[int, ...]]
+    cut: dict[Weight, tuple[int, ...]]
+    table: dict[Weight, int]
+    sums: defaultdict
+
+    def extend(self, datum: RootDatum, depth) -> dict[Weight, int]:
+        """The table, extended first, when ``depth`` is not within the
+        floor, to the floor that covers both: the weights of ``cut`` within
+        it resume the walk, and the recursion runs on the weights added.
+        Counted as ``interval_extensions`` in ``datum.stats``.  Refused with
+        ``ValueError``, the table as it was, when it would hold more than
+        ``MAX_DOMINANT_WEIGHTS`` weights."""
+        if all(map(le, depth, self.floor)):
+            return self.table
+        floor = tuple(map(max, self.floor, depth))
+        grown = {w: d for w, d in self.cut.items() if all(map(le, d, floor))}
+        added = _walk(datum, self.seen, grown, floor, self.cut)
+        for w in grown:
+            del self.cut[w]
+        self.floor = floor
+        _freudenthal(datum, self.lam, self.seen, self.table, self.sums, added)
+        datum.stats["interval_extensions"] += 1
+        return self.table
+
+
+@memoized
+def _interval(datum: RootDatum, lam: Weight) -> _Interval:
+    """The partial table of a checked lam, kept on the datum and extended
+    downward on demand: the multiplicities of L(lam) between a depth floor
+    and lam, which is all that m_lam(p) reads.  It starts at floor 0, lam
+    alone, with lam's children cut."""
+    zero = (0,) * datum.rank
+    seen: dict[Weight, tuple[int, ...]] = {}
+    cut: dict[Weight, tuple[int, ...]] = {}
+    _walk(datum, seen, {lam: zero}, zero, cut)
+    return _Interval(lam, zero, seen, cut, {lam: 1}, defaultdict(dict))
 
 
 def weyl_dimension(datum: RootDatum, lam: Weight) -> int:

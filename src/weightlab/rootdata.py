@@ -12,7 +12,9 @@ C is eliminated once, by a Smith normal form of each simple factor, when the
 cocenter P/Q, det C^-1 or root coordinates are first asked for; both the
 cocenter and the integer matrix det C^-1 come from that form, and root
 coordinates are read from det C^-1 as Fractions over det.  Weight systems
-never ask, so a datum that only computes characters never eliminates C.  The
+ask only past a size guard, for a highest weight whose coordinates alone
+promise more dominant weights below it than the walk bound allows, so a
+datum that only computes ordinary characters never eliminates C.  The
 lattice subgroup is checked at build time only for a ``subgroup`` lattice,
 the one mode whose input can be invalid.
 """

@@ -33,10 +33,12 @@ which a coordinate, a product or a running total could leave int64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
-from .charcalc import _weyl_dimension, character, expanded_weight_table, expand_character
+from .charcalc import (_interval, _weyl_dimension, character, expanded_weight_table,
+                       expand_character)
 from .rootdata import RootDatum, Weight, memoized, wadd, wsub
 from .weyl import _dominant_representative, apply_word, make_dominant
 
@@ -74,7 +76,7 @@ def tensor_decompose(datum: RootDatum, lam: Weight, mu: Weight) -> TensorDecompo
 
 def _big_and_small(datum: RootDatum, lam: Weight, mu: Weight) -> tuple[Weight, Weight]:
     """The two factors, the one of smaller Weyl dimension last: the fold
-    runs over its table, and a coefficient reads its character.  On a tie
+    runs over its table, and a coefficient reads its partial table.  On a tie
     the lexicographically larger is last, in either order."""
     big, small = sorted((lam, mu), key=lambda w: (-_weyl_dimension(datum, w), w))
     return big, small
@@ -212,13 +214,15 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     divisible by det: W acts trivially on P/Q, so then no point minus s
     lies in the root class of mu.  Every point walked passes and is folded,
     minus s, to its dominant representative p, which carries a
-    multiplicity only if p <= mu: 1 when p = mu, otherwise read from
-    ``character(datum, mu)``.  The points walked are counted as
-    ``coefficient_points`` in ``datum.stats``, and again as
-    ``coefficient_folds``.  There is no bound on |W|: the walk's memory is
-    one stack.  Its cost is every orbit point inside the norm ball, which
-    no bound limits (one E8 coefficient with lam, mu in {0,1}^8 walks
-    565,826), plus the character it reads, which
+    multiplicity only if p <= mu: 1 when p = mu, otherwise m_mu(p), which
+    reads only the dominant weights between p and mu.  It is read from
+    mu's partial table (``charcalc._interval``), kept on the datum and
+    extended down to the depth of mu - p on the first p it lacks.  The
+    points walked are counted as ``coefficient_points`` in ``datum.stats``,
+    and again as ``coefficient_folds``.  There is no bound on |W|: the
+    walk's memory is one stack.  Its cost is every orbit point inside the
+    norm ball, which no bound limits (one E8 coefficient with lam, mu in
+    {0,1}^8 walks 565,826), plus the partial table it reads, whose weights
     ``charcalc.MAX_DOMINANT_WEIGHTS`` bounds.  Refused with ``ValueError``
     outside the documented int64 range (see ``_check_coefficient``).
     """
@@ -228,9 +232,15 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
 def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
     """``tensor_multiplicity(datum, lam, mu, nu)`` for each nu of ``nus``.
     What lam and mu fix is done once: the checks, the shift and the steps
-    of t, B(mu, mu), and det C^-1 mu, which the class test and each fold's
-    dominance test compare against.  When a walk visits a point or two, as
-    for the candidates of a box closure, that is most of the cost."""
+    of t, B(mu, mu), det C^-1 mu, which the class test and the dominance
+    test compare against, and the fetch of mu's partial table.  When a walk
+    visits a point or two, as for the candidates of a box closure, that is
+    most of the cost.  A folded p != mu is a weight of L(mu) iff the table
+    holds it once its floor is as deep as mu - p: the top's class test puts
+    p in mu's class, and every dominant weight below mu in that class has
+    positive multiplicity.  So a p the table holds is read at once, and
+    only one it lacks runs the dominance test p <= mu, which, when it
+    holds, extends the table to the depth of mu - p."""
     lam, mu = datum.check_dominant(lam), datum.check_dominant(mu)
     nus = [datum.check_dominant(nu) for nu in nus]
     for nu in nus:
@@ -242,6 +252,8 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
     step = [2 * det * a * b for a, b in zip(datum.symmetrizer, shift)]
     mu_adj = [sum(a * m for a, m in zip(row, mu)) for row in adjugate]
     mu_norm = _form(datum, mu, mu)
+    # mu's partial table, fetched on the first point that folds below mu
+    part, table = None, {}
     out = []
     points = 0
     for nu in nus:
@@ -264,8 +276,16 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
             p = _dominant_representative(datum, wsub(x, shift))
             if p == mu:
                 total += sign
-            elif all(sum(a * q for a, q in zip(row, p)) <= m for row, m in zip(adjugate, mu_adj)):
-                total += sign * character(datum, mu).entries[p]
+            elif p in table:
+                total += sign * table[p]
+            else:
+                # p lies in mu's class, so det C^-1 (mu - p) = det * depth
+                gap = [m - sum(map(mul, row, p)) for row, m in zip(adjugate, mu_adj)]
+                if min(gap) >= 0:
+                    if part is None:
+                        part = _interval(datum, mu)
+                    table = part.extend(datum, [g // det for g in gap])
+                    total += sign * table[p]
             for i in range(rank):
                 c = x[i]
                 if c > 0 and (i < f or cols[i][f]):

@@ -202,6 +202,38 @@ def test_walk_bound_is_exact(monkeypatch):
     assert not a1.memo["below_with_depth"] and not a1.memo["character"]
 
 
+def test_walk_bound_refuses_e8_without_walking(monkeypatch):
+    # E8 has P = Q, so every dominant weight coordinatewise <= (4,...,4)
+    # lies below it: 5^8 = 390,625 of them, read off before any walk
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(charcalc, "_walk", no_walk)
+    e8 = build_root_datum("E8")
+    built = {name: dict(values) for name, values in e8.memo.items()}
+    assert charcalc._below_count_bound(e8, (4,) * 8) == 5 ** 8
+    for call in (dominant_weights_below, character):
+        with pytest.raises(ValueError, match="more than 100000 dominant weights"):
+            call(e8, (4,) * 8)
+    # nothing is kept beyond what the datum holds from its build
+    assert e8.stats["freudenthal_strings"] == 0
+    assert {name: values for name, values in e8.memo.items() if values} == built
+
+
+def test_partial_table_refusal_keeps_the_table(monkeypatch):
+    # A1 (10) holds 10, 8, ..., 0; a floor at depth 5 would hold all six
+    monkeypatch.setattr(charcalc, "MAX_DOMINANT_WEIGHTS", 5)
+    a1 = build_root_datum("A1")
+    part = charcalc._interval(a1, (10,))
+    assert part.extend(a1, (2,)) == {(10,): 1, (8,): 1, (6,): 1}
+    with pytest.raises(ValueError, match="more than 5 dominant weights"):
+        part.extend(a1, (5,))
+    assert part.floor == (2,) and list(part.seen) == [(10,), (8,), (6,)]
+    monkeypatch.setattr(charcalc, "MAX_DOMINANT_WEIGHTS", 6)
+    assert part.extend(a1, (5,)) == character(a1, (10,)).entries
+    assert a1.stats["interval_extensions"] == 2
+
+
 def test_weyl_dimension_examples():
     a2 = get_datum("A2")
     assert weyl_dimension(a2, (1, 1)) == 8

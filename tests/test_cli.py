@@ -201,6 +201,16 @@ def test_chain_check_folds_only_points_that_count(capsys):
     assert stats["coefficient_points"] == stats["coefficient_folds"]
 
 
+def test_chain_check_from_rho_reads_no_character(capsys):
+    # every walked point that counts folds onto mu itself, so no partial
+    # table, walk or character is built
+    status, _, err = run_cli(capsys, "--stats", "construct", "--type", "D5", "--check")
+    assert status == 0
+    stats = json.loads(err)
+    assert not any(key.startswith(("interval_", "character_", "below_with_depth_"))
+                   for key in stats)
+
+
 def test_prv_check_deterministic(capsys):
     args = ("prv-check", "--type", "B2", "--count", "25", "--seed", "11")
     status1, out1, _ = run_cli(capsys, *args)
@@ -229,6 +239,14 @@ def test_prv_check_confirms_by_coefficient_above_the_weyl_cap(capsys):
     # the row cap, but each component asks for one coefficient
     status, out, _ = run_cli(capsys, "prv-check", "--type", "E8", "--count", "20",
                              "--max-coord", "1")
+    assert status == 0
+    assert json.loads(out)["failures"] == []
+
+
+def test_prv_check_reads_intervals_below_the_walk_bound(capsys):
+    # each coefficient reads the dominant weights between a folded point and
+    # mu, far fewer than the 10^5 of mu's whole character
+    status, out, _ = run_cli(capsys, "prv-check", "--type", "E7", "--count", "5")
     assert status == 0
     assert json.loads(out)["failures"] == []
 
@@ -301,11 +319,13 @@ def test_verify_settles_e8_pairs_by_coefficients():
 
 @pytest.mark.parametrize("argv", [
     ("character", "--type", "E8", "--weight", "4,4,4,4,4,4,4,4"),
-    ("prv-check", "--type", "E7", "--count", "5"),
+    ("decompose", "--type", "A2", "--lhs", "600,600", "--rhs", "600,600"),
 ])
 def test_walk_bound_refuses_in_the_cli(argv):
-    # both walk past 10^5 dominant weights, and are refused before any
-    # multiplicity is computed
+    # both hold more than 10^5 dominant weights below the top, and are
+    # refused before any multiplicity is computed: E8 (4,...,4) before its
+    # walk, as 5^8 of them are read off its coordinates, and A2 (600,600)
+    # by the walk itself
     status, out, err = run_process(*argv)
     assert (status, out) == (2, "")
     error = json.loads(err)

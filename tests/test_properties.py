@@ -18,6 +18,7 @@ import json
 from collections import Counter
 from itertools import combinations
 from math import floor, lcm
+from operator import gt, le
 from unittest import mock
 
 import numpy as np
@@ -143,6 +144,53 @@ def test_dominance_matches_fraction_inverse(type_string, data):
 def test_walk_matches_box_oracle_beyond_drawn_boxes(type_string, lam):
     datum = get_datum(type_string)
     assert _below_with_depth(datum, lam) == box_below_with_depth(datum, lam)
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_floored_walk_matches_box_oracle(type_string, data):
+    # the walk cut at a floor holds exactly the weights of the whole walk no
+    # deeper than the floor, in the same order, and cuts only deeper ones
+    datum = get_datum(type_string)
+    lam = data.draw(dominant_weights(datum), label="lam")
+    below = box_below_with_depth(datum, lam)
+    deepest = [max(d[j] for _, d in below) for j in range(datum.rank)]
+    floor = data.draw(st.tuples(*[st.integers(0, k) for k in deepest]), label="floor")
+    seen, cut = {}, {}
+    added = charcalc._walk(datum, seen, {lam: (0,) * datum.rank}, floor, cut)
+    assert added == [(w, d) for w, d in below if all(map(le, d, floor))]
+    assert seen == dict(added)
+    assert all(dict(below)[w] == d and any(map(gt, d, floor)) for w, d in cut.items())
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_partial_table_grows_to_the_full_character(type_string, data):
+    # a fresh datum, so that the table starts from lam alone; each extension
+    # asks for the depth of a drawn weight below lam, in drawn order
+    datum = build_root_datum(type_string)
+    lam = data.draw(dominant_weights(datum), label="lam")
+    below = dict(box_below_with_depth(datum, lam))
+    full = character(datum, lam).entries
+    assert full == per_root_freudenthal(datum, lam)
+    part = charcalc._interval(datum, lam)
+    floor = (0,) * datum.rank
+    for mu in data.draw(st.lists(st.sampled_from(sorted(below)), min_size=2, max_size=3),
+                        label="mu"):
+        floor = tuple(map(max, floor, below[mu]))
+        table = part.extend(datum, below[mu])
+        within = [w for w, d in below.items() if all(map(le, d, floor))]
+        assert part.floor == floor
+        assert part.seen == {w: below[w] for w in within}
+        assert table == {w: full[w] for w in within}
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_below_count_bound_is_a_lower_bound(type_string, data):
+    datum = get_datum(type_string)
+    lam = data.draw(dominant_weights(datum), label="lam")
+    assert charcalc._below_count_bound(datum, lam) <= len(dominant_weights_below(datum, lam))
 
 
 def weights_with_zeros(datum, max_dim: int):
