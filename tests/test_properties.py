@@ -643,6 +643,25 @@ def test_row_test_closure_matches_pairwise_oracle(type_string, mode, factor, dat
 
 @pytest.mark.parametrize("type_string, mode, factor", ROW_TEST_STRATA)
 @given(data=st.data())
+def test_row_test_chunks_do_not_change_the_closure(type_string, mode, factor, data):
+    # a row test split into chunks of a few totals, or of one, gives the
+    # same members and counts as the default's single chunk per row, and the
+    # pairwise oracle's set
+    spec, box = closure_spec(data, type_string, mode, factor)
+    elements = data.draw(st.integers(1, 64), label="row test elements")
+    results = []
+    for limit in (perfectmonoid._ROW_TEST_ELEMENTS, elements):
+        datum = build_root_datum(type_string, LatticeSpec(mode))
+        with mock.patch.object(perfectmonoid, "_ROW_TEST_ELEMENTS", limit):
+            closure = bounded_perfect_closure(MonoidSpec(datum, spec.generators), box)
+        results.append((closure, {k: v for k, v in datum.stats.items()
+                                  if k.startswith("closure_")}))
+    assert results[0] == results[1]
+    assert results[1][0] == pairwise_perfect_closure(spec, box)
+
+
+@pytest.mark.parametrize("type_string, mode, factor", ROW_TEST_STRATA)
+@given(data=st.data())
 def test_coefficients_find_the_missing_summands_below_a_total(type_string, mode, factor, data):
     # a flagged pair's candidates are the missing box weights below its
     # total; the in-box missing summands are among them, and one batch of
