@@ -67,14 +67,25 @@ def dominant_weights_below(datum: RootDatum, lam: Weight) -> list[Weight]:
 
 def _below_count_bound(datum: RootDatum, lam: Weight) -> int:
     """A lower bound on the dominant weights below a dominant lam, read off
-    lam alone: prod_i (lam_i // e_i + 1), e_i the order of omega_i in P/Q.
-    Each lam - sum_i k_i e_i omega_i with 0 <= k_i <= lam_i // e_i is
-    dominant, and lies below lam, as e_i omega_i is in Q and C^-1 >= 0.
-    The root coordinates of omega_i are column i of det C^-1 over det, so
-    e_i = det / gcd(det, that column)."""
+    lam alone: the number of dominant nu with nu_i <= lam_i for every i and
+    nu in lam's class of P/Q.  Each lies below lam, as lam - nu = sum_i
+    (lam_i - nu_i) omega_i is in Q and C^-1 >= 0.  The count runs over the
+    coordinates with one state per class met so far, the class of nu being
+    det C^-1 nu mod det: nu_i adds nu_i times column i of det C^-1, which
+    repeats with period e_i, the order of omega_i in P/Q, so the values of
+    nu_i fall into e_i residues, each taken by a known count of them."""
     det = datum._det
-    orders = [det // gcd(det, *col) for col in zip(*datum._np_adjugate.tolist())]
-    return prod(x // e + 1 for x, e in zip(lam, orders))
+    adjugate = datum._np_adjugate.tolist()
+    counts = {(0,) * datum.rank: 1}
+    for x, col in zip(lam, zip(*adjugate)):
+        e = det // gcd(det, *col)
+        nxt = defaultdict(int)
+        for r in range(min(e, x + 1)):
+            n = (x - r) // e + 1  # values of nu_i that are r mod e
+            for cls, k in counts.items():
+                nxt[tuple((a + r * c) % det for a, c in zip(cls, col))] += k * n
+        counts = nxt
+    return counts.get(tuple(sum(map(mul, row, lam)) % det for row in adjugate), 0)
 
 
 @memoized

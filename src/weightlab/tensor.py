@@ -2,17 +2,19 @@
 and structural checks.
 
 The decomposition is a Brauer-Klimyk fold over the expanded weight system of
-the smaller factor.  Each weight nu gives x = nu + lam + rho.  Rows with a
-zero coordinate lie on a wall; every W-image of such a row lies on a wall
-too, so it contributes nothing and is dropped before any reflection and
-again after each sweep.  A sweep reflects, for each i in turn, every row
-with x_i < 0 in place and negates its multiplicity; any order of reflections
-in negative coordinates takes a regular weight to its dominant
-representative in exactly l(w) steps, so the sign is (-1)^l(w).  The rows
-left, minus rho, are ordered once with ``np.lexsort``; a group of equal rows
-starts wherever one coordinate, gathered on its own in that order, changes,
-and each group's multiplicities are summed with ``np.add.reduceat``.  Only
-the first row of each summand is gathered whole.
+the smaller factor.  Each weight nu gives x = nu + lam + rho.  A sweep
+reflects, for each i in turn, every row with x_i < 0 in place, and negates
+the multiplicity of every row it reflected an odd number of times; any
+order of reflections in negative coordinates takes a weight to its
+dominant representative, a regular one in exactly l(w) steps, so the sign
+is (-1)^l(w).  A reflection keeps a row in its W-orbit, and a row whose
+orbit meets a wall contributes nothing, so the rows with a zero coordinate
+are dropped once, after the last sweep, when each row is its dominant
+representative.  The rows left, minus rho, are ordered once with
+``np.lexsort``; a group of equal rows starts wherever one coordinate,
+gathered on its own in that order, changes, and each group's
+multiplicities are summed with ``np.add.reduceat``.  Only the first row of
+each summand is gathered whole.
 
 A single coefficient, the multiplicity of L(nu) in L(lam) (x) L(mu), is the
 same alternating sum read from the other side (Racah-Speiser): one term per
@@ -25,9 +27,12 @@ candidate of a pair, in one batch that shares what lam and mu fix.
 
 Multiplicities are int64.  The fold's coordinates run in the narrowest
 signed dtype that holds their bound (``_fold_dtype``): int8 or int16 for
-small weights, which the sweeps touch fastest.  ``_fold_dtype`` and
-``_check_coefficient`` refuse, before anything is allocated, inputs for
-which a coordinate, a product or a running total could leave int64.
+small weights, which the sweeps touch fastest.  The expanded table is kept
+transposed, one coordinate per array row, in the narrowest signed dtype
+that holds its entries, so a fold starts from one addition.
+``_fold_dtype`` and ``_check_coefficient`` refuse, before anything is
+allocated, inputs for which a coordinate, a product or a running total
+could leave int64.
 """
 
 from __future__ import annotations
@@ -82,14 +87,22 @@ def _big_and_small(datum: RootDatum, lam: Weight, mu: Weight) -> tuple[Weight, W
     return big, small
 
 
-@memoized
-def _expanded_table(datum: RootDatum, mu: Weight):
-    return expanded_weight_table(datum, character(datum, mu))
-
-
 # (largest value, dtype), narrowest first
 _FOLD_DTYPES = tuple((np.iinfo(t).max, np.dtype(t))
                      for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+@memoized
+def _expanded_table(datum: RootDatum, mu: Weight):
+    """(cols, mults) for the expanded weights of L(mu): cols[i] holds
+    coordinate i of every weight, C-contiguous, in the narrowest signed
+    dtype that holds the table; mults is int64.  Both are read-only."""
+    rows, mults = expanded_weight_table(datum, character(datum, mu))
+    top = int(np.abs(rows).max(initial=0))
+    cols = rows.T.astype(next(dtype for bound, dtype in _FOLD_DTYPES if top <= bound),
+                         order="C")
+    cols.flags.writeable = mults.flags.writeable = False
+    return cols, mults
 
 
 def _fold_dtype(datum: RootDatum, lam: Weight, mu: Weight) -> np.dtype:
@@ -99,9 +112,10 @@ def _fold_dtype(datum: RootDatum, lam: Weight, mu: Weight) -> np.dtype:
     Every coordinate the fold meets is <x, beta^vee> for x = nu + lam + rho,
     nu a weight of L(mu) and beta^vee a coroot, so it is at most h (max lam
     + max mu + 1) in absolute value, with h the height of the highest
-    coroot; a reflection multiplies it by a Cartan entry first.  Running
-    totals are at most dim L(mu), the sum of the table's multiplicities,
-    and stay int64.
+    coroot; a reflection multiplies it by a Cartan entry first.  An entry
+    of mu's expanded table is at most h max mu, so the table's dtype is
+    never wider than this one.  Running totals are at most dim L(mu), the
+    sum of the table's multiplicities, and stay int64.
     """
     bound = datum._cartan_entry * datum._coroot_height * (max(lam) + max(mu) + 1)
     if bound > INT64_MAX or _weyl_dimension(datum, mu) > INT64_MAX:
@@ -112,19 +126,22 @@ def _fold_dtype(datum: RootDatum, lam: Weight, mu: Weight) -> np.dtype:
 
 def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     dtype = _fold_dtype(datum, lam, mu)
-    rows, mults = _expanded_table(datum, mu)
+    cols, mults = _expanded_table(datum, mu)
     # column k of x is table row k shifted by lam + rho; x[i] holds
-    # coordinate i of every row, contiguous.  astype copies, so the cached
-    # int64 table is never written
-    x = rows.T.astype(dtype, order="C")
-    x += np.array(wadd(lam, datum.weyl_vector), dtype=dtype)[:, None]
-    while True:
-        # compress copies too, so the cached multiplicities are never written
-        regular = (x != 0).all(axis=0)
-        x, mults = x.compress(regular, axis=1), mults.compress(regular)
-        if not (x < 0).any():
-            break
-        _sweep(datum, x, mults)
+    # coordinate i of every row, contiguous.  The table's dtype is never
+    # wider than the fold's, and x and signs are new arrays, so the cached
+    # table is never written
+    x = cols + np.array(wadd(lam, datum.weyl_vector), dtype=dtype)[:, None]
+    signs = mults.copy()
+    sweeps = 0
+    while (x < 0).any():
+        _sweep(datum, x, signs)
+        sweeps += 1
+    datum.stats["fold_rows"] += len(signs)
+    datum.stats["fold_sweeps"] += sweeps
+    # every row is its dominant representative now; one on a wall adds nothing
+    regular = (x != 0).all(axis=0)
+    x, signs = x.compress(regular, axis=1), signs.compress(regular)
     dom = x - 1  # subtract rho
     # nonnegative now; the narrowest dtype that holds them sorts fastest
     dom = dom.astype(np.min_scalar_type(dom.max()))
@@ -137,7 +154,7 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
         r = row[order]
         changed[1:] |= r[1:] != r[:-1]
     starts = np.flatnonzero(changed)
-    totals = np.add.reduceat(mults[order], starts)
+    totals = np.add.reduceat(signs[order], starts)
     assert (totals >= 0).all(), "negative accumulated tensor multiplicity"
     kept = totals > 0
     # zip(*rows) reads each summand column of dom as one weight tuple
@@ -146,14 +163,18 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
 
 def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray) -> None:
     """One sweep over i = 1..rank: reflect in place every column of x (one
-    coordinate per array row) with x_i < 0, negating its entry of signs.
-    The arithmetic runs in the dtype of x."""
+    coordinate per array row) with x_i < 0.  Whether a column was reflected
+    an odd number of times is kept as one boolean per column, and signs is
+    negated once, where it is set, at the end of the sweep.  The arithmetic
+    runs in the dtype of x."""
     cols = datum._np_cartan_cols.astype(x.dtype, copy=False)  # cols[:, i] = alpha_i
+    odd = np.zeros(x.shape[1], dtype=bool)
     for i in range(datum.rank):
         # s_i x = x - x_i alpha_i on the columns with x_i < 0
-        c = np.minimum(x[i], 0)
-        x -= cols[:, i, None] * c
-        np.negative(signs, out=signs, where=c < 0)
+        neg = x[i] < 0
+        odd ^= neg
+        x -= cols[:, i, None] * (x[i] * neg)
+    np.negative(signs, out=signs, where=odd)
 
 
 def _check_coefficient(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> None:

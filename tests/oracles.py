@@ -41,10 +41,10 @@ import numpy as np
 
 from weightlab import (apply_word, character, in_lattice, latticecalc, orbit, reflect,
                        root_coordinates, weyl)
-from weightlab.charcalc import _below_with_depth
+from weightlab.charcalc import _below_with_depth, expanded_weight_table
 from weightlab.perfectmonoid import Box
 from weightlab.rootdata import PositiveRoot, RootDatum, Weight, wadd, wsub
-from weightlab.tensor import _check_coefficient, _expanded_table, _sweep, tensor_decompose
+from weightlab.tensor import _check_coefficient, tensor_decompose
 
 
 def cg_closed_form(a: int, b: int) -> dict[tuple[int], int]:
@@ -230,8 +230,9 @@ def bfs_orbit(datum, lam) -> frozenset:
 
 def unique_klimyk(datum, lam, mu) -> dict:
     """Brauer-Klimyk fold of L(lam) (x) L(mu) over the expanded weights of mu,
-    as weightlab computed it before the sort-based fold."""
-    rows, mults = _expanded_table(datum, mu)
+    as weightlab computed it before the sort-based fold.  It reads the int64
+    table ``expanded_weight_table`` builds, not the fold's cached one."""
+    rows, mults = expanded_weight_table(datum, character(datum, mu))
     shift = np.array(wadd(lam, datum.weyl_vector), dtype=np.int64)
     xi = rows + shift[None, :]
     dom, signs = batch_make_dominant(datum, xi)
@@ -260,7 +261,7 @@ def unpruned_tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: 
     nu + rho is regular, so its orbit has |W| points, and eps(w) is the
     parity of the number of positive coroots that pair negatively with
     w(nu + rho).  Every point minus lam + rho is folded into the dominant
-    chamber by the sweeps of the decomposition; only points whose dominant
+    chamber by ``batch_make_dominant``; only points whose dominant
     representative p satisfies p <= mu carry a multiplicity.  It is 1 when
     p = mu, and otherwise is read from ``character(datum, mu)``.  It builds
     the whole orbit, so it refuses, with ``ValueError``, |W| >
@@ -278,12 +279,10 @@ def unpruned_tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: 
     coroots = np.array([alpha.coroot for alpha in datum.positive_roots], dtype=np.int64)
     signs = 1 - 2 * ((points @ coroots.T < 0).sum(axis=1) & 1)
     shift = np.array(wadd(lam, datum.weyl_vector), dtype=np.int64)
-    y = np.ascontiguousarray(points.T) - shift[:, None]
-    while (y < 0).any():
-        _sweep(datum, y, np.ones(len(points), dtype=np.int64))  # the signs are unused
-    kept = np.flatnonzero(datum.in_root_cone(np.array(mu, dtype=np.int64) - y.T))
+    y, _ = batch_make_dominant(datum, points - shift)  # its signs are unused
+    kept = np.flatnonzero(datum.in_root_cone(np.array(mu, dtype=np.int64) - y))
     total = 0
-    for p, sign in zip(map(tuple, y[:, kept].T.tolist()), signs[kept].tolist()):
+    for p, sign in zip(map(tuple, y[kept].tolist()), signs[kept].tolist()):
         total += sign * (1 if p == mu else character(datum, mu).entries[p])
     assert total >= 0, "negative tensor coefficient"
     return total

@@ -220,6 +220,23 @@ def test_walk_bound_refuses_e8_without_walking(monkeypatch):
     assert {name: values for name, values in e8.memo.items() if values} == built
 
 
+def test_walk_bound_refuses_a2_without_walking(monkeypatch):
+    # A2 (600,600): the dominant weights coordinatewise <= it and in its
+    # class of P/Q = Z/3 are the (a, b) with a = b mod 3, 120,401 of them
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(charcalc, "_walk", no_walk)
+    a2 = build_root_datum("A2")
+    lam = (600, 600)
+    count = sum((a - b) % 3 == 0 for a in range(601) for b in range(601))
+    assert charcalc._below_count_bound(a2, lam) == count == 120401
+    for call in (dominant_weights_below, character):
+        with pytest.raises(ValueError, match="more than 100000 dominant weights"):
+            call(a2, lam)
+    assert a2.stats["freudenthal_strings"] == 0
+
+
 def test_partial_table_refusal_keeps_the_table(monkeypatch):
     # A1 (10) holds 10, 8, ..., 0; a floor at depth 5 would hold all six
     monkeypatch.setattr(charcalc, "MAX_DOMINANT_WEIGHTS", 5)

@@ -323,9 +323,8 @@ def test_verify_settles_e8_pairs_by_coefficients():
 ])
 def test_walk_bound_refuses_in_the_cli(argv):
     # both hold more than 10^5 dominant weights below the top, and are
-    # refused before any multiplicity is computed: E8 (4,...,4) before its
-    # walk, as 5^8 of them are read off its coordinates, and A2 (600,600)
-    # by the walk itself
+    # refused before any walk, as their coordinates promise more: 5^8 for
+    # E8 (4,...,4) and 120,401 for A2 (600,600)
     status, out, err = run_process(*argv)
     assert (status, out) == (2, "")
     error = json.loads(err)

@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescriptor, Subgroup,
@@ -191,6 +191,16 @@ def test_below_count_bound_is_a_lower_bound(type_string, data):
     datum = get_datum(type_string)
     lam = data.draw(dominant_weights(datum), label="lam")
     assert charcalc._below_count_bound(datum, lam) <= len(dominant_weights_below(datum, lam))
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_below_count_bound_counts_the_coordinate_box(type_string, data):
+    # exactly the dominant weights below lam that are coordinatewise <= lam
+    datum = get_datum(type_string)
+    lam = data.draw(dominant_weights(datum), label="lam")
+    assert charcalc._below_count_bound(datum, lam) == sum(
+        all(map(le, w, lam)) for w in dominant_weights_below(datum, lam))
 
 
 def weights_with_zeros(datum, max_dim: int):
@@ -449,8 +459,8 @@ def dominant_pairs(datum, max_lam: int, max_mu: int, max_dim: int):
 
 def wall_rows(datum, lam, mu) -> int:
     """Rows of the expanded table of mu that lam + rho moves onto a wall."""
-    rows, _ = _expanded_table(datum, mu)
-    return int((rows + [x + 1 for x in lam] == 0).any(axis=1).sum())
+    cols, _ = _expanded_table(datum, mu)
+    return int((cols + [[x + 1] for x in lam] == 0).any(axis=0).sum())
 
 
 @pytest.mark.parametrize("type_string", RANK4)
@@ -461,6 +471,28 @@ def test_fold_matches_oracles(type_string, data):
     fold = _klimyk(datum, lam, mu)
     assert fold == unique_klimyk(datum, lam, mu)
     assert fold == brute_tensor(datum, lam, mu)
+
+
+# rank 5: mu in {0,1}^5, lam = mu + an offset in [0,2]^5; lam = mu = rho
+# needs two or more sweeps on each type
+@pytest.mark.parametrize("type_string", ["A5", "B5", "D5"])
+@given(mu=st.tuples(*[st.integers(0, 1)] * 5), offset=st.tuples(*[st.integers(0, 2)] * 5))
+@example(mu=(1,) * 5, offset=(0,) * 5)
+def test_fold_matches_oracles_beyond_rank_4(type_string, mu, offset):
+    datum = get_datum(type_string)
+    lam = tuple(m + o for m, o in zip(mu, offset))
+    fold = _klimyk(datum, lam, mu)
+    assert fold == unique_klimyk(datum, lam, mu)
+    # the product's weight table costs |weights of lam| * |weights of mu|
+    if weyl_dimension(datum, lam) * weyl_dimension(datum, mu) <= 10 ** 5:
+        assert fold == brute_tensor(datum, lam, mu)
+
+
+@pytest.mark.parametrize("type_string", ["A5", "B5", "D5"])
+def test_fold_of_rho_with_itself_takes_several_sweeps(type_string):
+    datum = build_root_datum(type_string)
+    _klimyk(datum, (1,) * 5, (1,) * 5)
+    assert datum.stats["fold_sweeps"] >= 2
 
 
 @pytest.mark.parametrize("type_string", RANK4)

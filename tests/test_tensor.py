@@ -9,6 +9,7 @@ from weightlab import weyl
 from weightlab import (DominanceRegimeError, prv_component, stable_multiplicity_check,
                        tensor_decompose, tensor_multiplicity, weyl_dimension,
                        weyl_group_elements)
+from weightlab.charcalc import character, expanded_weight_table
 from weightlab.rootdata import RootDatum, build_root_datum
 from weightlab.tensor import INT64_MAX, _expanded_table, _fold_dtype
 from conftest import get_datum
@@ -235,14 +236,42 @@ def test_narrow_fold_matches_int64_oracle(type_string, mu, limit, side):
     dtype = _fold_dtype(datum, lam, mu)
     assert (datum._cartan_entry * datum._coroot_height * (top + 1) <= limit) == (side == 0)
     assert np.iinfo(dtype).max == limit if side == 0 else np.iinfo(dtype).max > limit
-    rows, mults = _expanded_table(datum, mu)
-    saved = rows.copy(), mults.copy()
+    cols, mults = _expanded_table(datum, mu)
+    saved = cols.copy(), mults.copy()
     assert tensor_decompose(datum, lam, mu).summands == unique_klimyk(datum, lam, mu)
-    # the cached table is the same int64 arrays, unchanged by the fold
-    assert datum.memo["expanded_table"][mu][0] is rows
+    # the cached table is the same arrays, unchanged by the fold
+    assert datum.memo["expanded_table"][mu][0] is cols
     assert datum.memo["expanded_table"][mu][1] is mults
-    assert rows.dtype == mults.dtype == np.int64
-    assert np.array_equal(rows, saved[0]) and np.array_equal(mults, saved[1])
+    # read-only, mults int64, cols the int64 table transposed, C-contiguous,
+    # in a dtype no wider than the fold's
+    assert not cols.flags.writeable and not mults.flags.writeable
+    assert mults.dtype == np.int64
+    rows = expanded_weight_table(datum, character(datum, mu))[0]
+    assert rows.dtype == np.int64 and np.array_equal(cols.T, rows)
+    assert cols.flags.c_contiguous and np.can_cast(cols.dtype, dtype, "safe")
+    assert np.array_equal(cols, saved[0]) and np.array_equal(mults, saved[1])
+
+
+def test_expanded_table_is_narrowest_that_holds_it():
+    # A5 (2,2,2,2,2): entries at most 10 in absolute value, so int8
+    datum = build_root_datum("A5")
+    cols, mults = _expanded_table(datum, (2,) * 5)
+    assert cols.dtype == np.int8 and int(np.abs(cols).max()) == 10
+    assert cols.shape == (5, 62683) and mults.shape == (62683,)
+
+
+def test_fold_counts_rows_and_sweeps():
+    # one fold of B4 (2,2,2,2) with itself starts from its 30,249-row table
+    datum = build_root_datum("B4")
+    tensor_decompose(datum, (2,) * 4, (2,) * 4)
+    assert datum.stats["fold_rows"] == 30249
+    assert datum.stats["fold_sweeps"] >= 2
+    # the table's entries are at least -14, so lam + rho = 21 rho puts every
+    # row in the dominant chamber, and the fold needs no sweep
+    sweeps = datum.stats["fold_sweeps"]
+    tensor_decompose(datum, (20,) * 4, (2,) * 4)
+    assert datum.stats["fold_rows"] == 2 * 30249
+    assert datum.stats["fold_sweeps"] == sweeps
 
 
 def test_cold_decomposition_checks_its_weights_once(monkeypatch):
