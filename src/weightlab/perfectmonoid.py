@@ -11,9 +11,13 @@ The closure settles its pairs a row at a time.  The box is held in
 adjugate coordinates, det * C^-1 lam, grouped by their class in the
 cocenter P/Q; this region is read-only and kept once per datum and box,
 and the closure's own state is a mask of the weights not yet members and
-the list of members' region indices.  When a member b is reached, one numpy
-test compares every total a + b of its row with the missing weights of the
-total's class, componentwise; a pair with nothing missing below its total
+the list of members' region indices.  When a member b is reached, its row
+is grouped by the class of a: for a fixed b, the class of a + b is a
+bijection of the class of a, so each group's totals share one class, read
+from a memo of class sums that holds only the class pairs the closure
+meets.  One numpy test per group compares its totals a + b, componentwise,
+with the open (missing) weights of that class, listed once and kept until
+a member of the class joins; a pair with nothing missing below its total
 cannot add a member and is settled, and so is every pair with 0.  The
 pairs the test flags are tested again, in order, against the members of
 that moment; the missing weights below the total of a pair still flagged
@@ -154,6 +158,9 @@ class _CosetRegion:
     for a class the box misses.  mu lies below a total t exactly when both
     have the same class and adj(mu) <= adj(t) componentwise.  Memory is
     O(box + |P/Q|), and |P/Q| = det C <= 2^rank is at most the box's size.
+    A closure adds O(box) for its mask, member list and per-class open
+    lists, and a class-sum memo that holds only the class pairs it meets,
+    never a |P/Q| x |P/Q| table.
 
     The coordinates stay inside int64.  A box within ``MAX_REGION`` has
     2^rank <= (bound + 1)^rank <= 10^6, so rank <= 19 and bound < 10^6.
@@ -192,15 +199,17 @@ _ROW_TEST_ELEMENTS = 1 << 22
 # a flagged pair is settled by one coefficient per candidate when the
 # smaller factor's Weyl dimension is more than this many times the number of
 # candidates, and decomposed otherwise.  At 0 the closure benchmark's seeds
-# 1-3 read 0.35-0.39 s against 0.38-0.40 s at 4 (CPU, best of 3, 2 cores),
-# same output; 4 stays for perfbench's tracer test, whose A1 box-4 verify
-# must decompose (tensor.fold time > 0, pairs_decomposed > 0)
+# 1-3 run within noise of 4, with the same output; 4 stays for perfbench's
+# tracer test, whose A1 box-4 verify must decompose (tensor.fold time > 0,
+# pairs_decomposed > 0)
 _COEFFICIENT_RATIO = 4
 
 
 def _dominates_any(totals: np.ndarray, missing: np.ndarray) -> np.ndarray:
     """Per total, whether some row of ``missing`` is componentwise <= it."""
     step = max(1, _ROW_TEST_ELEMENTS // missing.size)
+    if len(totals) <= step:
+        return (missing[None, :, :] <= totals[:, None, :]).all(axis=2).any(axis=1)
     return np.concatenate([
         (missing[None, :, :] <= totals[s:s + step, None, :]).all(axis=2).any(axis=1)
         for s in range(0, len(totals), step)])
@@ -221,26 +230,35 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
     at[:n] = np.sort(np.array(list(members), dtype=np.int64).reshape(n, -1) @ strides)
     missing[at[:n]] = False
 
+    sums = {}   # (class of a, class of b) -> class of a + b, for the pairs met
+    open_ = {}  # class -> region indices of its missing weights, until one joins
+
+    def class_sum(c: int, d: int) -> int:
+        t = sums.get((c, d))
+        if t is None:
+            t = sums[c, d] = int(cocenter.index(region.classes[c] + region.classes[d]))
+        return t
+
+    def open_rows(t: int) -> np.ndarray:
+        c = open_.get(t)
+        if c is None:
+            c = region.class_rows[t]
+            c = open_[t] = c[missing[c]]
+        return c
+
     def row_test(row: np.ndarray, b: int) -> np.ndarray:
         """Per member in ``row`` (region indices), whether its total with the
-        member at region index b has a missing weight below it."""
-        totals = adj[row] + adj[b]
-        targets = cocenter.index(region.classes[cls[row]] + region.classes[cls[b]])
+        member at region index b has a missing weight below it.  The class of
+        a + b is a bijection of the class of a, so the row is grouped by the
+        class of a."""
+        totals, row_cls, d = adj[row] + adj[b], cls[row], int(cls[b])
         flagged = np.zeros(len(row), dtype=bool)
-        for t in set(targets.tolist()):
-            c = region.class_rows[t]
-            below = adj[c[missing[c]]]
+        for c in set(row_cls.tolist()):
+            below = adj[open_rows(class_sum(c, d))]
             if len(below):
-                sel = targets == t
+                sel = row_cls == c
                 flagged[sel] = _dominates_any(totals[sel], below)
         return flagged
-
-    def candidates(a: int, b: int) -> np.ndarray:
-        """Region indices of the missing weights below the total of the
-        members at region indices a and b."""
-        c = region.class_rows[cocenter.index(region.classes[cls[a]] + region.classes[cls[b]])]
-        c = c[missing[c]]
-        return c[(adj[c] <= adj[a] + adj[b]).all(axis=1)]
 
     stats = datum.stats
     j = 0
@@ -251,7 +269,10 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
         stats["closure_pairs"] += j + 1
         stats["closure_settled"] += j + 1 - len(flagged)
         for k in flagged:
-            below = candidates(at[k], b)
+            # the missing weights below the total of the pair
+            t = class_sum(int(cls[at[k]]), int(cls[b]))
+            below = open_rows(t)
+            below = below[(adj[below] <= adj[at[k]] + adj[b]).all(axis=1)]
             if not len(below):  # members grew since the row test
                 stats["closure_rechecked"] += 1
                 continue
@@ -266,7 +287,9 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
                 summands = tensor_decompose(datum, lam, mu).summands
                 joins = [w in summands for w in weights]
             new = below[joins]
-            missing[new] = False
+            if len(new):
+                missing[new] = False
+                del open_[t]
             at[n:n + len(new)] = new
             n += len(new)
         j += 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -492,11 +492,11 @@ def build_root_datum(type_string: str, lattice: LatticeSpec | None = None) -> Ro
 # -- weight helpers ---------------------------------------------------------
 
 def wadd(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def wsub(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def wneg(a: Weight) -> Weight:

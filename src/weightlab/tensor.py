@@ -210,8 +210,7 @@ def _form(datum: RootDatum, a: Weight, b: Weight) -> int:
     of ``rootdata.pairing`` scaled to an integer, with det = ``datum._det``
     and d the symmetrizer; B(alpha_i, b) = det d_i b_i."""
     adjugate = datum._np_adjugate.tolist()
-    return sum(x * sum(a_ij * y for a_ij, y in zip(row, b)) * d
-               for x, row, d in zip(a, adjugate, datum.symmetrizer))
+    return sum(x * sum(map(mul, row, b)) * d for x, row, d in zip(a, adjugate, datum.symmetrizer))
 
 
 def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> int:
@@ -271,7 +270,7 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
     cols, neighbors = datum.cartan_columns, datum.neighbors
     shift = wadd(lam, datum.weyl_vector)
     step = [2 * det * a * b for a, b in zip(datum.symmetrizer, shift)]
-    mu_adj = [sum(a * m for a, m in zip(row, mu)) for row in adjugate]
+    mu_adj = [sum(map(mul, row, mu)) for row in adjugate]
     mu_norm = _form(datum, mu, mu)
     # mu's partial table, fetched on the first point that folds below mu
     part, table = None, {}
@@ -280,7 +279,7 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
     for nu in nus:
         top = wadd(nu, datum.weyl_vector)
         diff = wsub(top, shift)
-        diff_adj = [sum(a * x for a, x in zip(row, diff)) for row in adjugate]
+        diff_adj = [sum(map(mul, row, diff)) for row in adjugate]
         # the norm test B(x - shift, x - shift) <= B(mu, mu) reads t <= slack
         # for t = 2 B(top - x, shift), as B(x, x) = B(top, top) on the orbit;
         # s_i raises t by c * step[i].  B(diff, diff) as ``_form`` sums it

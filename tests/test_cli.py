@@ -201,6 +201,19 @@ def test_chain_check_folds_only_points_that_count(capsys):
     assert stats["coefficient_points"] == stats["coefficient_folds"]
 
 
+def test_verify_closure_counts_are_pinned(capsys):
+    # every pair of the 1,024 members counted once, each way it was settled
+    status, _, err = run_cli(capsys, "--stats", "verify", "--type", "D5",
+                             "--generators", "0,0,0,1,0", "--box", "3")
+    assert status == 0
+    stats = json.loads(err)
+    assert {k: stats[k] for k in ("closure_pairs", "closure_settled", "closure_rechecked",
+                                  "closure_coefficients", "closure_decomposed",
+                                  "coefficient_points")} == {
+        "closure_pairs": 524800, "closure_settled": 524291, "closure_rechecked": 413,
+        "closure_coefficients": 94, "closure_decomposed": 2, "coefficient_points": 11410}
+
+
 def test_chain_check_from_rho_reads_no_character(capsys):
     # every walked point that counts folds onto mu itself, so no partial
     # table, walk or character is built

@@ -1,6 +1,7 @@
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from weightlab import (Box, LatticeSpec, MonoidSpec, RootDataError, bounded_perfect_closure,
@@ -9,6 +10,7 @@ from weightlab import (Box, LatticeSpec, MonoidSpec, RootDataError, bounded_perf
                        predicted_members, root_coordinates, verify_classification)
 from weightlab import perfectmonoid
 from conftest import get_datum
+from oracles import pairwise_perfect_closure
 
 
 def test_component_support_examples():
@@ -253,6 +255,39 @@ def test_closure_settles_each_pair_once():
         + stats["closure_coefficients"] == stats["closure_pairs"]
     # a flagged pair is settled by coefficients or decomposed, by its size
     assert stats["closure_coefficients"] > 0 and stats["closure_decomposed"] > 0
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("type_string, generators", [
+    ("D4", ((1, 0, 0, 0), (0, 0, 1, 0))),  # P/Q = Z2xZ2, all four classes
+    ("A1xA3", ((1, 0, 1, 0),)),            # P/Q = Z2xZ4
+])
+def test_closure_on_a_non_cyclic_cocenter(type_string, generators, bound):
+    # the row test groups a row by the class of a; on Z2xZ2 and Z2xZ4 a
+    # class sum reduces two coordinates, each mod its own order
+    datum = build_root_datum(type_string, LatticeSpec("sc"))
+    spec, box = MonoidSpec(datum, generators), Box(bound)
+    members, stats = closure_stats(datum, spec, box)
+    assert members == pairwise_perfect_closure(spec, box)
+    m = len(members)
+    assert stats["closure_pairs"] == m * (m + 1) // 2
+    assert stats["closure_settled"] + stats["closure_rechecked"] + stats["closure_decomposed"] \
+        + stats["closure_coefficients"] == stats["closure_pairs"]
+
+
+@pytest.mark.parametrize("limit", [perfectmonoid._ROW_TEST_ELEMENTS, 1, 7, 100])
+def test_dominates_any_matches_a_brute_check(monkeypatch, limit):
+    # the default limit holds each of these in one chunk; the small ones
+    # split the totals into chunks of one or a few
+    monkeypatch.setattr(perfectmonoid, "_ROW_TEST_ELEMENTS", limit)
+    rng = np.random.default_rng(0)
+    for rank, n_totals, n_missing in [(1, 1, 1), (3, 5, 1), (4, 17, 6), (8, 40, 3)]:
+        totals = rng.integers(-3, 4, size=(n_totals, rank), dtype=np.int64)
+        missing = rng.integers(-3, 4, size=(n_missing, rank), dtype=np.int64)
+        got = perfectmonoid._dominates_any(totals, missing)
+        want = [any(all(m <= t for m, t in zip(mu, total)) for mu in missing.tolist())
+                for total in totals.tolist()]
+        assert got.dtype == bool and got.tolist() == want
 
 
 def test_spec_json_round_trip():
