@@ -148,6 +148,15 @@ class FinAbGroup:
             out = out * d + coords[..., c] % d
         return out
 
+    def add_at(self, i: int, j: int) -> int:
+        """Position in ``elements()`` of the sum of the elements at positions
+        i and j, digit by digit in the mixed radix of :meth:`index`."""
+        out, scale = 0, 1
+        for d in reversed(self.orders):
+            out += (i % d + j % d) % d * scale
+            i, j, scale = i // d, j // d, scale * d
+        return out
+
     def pairing(self, a, b) -> Fraction:
         """Perfect pairing with the dual group, valued in Q/Z (as [0,1))."""
         total = sum(Fraction(x * y, d) for x, y, d in zip(a, b, self.orders))

@@ -13,9 +13,9 @@ cocenter P/Q; this region is read-only and kept once per datum and box,
 and the closure's own state is a mask of the weights not yet members and
 the list of members' region indices.  When a member b is reached, its row
 is grouped by the class of a: for a fixed b, the class of a + b is a
-bijection of the class of a, so each group's totals share one class, read
-from a memo of class sums that holds only the class pairs the closure
-meets.  One numpy test per group compares its totals a + b, componentwise,
+bijection of the class of a, so each group's totals share one class, found
+once per group by adding the positions of the two classes in P/Q's mixed
+radix.  One numpy test per group compares its totals a + b, componentwise,
 with the open (missing) weights of that class, listed once and kept until
 a member of the class joins; a pair with nothing missing below its total
 cannot add a member and is settled, and so is every pair with 0.  The
@@ -152,15 +152,14 @@ class _CosetRegion:
     coordinates :meth:`RootDatum.in_root_cone` tests).  Read-only: one
     region per datum and box is kept by :func:`_coset_region`.
 
-    Each weight's coset class ``cls`` is its class in the cocenter P/Q, as
-    a position in ``cocenter.elements()``, whose coordinates are the rows
-    of ``classes``; ``class_rows`` lists the weights of each class, empty
-    for a class the box misses.  mu lies below a total t exactly when both
-    have the same class and adj(mu) <= adj(t) componentwise.  Memory is
-    O(box + |P/Q|), and |P/Q| = det C <= 2^rank is at most the box's size.
-    A closure adds O(box) for its mask, member list and per-class open
-    lists, and a class-sum memo that holds only the class pairs it meets,
-    never a |P/Q| x |P/Q| table.
+    Each weight's coset class ``cls`` is its class in the cocenter P/Q, as a
+    position in ``cocenter.elements()``; ``class_rows`` lists the weights of
+    each class, empty for a class the box misses.  mu lies below a total t
+    exactly when both have the same class and adj(mu) <= adj(t)
+    componentwise.  Memory is O(box + |P/Q|), and |P/Q| = det C <= 2^rank is
+    at most the box's size.  A closure adds O(box) for its mask, member list
+    and per-class open lists; class sums are computed as they are needed,
+    and nothing is kept per pair of classes.
 
     The coordinates stay inside int64.  A box within ``MAX_REGION`` has
     2^rank <= (bound + 1)^rank <= 10^6, so rank <= 19 and bound < 10^6.
@@ -179,11 +178,10 @@ class _CosetRegion:
         self.adj = self.rows @ datum._np_adjugate.T
         proj = np.array(cocenter.proj_rows, dtype=np.int64).reshape(-1, datum.rank)
         self.cls = cocenter.index(self.rows @ proj.T)
-        self.classes = np.array(cocenter.elements(), dtype=np.int64).reshape(cocenter.order, -1)
         by_class = np.argsort(self.cls, kind="stable")
         sizes = np.bincount(self.cls, minlength=cocenter.order)
         self.class_rows = tuple(np.split(by_class, np.cumsum(sizes)[:-1]))
-        for a in (self.rows, self.adj, self.cls, self.classes, *self.class_rows):
+        for a in (self.rows, self.adj, self.cls, *self.class_rows):
             a.flags.writeable = False
 
 
@@ -208,11 +206,11 @@ _COEFFICIENT_RATIO = 4
 def _dominates_any(totals: np.ndarray, missing: np.ndarray) -> np.ndarray:
     """Per total, whether some row of ``missing`` is componentwise <= it."""
     step = max(1, _ROW_TEST_ELEMENTS // missing.size)
-    if len(totals) <= step:
-        return (missing[None, :, :] <= totals[:, None, :]).all(axis=2).any(axis=1)
-    return np.concatenate([
-        (missing[None, :, :] <= totals[s:s + step, None, :]).all(axis=2).any(axis=1)
-        for s in range(0, len(totals), step)])
+    out = np.empty(len(totals), dtype=bool)
+    for s in range(0, len(totals), step):
+        chunk = totals[s:s + step, None, :]
+        out[s:s + step] = (missing[None, :, :] <= chunk).all(axis=2).any(axis=1)
+    return out
 
 
 def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
@@ -230,14 +228,7 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
     at[:n] = np.sort(np.array(list(members), dtype=np.int64).reshape(n, -1) @ strides)
     missing[at[:n]] = False
 
-    sums = {}   # (class of a, class of b) -> class of a + b, for the pairs met
     open_ = {}  # class -> region indices of its missing weights, until one joins
-
-    def class_sum(c: int, d: int) -> int:
-        t = sums.get((c, d))
-        if t is None:
-            t = sums[c, d] = int(cocenter.index(region.classes[c] + region.classes[d]))
-        return t
 
     def open_rows(t: int) -> np.ndarray:
         c = open_.get(t)
@@ -254,7 +245,7 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
         totals, row_cls, d = adj[row] + adj[b], cls[row], int(cls[b])
         flagged = np.zeros(len(row), dtype=bool)
         for c in set(row_cls.tolist()):
-            below = adj[open_rows(class_sum(c, d))]
+            below = adj[open_rows(cocenter.add_at(c, d))]
             if len(below):
                 sel = row_cls == c
                 flagged[sel] = _dominates_any(totals[sel], below)
@@ -270,7 +261,7 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
         stats["closure_settled"] += j + 1 - len(flagged)
         for k in flagged:
             # the missing weights below the total of the pair
-            t = class_sum(int(cls[at[k]]), int(cls[b]))
+            t = cocenter.add_at(int(cls[at[k]]), int(cls[b]))
             below = open_rows(t)
             below = below[(adj[below] <= adj[at[k]] + adj[b]).all(axis=1)]
             if not len(below):  # members grew since the row test

@@ -190,6 +190,15 @@ def test_pairing_is_bilinear_and_nondegenerate(type_string):
         assert all(g.pairing(a, b) == 0 for b in elements) == (a == g.zero())
 
 
+@pytest.mark.parametrize("type_string", ["G2", "A3", "D4", "D6", "A1xA3", "A1xA1xA2"])
+def test_add_at_is_the_position_of_the_sum(type_string):
+    g = get_datum(type_string).cocenter
+    elements = g.elements()
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            assert elements[g.add_at(i, j)] == g.add(a, b)
+
+
 @pytest.mark.parametrize("type_string", [f"A{n}" for n in range(1, 9)]
                          + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(2, 9)]
                          + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"])

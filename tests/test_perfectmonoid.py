@@ -63,6 +63,24 @@ def test_region_of_many_small_factors_stays_small():
     assert peak < 16 * 2 ** 20
 
 
+def test_closure_meeting_many_classes_stays_small():
+    # A1^9 at box 1 with every fundamental weight as a generator: the
+    # closure fills the box, 512 members in 512 classes, so anything kept
+    # per pair of classes met grows to 10^5 entries
+    n = 9
+    datum = build_root_datum("x".join(["A1"] * n), LatticeSpec("sc"))
+    spec = MonoidSpec(datum, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    datum.cocenter
+    tracemalloc.start()
+    try:
+        members = bounded_perfect_closure(spec, Box(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == 2 ** n
+    assert peak < 4 * 2 ** 20
+
+
 def test_is_perfect_in_box_examples():
     a1 = get_datum("A1")
     assert is_perfect_in_box(a1, {(0,), (2,), (4,)}, Box(4))

@@ -817,7 +817,7 @@ def test_region_classes_match_residue_oracle(type_string, mode, bound, data):
     index = st.integers(0, len(region.rows) - 1)
     for a, b in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=8), label="pairs"):
         total = tuple((region.rows[a] + region.rows[b]).tolist())
-        cls = cocenter.index(region.classes[region.cls[a]] + region.classes[region.cls[b]])
+        cls = cocenter.add_at(int(region.cls[a]), int(region.cls[b]))
         projected = np.array(latticecalc.project_to_cocenter(cocenter, total), dtype=np.int64)
         assert cls == cocenter.index(projected)
         assert cls == to_region[oracle.sum_class(oracle.cls[a], oracle.cls[b])]
