@@ -23,7 +23,7 @@ from operator import add, gt, le, mul, sub
 import numpy as np
 
 from .rootdata import RootDatum, Weight, memoized, parabolic_order
-from .weyl import _dominant_representative, orbit, orbit_size
+from .weyl import orbit, orbit_size
 
 # most rows an expanded weight table may hold: its row count, the sum of the
 # orbit sizes of the character's dominant weights, is checked before any
@@ -50,7 +50,13 @@ class Character:
                 raise ValueError(f"multiplicity {m} at {w} must be positive")
 
     def dimension(self) -> int:
-        return sum(m * orbit_size(self.datum, w) for w, m in self.entries.items())
+        """sum of m |W / W_J| over the entries, J the zero coordinates of
+        the weight: one ``parabolic_order`` per zero pattern."""
+        by_zeros = defaultdict(int)
+        for w, m in self.entries.items():
+            by_zeros[sum(1 << i for i, x in enumerate(w) if x == 0)] += m
+        order = self.datum.weyl_order
+        return sum(m * (order // parabolic_order(self.datum, z)) for z, m in by_zeros.items())
 
     def sorted_items(self) -> list[tuple[Weight, int]]:
         return sorted(self.entries.items())
@@ -75,7 +81,7 @@ def _below_count_bound(datum: RootDatum, lam: Weight) -> int:
     repeats with period e_i, the order of omega_i in P/Q, so the values of
     nu_i fall into e_i residues, each taken by a known count of them."""
     det = datum._det
-    adjugate = datum._np_adjugate.tolist()
+    adjugate = datum._adjugate
     counts = {(0,) * datum.rank: 1}
     for x, col in zip(lam, zip(*adjugate)):
         e = det // gcd(det, *col)
@@ -125,8 +131,7 @@ def _walk(datum: RootDatum, seen: dict, start: dict, floor=None,
     floor resumes the walk.  Refused with ``ValueError``, ``seen`` as it
     was, once it holds more than ``MAX_DOMINANT_WEIGHTS`` weights.
     """
-    roots = [(alpha.fund, alpha.rc, [(j, f) for j, f in enumerate(alpha.fund) if f > 0])
-             for alpha in datum.positive_roots]
+    roots = datum._walk_table
     seen.update(start)
     added: list[Weight] = []
     frontier = list(start)
@@ -160,17 +165,17 @@ def _walk(datum: RootDatum, seen: dict, start: dict, floor=None,
 @memoized
 def _root_strings(datum: RootDatum, zeros: int) -> list:
     """The root strings the recursion walks from a dominant mu whose zero
-    coordinates are the bitmask ``zeros``: one (fund, pair, norm, coords,
-    count) per J-dominant positive root alpha, with pair . nu = (alpha, nu),
-    norm = (alpha, alpha), coords the (j, rc_j) over alpha's support and
-    count the positive roots it stands for.  Each is read from the per-root
-    table ``datum._root_table`` by bitmask tests: alpha is J-dominant when
-    none of its negative coordinates lies in J, its stabilizer in W_J is the
-    parabolic subgroup on its zero coordinates in J, and its orbit lies in
-    Phi_J when its support does."""
+    coordinates are the bitmask ``zeros``: one (fund, pair, coords, count)
+    per J-dominant positive root alpha, with pair . nu = (alpha, nu), coords
+    the (j, rc_j) over alpha's support and count the positive roots it
+    stands for.  Each is read from the per-root table ``datum._root_table``
+    by bitmask tests: alpha is J-dominant when none of its negative
+    coordinates lies in J, its stabilizer in W_J is the parabolic subgroup
+    on its zero coordinates in J, and its orbit lies in Phi_J when its
+    support does."""
     order = parabolic_order(datum, zeros)
     strings = []
-    for fund, pair, norm, negative, zero, support, coords in datum._root_table:
+    for fund, pair, negative, zero, support, coords in datum._root_table:
         if negative & zeros:
             continue
         count = order // parabolic_order(datum, zero & zeros)
@@ -178,7 +183,7 @@ def _root_strings(datum: RootDatum, zeros: int) -> list:
             # the orbit lies in Phi_J and holds -beta with each beta
             assert count % 2 == 0
             count //= 2
-        strings.append((fund, pair, norm, coords, count))
+        strings.append((fund, pair, coords, count))
     return strings
 
 
@@ -207,8 +212,9 @@ def character(datum: RootDatum, lam: Weight) -> Character:
         sum over J-dominant alpha > 0 of |W_J| / |W_{J cap zeros(alpha)}| S_alpha,
 
     halved when the support of alpha lies inside J.  A regular mu walks
-    every positive root once.  Each string stops early at a stored sum or
-    at the root cone below lam; see ``_character``.
+    every positive root once.  Each string takes one step, to
+    nu = mu + alpha, and reads S_alpha(nu) as the stored sum of the folded
+    root at the dominant representative of nu; see ``_freudenthal``.
     """
     return _character(datum, datum.check_dominant(lam))
 
@@ -234,32 +240,39 @@ def _freudenthal(datum: RootDatum, lam: Weight, members, table: dict, sums: defa
     ``members`` holds the weights the walk below lam reached, and ``table``
     already holds every one that lies above a weight of ``new``.
 
-    The sum S_alpha(mu) of every string walked from a dominant mu is
-    stored in ``sums``, and a later walk along alpha stops at the first
-    dominant nu whose S_alpha(nu) is stored, adding it.  The weights are
-    taken highest first and nu lies above the mu being computed, so every
-    stored sum is complete.  Only dominant nu walked along the same alpha
-    are reused: for a non-dominant nu, S_alpha(nu) = S_{w alpha}(w nu) with
-    w nu dominant, and w nu need not have been walked along w alpha.
+    Each string takes one step, to nu = mu + alpha, and reads S_alpha(nu)
+    from ``sums``, which holds the sum S_alpha(mu) of every string walked
+    from a dominant mu.  For a dominant nu along an alpha it walked, that
+    is S_alpha(nu) itself.  Otherwise let eta = w nu be the dominant
+    representative of nu: S_alpha(nu) = S_{w alpha}(eta), as the
+    multiplicities and the form are W-invariant, and for u in the
+    stabilizer W_J of eta, S_{w alpha}(eta) = S_{u w alpha}(eta).  So the
+    sum is that of the one J-dominant root beta in the W_J-orbit of
+    w alpha, which eta walked and stored (``_fold_string``); it is 0 when
+    eta = lam.  beta is positive: <nu, alpha^vee> = <mu, alpha^vee> + 2
+    > 0, and the fold w inverts only positive roots that pair negatively
+    with nu (Humphreys, *Introduction to Lie Algebras*, section 10.3).
+    The weights are taken highest first, and eta lies above nu, so above
+    the mu being computed: every sum read is stored and complete.
 
     Every weight nu of L(lam) has lam - nu in the root cone Q+.  With
-    lam - mu = sum_j depth_j alpha_j, the weight mu + k alpha keeps that
-    only for k <= top = min over j in the support of alpha of
-    depth_j // rc_j(alpha), so a string stops at k = top, and a stored sum
-    stays complete, as the weights past top have multiplicity 0.  A string
-    can still leave the weight system below top, at a non-dominant nu
-    whose dominant representative is not below lam; it stops there too.
-    The dominant representative of a weight lies above it, so each weight a
-    string reads lies above mu, no deeper than mu in any coordinate: a walk
-    cut at a depth floor holds it whenever it holds mu, and the recursion
-    over such a walk reads only weights it computed.  So a table extended
-    to a lower floor keeps its entries and its string sums, and runs on the
-    new weights alone (``_interval``).  ``datum.stats`` counts the strings
-    (``freudenthal_strings``), their steps (``freudenthal_steps``) and the
-    strings closed by a stored sum (``freudenthal_reused``).
+    lam - mu = sum_j depth_j alpha_j, mu + alpha keeps that only when
+    depth_j >= rc_j(alpha) for every j in the support of alpha; a string
+    without that step adds nothing, and neither does one whose nu is below
+    lam while its dominant representative is not, as nu then lies outside
+    the weight system.  Each weight a string reads lies above mu, no
+    deeper than mu in any coordinate: a walk cut at a depth floor holds it
+    whenever it holds mu, and the recursion over such a walk reads only
+    weights it computed.  So a table extended to a lower floor keeps its
+    entries and its string sums, and runs on the new weights alone
+    (``_interval``).  ``datum.stats`` counts the strings
+    (``freudenthal_strings``), their steps (``freudenthal_steps``), the
+    strings closed by the stored sum of a dominant nu along alpha
+    (``freudenthal_reused``) and those closed by the sum of the folded root
+    (``freudenthal_jumped``).
     """
     sym = datum.symmetrizer
-    walked = steps = reused = 0
+    walked = steps = reused = jumped = 0
     for mu, depth in new:
         # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
         mid = tuple(a + b + 2 for a, b in zip(lam, mu))
@@ -268,37 +281,35 @@ def _freudenthal(datum: RootDatum, lam: Weight, members, table: dict, sums: defa
         strings = _root_strings(datum, sum(1 << i for i, x in enumerate(mu) if x == 0))
         walked += len(strings)
         total = 0
-        height = sum(depth)
-        for fund, pair, norm, coords, count in strings:
-            # nu runs over mu + k alpha, 1 <= k <= top, with prod = (alpha, nu);
-            # every rc_j >= 1, so the height of lam - mu bounds top
-            top = height
-            for j, r in coords:
-                if depth[j] < top * r:
-                    top = depth[j] // r
+        for fund, pair, coords, count in strings:
             along = sums[fund]
-            nu = mu
-            prod = sum(map(mul, pair, mu))
             string = 0
-            for _ in range(top):
-                nu = tuple(map(add, nu, fund))
-                prod += norm
+            for j, r in coords:
+                if depth[j] < r:
+                    break  # lam - mu - alpha is not in the root cone
+            else:
+                nu = tuple(map(add, mu, fund))
                 steps += 1
-                dominant = min(nu) >= 0
-                nu_dom = nu if dominant else _dominant_representative(datum, nu)
-                n = table.get(nu_dom)
-                if n is None:
-                    if nu_dom not in members:
-                        break  # left the weight system; the string is contiguous
-                    raise AssertionError("multiplicity requested before computed")
-                string += n * prod
-                if dominant:
-                    rest = along.get(nu)
+                # only dominant weights are keys of ``along``
+                rest = along.get(nu)
+                if rest is None:
+                    eta, beta = _fold_string(datum, nu, fund)
+                else:
+                    eta = nu
+                n = table.get(eta)
+                if n is not None:
+                    string = n * sum(map(mul, pair, nu))
                     if rest is not None:
-                        # S_alpha(mu) = sum of the steps so far + S_alpha(nu)
                         string += rest
                         reused += 1
-                        break
+                    else:
+                        if eta != lam:
+                            string += sums[beta][eta]
+                        jumped += 1
+                elif eta in members:
+                    raise AssertionError("multiplicity requested before computed")
+                # otherwise nu left the weight system, and so did the string,
+                # which is contiguous
             along[mu] = string
             total += count * string
         num = 2 * total
@@ -311,6 +322,48 @@ def _freudenthal(datum: RootDatum, lam: Weight, members, table: dict, sums: defa
     datum.stats["freudenthal_strings"] += walked
     datum.stats["freudenthal_steps"] += steps
     datum.stats["freudenthal_reused"] += reused
+    datum.stats["freudenthal_jumped"] += jumped
+
+
+def _fold_string(datum: RootDatum, nu: Weight, fund: Weight) -> tuple[Weight, Weight]:
+    """(eta, beta) with S_alpha(nu) = S_beta(eta) for a weight nu and a
+    positive root alpha, given by its fundamental coordinates ``fund``, with
+    <nu, alpha^vee> > 0: eta = w nu is the dominant representative of nu and
+    beta the J-dominant root in the W_J-orbit of w alpha, J the zero
+    coordinates of eta, so beta is the root that ``_root_strings`` walks
+    from eta and ``sums[beta][eta]`` stores the sum.  The fold reflects in
+    the most negative coordinate, as ``_dominant_representative`` does, and
+    applies each reflection to alpha too.  It inverts only positive roots
+    that pair negatively with nu, so w alpha is positive; each s_j for j in
+    J fixes eta and, applied where beta_j < 0, raises beta, which stays
+    positive."""
+    cols = datum.cartan_columns
+    neighbors = datum.neighbors
+    x = list(nu)
+    b = list(fund)
+    low = min(x)
+    while low < 0:
+        i = x.index(low)
+        c = b[i]
+        x[i] = -low
+        b[i] = -c
+        col = cols[i]
+        for j in neighbors[i]:
+            x[j] -= low * col[j]
+            b[j] -= c * col[j]
+        low = min(x)
+    if 0 in x:
+        zeros = [j for j, v in enumerate(x) if not v]
+        negative = [j for j in zeros if b[j] < 0]
+        while negative:
+            j = negative[0]
+            c = b[j]
+            b[j] = -c
+            col = cols[j]
+            for k in neighbors[j]:
+                b[k] -= c * col[k]
+            negative = [j for j in zeros if b[j] < 0]
+    return tuple(x), tuple(b)
 
 
 @dataclass

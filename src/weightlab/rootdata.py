@@ -294,21 +294,25 @@ class RootDatum:
         return np.array(adjugate, dtype=np.int64)
 
     @cached_property
+    def _adjugate(self) -> tuple[tuple[int, ...], ...]:
+        """det C^-1 as rows of Python ints, for the loops that read it."""
+        return tuple(map(tuple, self._np_adjugate.tolist()))
+
+    @cached_property
     def _adjugate_row_sum(self) -> int:
         """The largest absolute row sum of det C^-1, a scale of the int64
         guards in tensor and weyl."""
-        return max(sum(map(abs, row)) for row in self._np_adjugate.tolist())
+        return max(sum(map(abs, row)) for row in self._adjugate)
 
     # -- per-root values of the Freudenthal strings --------------------------
 
     @cached_property
     def _root_table(self) -> tuple:
         """Per positive root alpha, what the Freudenthal strings of
-        ``charcalc`` read, as (fund, pair, norm, negative, zero, support,
-        coords): pair . nu = (alpha, nu) and norm = (alpha, alpha); negative,
-        zero and support are the bitmasks of the negative and the zero
-        fundamental coordinates and of the simple roots in alpha; coords
-        lists (j, rc_j) over the support."""
+        ``charcalc`` read, as (fund, pair, negative, zero, support, coords):
+        pair . nu = (alpha, nu); negative, zero and support are the bitmasks
+        of the negative and the zero fundamental coordinates and of the
+        simple roots in alpha; coords lists (j, rc_j) over the support."""
         table = []
         for alpha, (support, _) in zip(self.positive_roots, self.root_supports):
             fund, rc = alpha.fund, alpha.rc
@@ -319,9 +323,18 @@ class RootDatum:
                 elif not f:
                     zero |= 1 << j
             pair = tuple(map(mul, rc, self.symmetrizer))
-            table.append((fund, pair, sum(map(mul, pair, fund)), negative, zero, support,
+            table.append((fund, pair, negative, zero, support,
                           tuple([(j, r) for j, r in enumerate(rc) if r])))
         return tuple(table)
+
+    @cached_property
+    def _walk_table(self) -> tuple:
+        """Per positive root alpha, what the dominant walk of ``charcalc``
+        reads, as (fund, rc, positive): positive lists (j, fund_j) over the
+        positive fundamental coordinates of alpha."""
+        return tuple(
+            (alpha.fund, alpha.rc, tuple((j, f) for j, f in enumerate(alpha.fund) if f > 0))
+            for alpha in self.positive_roots)
 
     # -- factor bookkeeping -------------------------------------------------
 
@@ -362,12 +375,12 @@ class RootDatum:
     @cached_property
     def diagram_involution(self) -> tuple[int, ...]:
         """The permutation tau of the nodes with w0(omega_i) = -omega_tau(i),
-        read off make_dominant(-omega_i)."""
-        from .weyl import make_dominant
+        read off the dominant representative of -omega_i."""
+        from .weyl import _dominant_representative
         tau = []
         for i in range(self.rank):
-            omega = tuple(1 if j == i else 0 for j in range(self.rank))
-            dual = make_dominant(self, wneg(omega)).dominant
+            minus_omega = tuple(-1 if j == i else 0 for j in range(self.rank))
+            dual = _dominant_representative(self, minus_omega)
             nonzero = [j for j, x in enumerate(dual) if x]
             assert len(nonzero) == 1 and dual[nonzero[0]] == 1
             tau.append(nonzero[0])
@@ -511,7 +524,7 @@ def root_coordinates(datum: RootDatum, lam: Weight) -> tuple[Fraction, ...]:
     """Exact coefficients k with lam = sum k_i alpha_i, i.e. C k = lam."""
     lam = datum.check_weight(lam)
     return tuple(Fraction(sum(a * x for a, x in zip(row, lam)), datum._det)
-                 for row in datum._np_adjugate.tolist())
+                 for row in datum._adjugate)
 
 
 def pairing(datum: RootDatum, lam: Weight, mu: Weight):

@@ -209,7 +209,7 @@ def _form(datum: RootDatum, a: Weight, b: Weight) -> int:
     """B(a, b) = sum_i a_i (det C^-1 b)_i d_i = det (a, b), the invariant form
     of ``rootdata.pairing`` scaled to an integer, with det = ``datum._det``
     and d the symmetrizer; B(alpha_i, b) = det d_i b_i."""
-    adjugate = datum._np_adjugate.tolist()
+    adjugate = datum._adjugate
     return sum(x * sum(map(mul, row, b)) * d for x, row, d in zip(a, adjugate, datum.symmetrizer))
 
 
@@ -266,7 +266,7 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
     for nu in nus:
         _check_coefficient(datum, lam, mu, nu)
     det, rank = datum._det, datum.rank
-    adjugate = datum._np_adjugate.tolist()
+    adjugate = datum._adjugate
     cols, neighbors = datum.cartan_columns, datum.neighbors
     shift = wadd(lam, datum.weyl_vector)
     step = [2 * det * a * b for a, b in zip(datum.symmetrizer, shift)]

@@ -73,21 +73,23 @@ def test_freudenthal_walks_one_string_per_stabilizer_orbit():
 
 
 @pytest.mark.parametrize("type_string, lam, counts", [
-    ("G2", (20, 20), (4936, 9403, 4559)),
-    ("D5", (2, 2, 3, 2, 0), (4651, 6757, 1899)),
+    ("G2", (20, 20), (4936, 4780, 4559, 221)),
+    ("D5", (2, 2, 3, 2, 0), (4651, 3598, 1899, 1699)),
 ])
 def test_freudenthal_string_walks_stop_at_a_stored_sum(type_string, lam, counts):
-    # (strings, steps, strings closed by the stored sum of a dominant weight)
+    # (strings, steps, strings closed by the stored sum of a dominant weight
+    # along the same root, strings closed by the sum of the folded root); a
+    # string takes at most one step
     datum = build_root_datum(type_string)
     assert character(datum, lam).entries == per_root_freudenthal(datum, lam)
     assert (datum.stats["freudenthal_strings"], datum.stats["freudenthal_steps"],
-            datum.stats["freudenthal_reused"]) == counts
+            datum.stats["freudenthal_reused"], datum.stats["freudenthal_jumped"]) == counts
 
 
 def test_a1_string_walk_takes_at_most_two_steps_per_weight():
     # each mu < lam - alpha steps to mu + alpha, dominant and walked, and
-    # stops there; the one string from lam - alpha steps to lam, where the
-    # root cone ends it
+    # stops there; the one string from lam - alpha steps to lam, whose sum
+    # is 0
     a1 = build_root_datum("A1")
     char = character(a1, (10000,))
     assert char.entries == {(k,): 1 for k in range(0, 10001, 2)}

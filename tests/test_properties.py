@@ -2,8 +2,9 @@
 and dominance against a Fraction inverse of the Cartan matrix, dominant
 representatives against make_dominant, the dominant-weight walk, the
 orbit-sum Freudenthal recursion against the per-root one, its
-root-string classes against W_J-orbits and the weights its strings fold
-against the root cone below lam, the orbit walk, orbit sizes, Weyl
+root-string classes against W_J-orbits, the weights its strings fold
+against the root cone below lam and the roots they fold against the W_J-orbit
+of their image under make_dominant's word, the orbit walk, orbit sizes, Weyl
 group orders and elements, the coset images the expansion decodes,
 expanded weight systems, the Brauer-Klimyk fold,
 single tensor coefficients against decompositions and the unpruned orbit
@@ -33,7 +34,7 @@ from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescript
                        perfectmonoid, predicted_members, reflect, root_coordinates,
                        support_regular_weight, tensor_decompose, tensor_multiplicity,
                        verify_classification, w0_antifixed_weight, weyl_dimension,
-                       weyl_group_elements)
+                       weyl_group_elements, apply_word)
 from weightlab.charcalc import _below_with_depth, _root_strings, expanded_weight_table
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.rootdata import pairing
@@ -248,20 +249,29 @@ def test_stored_string_sums_match_per_root_freudenthal(type_string, cap, data):
         assert entries[mu] == kostant_multiplicity(datum, lam, mu)
 
 
-def folded_weights(type_string, lam) -> tuple:
-    """A fresh datum, so that the recursion runs, and the weights nu that
-    character(datum, lam) folds there to their dominant representatives."""
+def string_folds(type_string, lam) -> tuple:
+    """A fresh datum, so that the recursion runs, and the (nu, alpha, eta,
+    beta) of each string step that character(datum, lam) folds there: nu to
+    its dominant representative eta, and alpha, in fundamental coordinates,
+    to the root beta whose stored sum at eta the string reads."""
     datum = build_root_datum(type_string)
-    fold = charcalc._dominant_representative
-    folded = []
+    fold = charcalc._fold_string
+    folds = []
 
-    def record(datum, nu):
-        folded.append(nu)
-        return fold(datum, nu)
+    def record(datum, nu, fund):
+        eta, beta = fold(datum, nu, fund)
+        folds.append((nu, fund, eta, beta))
+        return eta, beta
 
-    with mock.patch.object(charcalc, "_dominant_representative", record):
+    with mock.patch.object(charcalc, "_fold_string", record):
         character(datum, lam)
-    return datum, folded
+    return datum, folds
+
+
+def folded_weights(type_string, lam) -> tuple:
+    """A fresh datum and the weights nu that character(datum, lam) folds."""
+    datum, folds = string_folds(type_string, lam)
+    return datum, [nu for nu, *_ in folds]
 
 
 def assert_folds_stay_in_the_root_cone(type_string, lam):
@@ -283,9 +293,36 @@ def test_string_walks_fold_only_weights_below_lam(type_string, data):
 @pytest.mark.parametrize("type_string, lam", [("B6", (1, 0, 0, 1, 0, 0)),
                                               ("D5", (2, 2, 3, 2, 0))])
 def test_string_walks_fold_only_weights_below_lam_examples(type_string, lam):
-    # walks that left lam - Q+ only by folding a weight outside the system
+    # strings that fold weights, each below lam
     assert folded_weights(type_string, lam)[1]
     assert_folds_stay_in_the_root_cone(type_string, lam)
+
+
+@pytest.mark.parametrize("type_string, lam, mapped", [("D5", (2, 2, 3, 2, 0), 1692),
+                                                      ("E6", (1,) * 6, 1273)])
+def test_string_folds_read_the_sum_of_the_stabilizer_representative(type_string, lam, mapped):
+    # a string from mu whose step nu = mu + alpha is not a dominant weight
+    # walked along alpha reads the sum S_beta(eta): eta the dominant
+    # representative of nu, and beta the J-dominant root in the W_J-orbit of
+    # w alpha, J the zero coordinates of eta and w the word of
+    # make_dominant(nu); beta differs from w alpha at ``mapped`` folds inside
+    # the weight system
+    datum, folds = string_folds(type_string, lam)
+    assert datum.stats["freudenthal_jumped"] > 0
+    members = set(dominant_weights_below(datum, lam))
+    positive = {alpha.fund for alpha in datum.positive_roots}
+    moved = 0
+    for nu, fund, eta, beta in folds:
+        word = make_dominant(datum, nu).word
+        assert apply_word(datum, word, nu) == eta
+        zeros = [j for j in range(datum.rank) if eta[j] == 0]
+        w_alpha = apply_word(datum, word, fund)
+        assert beta in positive and w_alpha in positive
+        assert all(beta[j] >= 0 for j in zeros)
+        assert beta in w_j_orbit(datum, w_alpha, zeros)
+        moved += eta in members and beta != w_alpha
+    assert moved == mapped
+    assert character(datum, lam).entries == per_root_freudenthal(datum, lam)
 
 
 def w_j_orbit(datum, fund, nodes) -> set:
