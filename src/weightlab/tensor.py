@@ -18,8 +18,8 @@ each summand is gathered whole.
 
 A single coefficient, the multiplicity of L(nu) in L(lam) (x) L(mu), is the
 same alternating sum read from the other side (Racah-Speiser): one term per
-point of the regular orbit W(nu + rho).  It walks that orbit as a tree in
-Python ints and cuts every subtree that lies too far from lam + rho, by the
+point of the regular orbit W(nu + rho).  It walks that orbit with
+``weyl.orbit_tree``, cut wherever it lies too far from lam + rho, by the
 invariant form, to meet a weight of L(mu), so it visits only the points
 inside that norm ball, a part of the |W| points, and folds each one.  It is
 what a PRV chain check asks for, and what a box closure asks for each
@@ -45,7 +45,7 @@ import numpy as np
 from .charcalc import (_interval, _weyl_dimension, character, expanded_weight_table,
                        expand_character)
 from .rootdata import RootDatum, Weight, memoized, wadd, wsub
-from .weyl import _dominant_representative, apply_word, make_dominant
+from .weyl import _dominant_representative, apply_word, make_dominant, orbit_tree
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -220,16 +220,16 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
 
         c = sum over w in W of eps(w) m_mu(w(nu + rho) - lam - rho).
 
-    The sum walks the tree that :func:`weyl.orbit` walks down from the
-    dominant nu + rho, which is regular, so eps(w) = (-1)^depth.  Every
-    weight y of L(mu) has B(y, y) <= B(mu, mu), for the integer
+    The sum walks the orbit of the dominant nu + rho with
+    :func:`weyl.orbit_tree`; nu + rho is regular, so eps(w) is its sign.
+    Every weight y of L(mu) has B(y, y) <= B(mu, mu), for the integer
     invariant form B = ``_form``.  With s = lam + rho and B(x, x) constant
     on the orbit, B(x - s, x - s) = B(nu + rho - s, nu + rho - s) + t with
     t = 2 B(nu + rho - x, s), so only a point with t <= B(mu, mu) -
-    B(nu + rho - s, nu + rho - s) can count (the norm test).  Each entry
-    carries t, which s_i raises by 2 det d_i x_i s_i > 0, so t grows
-    strictly down the tree from 0 at the top, and a child that fails the
-    test is cut with its whole subtree.  The sum is 0 without a walk when
+    B(nu + rho - s, nu + rho - s) can count (the norm test).  s_i raises t
+    by x_i step_i with step_i = 2 B(alpha_i, s) = 2 det d_i s_i > 0, the
+    walk's step, so it cuts every subtree that fails the test and walks
+    only points that pass.  The sum is 0 without a walk when
     the top fails the test, and when det C^-1 (nu - lam - mu) is not
     divisible by det: W acts trivially on P/Q, so then no point minus s
     lies in the root class of mu.  Every point walked passes and is folded,
@@ -265,9 +265,7 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
     nus = [datum.check_dominant(nu) for nu in nus]
     for nu in nus:
         _check_coefficient(datum, lam, mu, nu)
-    det, rank = datum._det, datum.rank
-    adjugate = datum._adjugate
-    cols, neighbors = datum.cartan_columns, datum.neighbors
+    det, adjugate = datum._det, datum._adjugate
     shift = wadd(lam, datum.weyl_vector)
     step = [2 * det * a * b for a, b in zip(datum.symmetrizer, shift)]
     mu_adj = [sum(map(mul, row, mu)) for row in adjugate]
@@ -280,18 +278,13 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
         top = wadd(nu, datum.weyl_vector)
         diff = wsub(top, shift)
         diff_adj = [sum(map(mul, row, diff)) for row in adjugate]
-        # the norm test B(x - shift, x - shift) <= B(mu, mu) reads t <= slack
-        # for t = 2 B(top - x, shift), as B(x, x) = B(top, top) on the orbit;
-        # s_i raises t by c * step[i].  B(diff, diff) as ``_form`` sums it
+        # the norm test reads t <= slack; B(diff, diff) as ``_form`` sums it
         slack = mu_norm - sum(x * y * d for x, y, d in zip(diff, diff_adj, datum.symmetrizer))
         if slack < 0 or any((y - m) % det for y, m in zip(diff_adj, mu_adj)):
             out.append(0)
             continue
         total = 0
-        # (point, index of its first negative coordinate, t, sign)
-        stack = [(top, rank, 0, 1)]
-        while stack:
-            x, f, t, sign = stack.pop()
+        for x, sign in orbit_tree(datum, top, step, slack):
             points += 1
             p = _dominant_representative(datum, wsub(x, shift))
             if p == mu:
@@ -306,20 +299,6 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
                         part = _interval(datum, mu)
                     table = part.extend(datum, [g // det for g in gap])
                     total += sign * table[p]
-            for i in range(rank):
-                c = x[i]
-                if c > 0 and (i < f or cols[i][f]):
-                    u = t + c * step[i]
-                    if u > slack:
-                        continue  # t only grows below, so no point there passes
-                    # s_i(x) = x - c alpha_i moves only coordinate i and its neighbours
-                    y = list(x)
-                    y[i] = -c
-                    col = cols[i]
-                    for j in neighbors[i]:
-                        y[j] -= c * col[j]
-                    if i < f or min(y[:i]) >= 0:
-                        stack.append((tuple(y), i, u, -sign))
         assert total >= 0, "negative tensor coefficient"
         out.append(total)
     datum.stats["coefficient_points"] += points

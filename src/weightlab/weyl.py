@@ -1,5 +1,5 @@
 """Weyl group actions: simple reflections, dominant representatives, the
-longest element, duality and the dominance partial order.
+longest element, duality, the dominance partial order and orbits.
 
 Weyl words are tuples of 1-based simple-reflection indices; a word acts by
 composition with the rightmost letter applied first.
@@ -85,15 +85,16 @@ def _dominant_representative(datum: RootDatum, lam: Weight) -> Weight:
 
 def w0_action(datum: RootDatum, lam: Weight) -> Weight:
     """Action of the longest element, realized as the linear extension of
-    w0(omega_i) = -omega_i* with the duality read off make_dominant."""
+    w0(omega_i) = -omega_tau(i), tau = ``RootDatum.diagram_involution``, which
+    reads the duality off the dominant representative of -omega_i."""
     lam = datum.check_weight(lam)
     tau = datum.diagram_involution
     return tuple(-lam[tau[i]] for i in range(datum.rank))
 
 
 def dual_weight(datum: RootDatum, lam: Weight) -> Weight:
-    """Highest weight of the dual module; involution on dominant weights."""
-    return make_dominant(datum, wneg(datum.check_dominant(lam))).dominant
+    """Highest weight of the dual module, -w0 lam; an involution on dominants."""
+    return wneg(w0_action(datum, datum.check_dominant(lam)))
 
 
 def dominance_leq(datum: RootDatum, mu: Weight, lam: Weight) -> bool:
@@ -106,30 +107,38 @@ def dominance_leq(datum: RootDatum, mu: Weight, lam: Weight) -> bool:
     return bool(datum.in_root_cone(np.array([diff], dtype=np.int64))[0])
 
 
-def orbit(datum: RootDatum, lam: Weight) -> frozenset[Weight]:
-    """Full W-orbit of a weight (exponential in rank; small data only).
+def orbit_tree(datum: RootDatum, top: Weight, step=None, slack: int = 0):
+    """Yield (x, sign) once for each point x of the W-orbit of a dominant
+    ``top``, with sign = (-1)^depth, the parity of the positive coroots that
+    pair negatively with x: each step down adds one.
 
-    Walks the tree that :func:`make_dominant` climbs: the parent of a
-    non-dominant x is s_i(x) for the first negative coordinate i of x.
-    Read downwards from the dominant representative, x has the child s_i(x)
-    iff x_i > 0 and s_i(x) has no negative coordinate before i, so each
-    orbit element is produced exactly once and no visited set is needed.
+    The points form the tree that :func:`make_dominant` climbs: the parent
+    of a non-dominant x is s_f(x) for the first negative coordinate f of x.
+    Read downwards from ``top``, x has the child s_i(x) iff x_i > 0 and
+    s_i(x) has no negative coordinate before i, so no visited set is needed.
     The first negative coordinate f of x is the i that made it (f = rank at
-    the dominant root of the tree).  For i < f
-    the child always qualifies; for i > f it can only if s_i changes
-    coordinate f, that is if f is a neighbour of i in the Dynkin diagram.
+    ``top``).  For i < f the child always qualifies; for i > f it can only if
+    s_i changes coordinate f, that is if f is a neighbour of i in the Dynkin
+    diagram.  Each point carries t, 0 at ``top`` and raised by x_i step[i]
+    when s_i reflects x; with step >= 0 a child with t > ``slack`` is cut
+    with its whole subtree.  Without ``step`` nothing is cut.  The walk
+    streams: its memory is one stack.
     """
-    top = make_dominant(datum, lam).dominant
     rank = datum.rank
     cols = datum.cartan_columns
     neighbors = datum.neighbors
-    out = [top]
-    stack = [(top, rank)]
+    if step is None:
+        step, slack = (0,) * rank, 0
+    stack = [(top, rank, 0, 1)]
     while stack:
-        x, f = stack.pop()
+        x, f, t, sign = stack.pop()
+        yield x, sign
         for i in range(rank):
             c = x[i]
             if c > 0 and (i < f or cols[i][f]):
+                u = t + c * step[i]
+                if u > slack:
+                    continue
                 # s_i(x) = x - c alpha_i moves only coordinate i and its neighbours
                 y = list(x)
                 y[i] = -c
@@ -137,10 +146,21 @@ def orbit(datum: RootDatum, lam: Weight) -> frozenset[Weight]:
                 for j in neighbors[i]:
                     y[j] -= c * col[j]
                 if i < f or min(y[:i]) >= 0:
-                    y = tuple(y)
-                    out.append(y)
-                    stack.append((y, i))
-    return frozenset(out)
+                    stack.append((tuple(y), i, u, -sign))
+
+
+def orbit(datum: RootDatum, lam: Weight) -> frozenset[Weight]:
+    """Full W-orbit of a weight, walked by :func:`orbit_tree` from its
+    dominant representative.  Refused with ``ValueError``, before the walk,
+    when it has more than ``charcalc.MAX_EXPANDED_ROWS`` points, more than
+    any weight table holds."""
+    from .charcalc import MAX_EXPANDED_ROWS  # charcalc imports this module
+    top = make_dominant(datum, lam).dominant
+    # no orbit has more than |W| points, so a smaller W needs no count
+    size = orbit_size(datum, top) if datum.weyl_order > MAX_EXPANDED_ROWS else 0
+    if size > MAX_EXPANDED_ROWS:
+        raise ValueError(f"orbit of {size} points exceeds bound {MAX_EXPANDED_ROWS}")
+    return frozenset(x for x, _ in orbit_tree(datum, top))
 
 
 def orbit_size(datum: RootDatum, lam: Weight) -> int:

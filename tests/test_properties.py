@@ -37,9 +37,9 @@ from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescript
                        weyl_group_elements, apply_word)
 from weightlab.charcalc import _below_with_depth, _root_strings, expanded_weight_table
 from weightlab.constructions import ConstructionTrace, TraceStep
-from weightlab.rootdata import pairing
+from weightlab.rootdata import pairing, wadd, wsub
 from weightlab.tensor import _big_and_small, _coefficients, _expanded_table, _form, _klimyk
-from weightlab.weyl import _dominant_representative
+from weightlab.weyl import _dominant_representative, orbit_tree
 from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
                      classifier_orbit_size, expanded, fraction_inverse_cartan, kostant_multiplicity,
@@ -625,6 +625,38 @@ def test_coefficient_folds_every_weight_and_nothing_outside_the_norm_ball(type_s
           for x in bfs_orbit(datum, tuple(c + 1 for c in nu))]
     assert sum(y in weights for y in ys) <= folds \
         <= sum(pairing(datum, y, y) <= pairing(datum, mu, mu) for y in ys)
+
+
+@pytest.mark.parametrize("type_string", RANK4)
+@given(data=st.data())
+def test_orbit_tree_yields_the_points_inside_its_cut_once_each(type_string, data):
+    # with the step and slack of a coefficient's norm test, the walk yields
+    # exactly the orbit points with t = 2 B(top - x, lam + rho) <= slack;
+    # uncut, every point, also of an orbit that meets a wall
+    datum = get_datum(type_string)
+    lam, mu = data.draw(dominant_pairs(datum, 3, 3, 10 ** 4), label="pair")
+    shift = wadd(lam, datum.weyl_vector)
+    step = [2 * _form(datum, alpha, shift) for alpha in datum.cartan_columns]
+
+    def slack(top):
+        diff = wsub(top, shift)
+        return _form(datum, mu, mu) - _form(datum, diff, diff)
+    # nu = lam + mu passes the norm test at its top
+    tops = [wadd(nu, datum.weyl_vector)
+            for nu in dominant_weights_below(datum, wadd(lam, mu))]
+    top = data.draw(st.sampled_from([x for x in tops if slack(x) >= 0]), label="top")
+    coroots = np.array([alpha.coroot for alpha in datum.positive_roots])
+    cases = [(mu, (), bfs_orbit(datum, mu)), (top, (), bfs_orbit(datum, top)),
+             (top, (step, slack(top)), {x for x in bfs_orbit(datum, top)
+                                        if 2 * _form(datum, wsub(top, x), shift) <= slack(top)})]
+    for start, cut, points in cases:
+        walked = list(orbit_tree(datum, start, *cut))
+        assert len(walked) == len(points) and {x for x, _ in walked} == points
+        if not cut:
+            assert len(walked) == orbit_size(datum, start)
+        # the sign is the parity of the positive coroots pairing negatively
+        negative = (np.array([x for x, _ in walked]) @ coroots.T < 0).sum(axis=1)
+        assert [sign for _, sign in walked] == (1 - 2 * (negative & 1)).tolist()
 
 
 @pytest.mark.parametrize("type_string", RANK4)

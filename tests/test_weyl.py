@@ -4,7 +4,7 @@ import pytest
 
 from weightlab import (apply_word, dominance_leq, dual_weight, make_dominant,
                        orbit, orbit_size, reflect, w0_action, weyl_group_elements)
-from weightlab import weyl
+from weightlab import charcalc, weyl
 from weightlab.rootdata import wneg
 from conftest import get_datum
 from oracles import word_sign
@@ -188,3 +188,23 @@ def test_weyl_group_elements_refuses_large_groups(monkeypatch):
     assert len(weyl_group_elements(get_datum("B2"))) == 8
     with pytest.raises(ValueError):
         weyl_group_elements(get_datum("A3"))
+
+
+def test_orbit_refuses_more_points_than_a_weight_table_holds(monkeypatch):
+    # the cap is charcalc.MAX_EXPANDED_ROWS, inclusive; D5 rho is regular,
+    # so its orbit has |W| = 1,920 points
+    d5 = get_datum("D5")
+    monkeypatch.setattr(charcalc, "MAX_EXPANDED_ROWS", 1919)
+    with pytest.raises(ValueError, match="orbit of 1920 points"):
+        orbit(d5, d5.weyl_vector)
+    monkeypatch.setattr(charcalc, "MAX_EXPANDED_ROWS", 1920)
+    assert len(orbit(d5, d5.weyl_vector)) == 1920
+    monkeypatch.undo()
+    # E8 rho, 696,729,600 points, is refused before the walk starts
+
+    def no_walk(*args):
+        raise AssertionError("orbit walked")
+    monkeypatch.setattr(weyl, "orbit_tree", no_walk)
+    e8 = get_datum("E8")
+    with pytest.raises(ValueError, match="orbit of 696729600 points"):
+        orbit(e8, e8.weyl_vector)
