@@ -23,7 +23,7 @@ from operator import add, gt, le, mul, sub
 import numpy as np
 
 from .rootdata import RootDatum, Weight, memoized, parabolic_order
-from .weyl import orbit, orbit_size
+from .weyl import _climb, orbit, orbit_size
 
 # most rows an expanded weight table may hold: its row count, the sum of the
 # orbit sizes of the character's dominant weights, is checked before any
@@ -331,38 +331,24 @@ def _fold_string(datum: RootDatum, nu: Weight, fund: Weight) -> tuple[Weight, We
     <nu, alpha^vee> > 0: eta = w nu is the dominant representative of nu and
     beta the J-dominant root in the W_J-orbit of w alpha, J the zero
     coordinates of eta, so beta is the root that ``_root_strings`` walks
-    from eta and ``sums[beta][eta]`` stores the sum.  The fold reflects in
-    the most negative coordinate, as ``_dominant_representative`` does, and
-    applies each reflection to alpha too.  It inverts only positive roots
-    that pair negatively with nu, so w alpha is positive; each s_j for j in
-    J fixes eta and, applied where beta_j < 0, raises beta, which stays
-    positive."""
+    from eta and ``sums[beta][eta]`` stores the sum.  ``weyl._climb`` folds
+    nu, and its reflections are replayed on alpha.  The fold inverts only
+    positive roots that pair negatively with nu, so w alpha is positive;
+    the same fold under the nodes of J then takes w alpha to beta: each s_j
+    for j in J fixes eta and, applied where beta_j < 0, raises beta, which
+    stays positive."""
     cols = datum.cartan_columns
     neighbors = datum.neighbors
     x = list(nu)
     b = list(fund)
-    low = min(x)
-    while low < 0:
-        i = x.index(low)
+    for i in _climb(datum, x):
         c = b[i]
-        x[i] = -low
         b[i] = -c
         col = cols[i]
         for j in neighbors[i]:
-            x[j] -= low * col[j]
             b[j] -= c * col[j]
-        low = min(x)
     if 0 in x:
-        zeros = [j for j, v in enumerate(x) if not v]
-        negative = [j for j in zeros if b[j] < 0]
-        while negative:
-            j = negative[0]
-            c = b[j]
-            b[j] = -c
-            col = cols[j]
-            for k in neighbors[j]:
-                b[k] -= c * col[k]
-            negative = [j for j in zeros if b[j] < 0]
+        _climb(datum, b, [j for j, v in enumerate(x) if not v])
     return tuple(x), tuple(b)
 
 

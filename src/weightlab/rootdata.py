@@ -376,11 +376,11 @@ class RootDatum:
     def diagram_involution(self) -> tuple[int, ...]:
         """The permutation tau of the nodes with w0(omega_i) = -omega_tau(i),
         read off the dominant representative of -omega_i."""
-        from .weyl import _dominant_representative
+        from .weyl import _climb
         tau = []
         for i in range(self.rank):
-            minus_omega = tuple(-1 if j == i else 0 for j in range(self.rank))
-            dual = _dominant_representative(self, minus_omega)
+            dual = [-1 if j == i else 0 for j in range(self.rank)]
+            _climb(self, dual)
             nonzero = [j for j, x in enumerate(dual) if x]
             assert len(nonzero) == 1 and dual[nonzero[0]] == 1
             tau.append(nonzero[0])

@@ -38,14 +38,14 @@ could leave int64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, sub
 
 import numpy as np
 
 from .charcalc import (_interval, _weyl_dimension, character, expanded_weight_table,
                        expand_character)
 from .rootdata import RootDatum, Weight, memoized, wadd, wsub
-from .weyl import _dominant_representative, apply_word, make_dominant, orbit_tree
+from .weyl import _climb, apply_word, make_dominant, orbit_tree
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -286,7 +286,9 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
         total = 0
         for x, sign in orbit_tree(datum, top, step, slack):
             points += 1
-            p = _dominant_representative(datum, wsub(x, shift))
+            p = list(map(sub, x, shift))
+            _climb(datum, p)
+            p = tuple(p)
             if p == mu:
                 total += sign
             elif p in table:

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rootdata import RootDatum, Weight, parabolic_order, wneg, wsub
+from .rootdata import RootDataError, RootDatum, Weight, parabolic_order, wneg, wsub
 
 WeylWord = tuple[int, ...]
 
@@ -26,8 +26,13 @@ class DominantResult(NamedTuple):
 
 
 def reflect(datum: RootDatum, i: int, lam: Weight) -> Weight:
-    """Simple reflection s_i(lam) = lam - <lam, alpha_i^vee> alpha_i (1-based i)."""
+    """Simple reflection s_i(lam) = lam - <lam, alpha_i^vee> alpha_i (1-based i).
+    A letter that is not an int is refused with ``RootDataError``, as a
+    weight coordinate is, and an int out of range with ``IndexError``."""
     lam = datum.check_weight(lam)
+    # bool is a subclass of int, and a float would index nothing
+    if type(i) is not int:
+        raise RootDataError(f"reflection index {i!r} is not an int")
     if not 1 <= i <= datum.rank:
         raise IndexError(f"reflection index {i} out of range 1..{datum.rank}")
     c = lam[i - 1]
@@ -45,42 +50,41 @@ def apply_word(datum: RootDatum, word, lam: Weight) -> Weight:
 
 
 def make_dominant(datum: RootDatum, lam: Weight) -> DominantResult:
-    """Unique dominant W-orbit representative via greedy leftmost-negative
-    reflections.  ``regular`` is False iff the representative lies on a wall
-    (has a zero coordinate)."""
-    lam = datum.check_weight(lam)
-    applied = []
-    while True:
-        neg = next((i for i, x in enumerate(lam) if x < 0), None)
-        if neg is None:
-            break
-        applied.append(neg + 1)
-        c = lam[neg]
-        col = datum.cartan_columns[neg]
-        lam = tuple(x - c * a for x, a in zip(lam, col))
-    word = tuple(reversed(applied))
-    return DominantResult(lam, word, all(x > 0 for x in lam))
+    """Unique dominant W-orbit representative, found by :func:`_climb`, with
+    the word that takes lam there.  ``regular`` is False iff the
+    representative lies on a wall (has a zero coordinate)."""
+    x = list(datum.check_weight(lam))
+    word = tuple(i + 1 for i in reversed(_climb(datum, x)))
+    return DominantResult(tuple(x), word, all(c > 0 for c in x))
 
 
-def _dominant_representative(datum: RootDatum, lam: Weight) -> Weight:
-    """Dominant representative of an already checked weight, without the
-    word.  Any order of reflections in negative coordinates ends at the same
-    representative, so this reflects in the most negative one.  s_i moves
-    only coordinate i, to its negative, and the neighbours of i."""
-    low = min(lam)
-    if low >= 0:
-        return lam
+def _climb(datum: RootDatum, x: list, nodes=None) -> list[int]:
+    """Fold the list ``x`` in place into the chamber of the simple
+    reflections of ``nodes`` (all of them by default), reflecting each time
+    in its first negative coordinate among ``nodes``; return the 0-based
+    indices of the reflections made, in order.  Over all nodes each step is
+    a step up the tree :func:`orbit_tree` walks, so the fold ends at the
+    dominant representative after l(w) steps, the number of positive coroots
+    that pair negatively with x, and the word read backwards is the shortest
+    w with w x dominant.  s_i moves only coordinate i, to its negative, and
+    the neighbours of i."""
     cols = datum.cartan_columns
     neighbors = datum.neighbors
-    x = list(lam)
-    while low < 0:
-        i = x.index(low)
-        x[i] = -low
+    if nodes is None:
+        nodes = range(len(x))
+    applied = []
+    while True:
+        for i in nodes:
+            c = x[i]
+            if c < 0:
+                break
+        else:
+            return applied
+        applied.append(i)
+        x[i] = -c
         col = cols[i]
         for j in neighbors[i]:
-            x[j] -= low * col[j]
-        low = min(x)
-    return tuple(x)
+            x[j] -= c * col[j]
 
 
 def w0_action(datum: RootDatum, lam: Weight) -> Weight:
@@ -112,8 +116,10 @@ def orbit_tree(datum: RootDatum, top: Weight, step=None, slack: int = 0):
     ``top``, with sign = (-1)^depth, the parity of the positive coroots that
     pair negatively with x: each step down adds one.
 
-    The points form the tree that :func:`make_dominant` climbs: the parent
-    of a non-dominant x is s_f(x) for the first negative coordinate f of x.
+    The points form the tree that :func:`_climb` folds up, the one chamber
+    fold behind :func:`make_dominant`, tensor coefficients and the string
+    steps of ``charcalc``: the parent of a non-dominant x is s_f(x) for the
+    first negative coordinate f of x.
     Read downwards from ``top``, x has the child s_i(x) iff x_i > 0 and
     s_i(x) has no negative coordinate before i, so no visited set is needed.
     The first negative coordinate f of x is the i that made it (f = rank at

@@ -1,6 +1,8 @@
 """Property tests on hypothesis-drawn weights: det C^-1, root coordinates
-and dominance against a Fraction inverse of the Cartan matrix, dominant
-representatives against make_dominant, the dominant-weight walk, the
+and dominance against a Fraction inverse of the Cartan matrix, the one
+chamber fold against the leftmost-negative oracle, the word it replays,
+its length and make_dominant's word, and under the zeros of a dominant
+weight against W_J-orbits, the dominant-weight walk, the
 orbit-sum Freudenthal recursion against the per-root one, its
 root-string classes against W_J-orbits, the weights its strings fold
 against the root cone below lam and the roots they fold against the W_J-orbit
@@ -19,7 +21,7 @@ import json
 from collections import Counter
 from itertools import combinations
 from math import floor, lcm
-from operator import gt, le
+from operator import gt, le, mul
 from unittest import mock
 
 import numpy as np
@@ -39,7 +41,7 @@ from weightlab.charcalc import _below_with_depth, _root_strings, expanded_weight
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.rootdata import pairing, wadd, wsub
 from weightlab.tensor import _big_and_small, _coefficients, _expanded_table, _form, _klimyk
-from weightlab.weyl import _dominant_representative, orbit_tree
+from weightlab.weyl import _climb, orbit_tree
 from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
                      classifier_orbit_size, expanded, fraction_inverse_cartan, kostant_multiplicity,
@@ -359,9 +361,41 @@ def test_root_string_classes_are_stabilizer_orbits(type_string):
 @pytest.mark.parametrize("type_string", RANK8)
 @given(data=st.data())
 def test_dominant_representative_matches_make_dominant(type_string, data):
+    # the one chamber fold: its result is the leftmost-negative oracle's, each
+    # reflection is in the first negative coordinate, they replay to it, one
+    # per positive coroot pairing negatively with lam, and read backwards
+    # they are make_dominant's word
     datum = get_datum(type_string)
     lam = data.draw(st.tuples(*[st.integers(-6, 6)] * datum.rank), label="lam")
-    assert _dominant_representative(datum, lam) == make_dominant(datum, lam).dominant
+    x = list(lam)
+    applied = _climb(datum, x)
+    assert tuple(x) == oracles.leftmost_dominant(datum, lam)
+    y = lam
+    for i in applied:
+        assert i == min(j for j, c in enumerate(y) if c < 0)
+        y = reflect(datum, i + 1, y)
+    assert apply_word(datum, [i + 1 for i in reversed(applied)], lam) == tuple(x)
+    inverted = sum(sum(map(mul, alpha.coroot, lam)) < 0 for alpha in datum.positive_roots)
+    assert len(applied) == inverted
+    res = make_dominant(datum, lam)
+    assert res.dominant == tuple(x)
+    assert res.word == tuple(i + 1 for i in reversed(applied))
+
+
+@pytest.mark.parametrize("type_string", RANK8)
+@given(data=st.data())
+def test_fold_under_stabilizer_nodes_reaches_its_w_j_orbit(type_string, data):
+    # the fold under the zeros J of a dominant weight takes a positive root
+    # to a J-dominant positive root in its W_J-orbit
+    datum = get_datum(type_string)
+    eta = data.draw(st.tuples(*[st.integers(0, 1)] * datum.rank), label="eta")
+    alpha = data.draw(st.sampled_from(datum.positive_roots), label="alpha")
+    zeros = [j for j in range(datum.rank) if eta[j] == 0]
+    b = list(alpha.fund)
+    _climb(datum, b, zeros)
+    assert all(b[j] >= 0 for j in zeros)
+    assert tuple(b) in w_j_orbit(datum, alpha.fund, zeros)
+    assert tuple(b) in {root.fund for root in datum.positive_roots}
 
 
 @pytest.mark.parametrize("type_string", SMALL_WEYL)

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from weightlab import (apply_word, dominance_leq, dual_weight, make_dominant,
-                       orbit, orbit_size, reflect, w0_action, weyl_group_elements)
+                       orbit, orbit_size, prv_component, reflect, w0_action,
+                       weyl_group_elements)
 from weightlab import charcalc, weyl
-from weightlab.rootdata import wneg
+from weightlab.rootdata import RootDataError, wneg
 from conftest import get_datum
 from oracles import word_sign
 
@@ -34,6 +35,25 @@ def test_reflect_index_range():
         reflect(datum, 0, (1, 0))
     with pytest.raises(IndexError):
         reflect(datum, 3, (1, 0))
+
+
+@pytest.mark.parametrize("letter", [True, False, 1.0, 2.0, "1", None])
+def test_reflect_refuses_a_letter_that_is_not_an_int(letter):
+    # a bool would act as s_1 or s_0, and a float would index nothing
+    datum = get_datum("A2")
+    with pytest.raises(RootDataError, match="is not an int"):
+        reflect(datum, letter, (1, 0))
+
+
+def test_words_with_a_letter_that_is_not_an_int_are_refused():
+    datum = get_datum("A2")
+    with pytest.raises(RootDataError, match="is not an int"):
+        apply_word(datum, (1.0,), (1, 0))
+    with pytest.raises(RootDataError, match="is not an int"):
+        prv_component(datum, (1, 0), (1, 0), (2.0,))
+    # an int out of range keeps its IndexError
+    with pytest.raises(IndexError):
+        apply_word(datum, (1, 3), (1, 0))
 
 
 def test_make_dominant_examples():
