@@ -9,16 +9,22 @@ classification side is exact and symbolic.
 
 The closure settles its pairs a row at a time.  The box is held in
 adjugate coordinates, det * C^-1 lam, grouped by their class in the
-cocenter P/Q; this region is read-only and kept once per datum and box,
-and the closure's own state is a mask of the weights not yet members and
+cocenter P/Q; this region is read-only and kept once per datum and box.
+The closure can only reach its reach set: the box weights that vanish on
+every simple factor where all starting members vanish and whose class lies
+in the subgroup of P/Q their classes generate, the box part of the perfect
+submonoid the paper's classification assigns to them.  Its own state is a
+mask of the weights of the reach set not yet members, their count, and
 the list of members' region indices.  When a member b is reached, its row
 is grouped by the class of a: for a fixed b, the class of a + b is a
 bijection of the class of a, so each group's totals share one class, found
 once per group by adding the positions of the two classes in P/Q's mixed
-radix.  One numpy test per group compares its totals a + b, componentwise,
-with the open (missing) weights of that class, listed once and kept until
-a member of the class joins; a pair with nothing missing below its total
-cannot add a member and is settled, and so is every pair with 0.  The
+radix.  One numpy test per group with open (missing) weights compares its
+totals a + b, formed only then, componentwise with those weights, listed
+once and kept until a member of the class joins; a pair with nothing
+missing below its total cannot add a member and is settled, and so is
+every pair with 0.  Once the reach set is full, no pair can add a member,
+and the rows left are skipped and their pairs counted as settled.  The
 pairs the test flags are tested again, in order, against the members of
 that moment; the missing weights below the total of a pair still flagged
 are its candidates.  Each candidate is asked whether it is a summand, and
@@ -113,20 +119,25 @@ class PerfectDescriptor:
 
 def component_support(spec: MonoidSpec) -> frozenset[int]:
     """1-based indices of the simple factors where some generator is nonzero."""
-    datum = spec.datum
+    return _support(spec.datum, spec.generators)
+
+
+def _support(datum: RootDatum, weights) -> frozenset[int]:
     return frozenset(k for k in range(1, datum.n_factors + 1)
-                     if any(any(datum.project_factor(g, k)) for g in spec.generators))
+                     if any(any(datum.project_factor(g, k)) for g in weights))
 
 
 def classify(spec: MonoidSpec) -> PerfectDescriptor:
     """Descriptor of the full (untruncated) perfect closure of the generating
     data: support plus the cocenter subgroup generated by the classes."""
-    datum = spec.datum
-    support = component_support(spec)
+    return _descriptor(spec.datum, spec.generators)
+
+
+def _descriptor(datum: RootDatum, weights) -> PerfectDescriptor:
+    support = _support(datum, weights)
     group = datum.cocenter.restrict(support)
-    classes = [datum.cocenter.restrict_element(
-        latticecalc.project_to_cocenter(datum.cocenter, g), support)
-        for g in spec.generators]
+    classes = {datum.cocenter.restrict_element(
+        latticecalc.project_to_cocenter(datum.cocenter, g), support) for g in weights}
     return PerfectDescriptor(support, latticecalc.Subgroup.generated(group, classes))
 
 
@@ -136,14 +147,21 @@ def predicted_members(datum: RootDatum, desc: PerfectDescriptor, box: Box) -> se
     subgroup.  The last two depend on the coset of Q alone, so they are
     decided once per element of the cocenter P/Q."""
     region = _coset_region(datum, box)
+    lattice = np.array([c in datum.lattice_subgroup for c in datum.cocenter.elements()])
+    keep = lattice[region.cls] & _in_descriptor(datum, desc, region)
+    return set(map(tuple, region.rows[keep].tolist()))
+
+
+def _in_descriptor(datum: RootDatum, desc: PerfectDescriptor, region: _CosetRegion) -> np.ndarray:
+    """Per weight of the region, whether it vanishes off the descriptor's
+    support and its class lies in the descriptor's subgroup, decided once
+    per element of P/Q; the lattice is not asked."""
     cocenter = datum.cocenter
-    admitted = np.array([c in datum.lattice_subgroup and
-                         cocenter.restrict_element(c, desc.support) in desc.subgroup
+    admitted = np.array([cocenter.restrict_element(c, desc.support) in desc.subgroup
                          for c in cocenter.elements()])
     off_support = [i for k in range(1, datum.n_factors + 1) if k not in desc.support
                    for i in range(*datum.factor_block(k))]
-    keep = admitted[region.cls] & (region.rows[:, off_support] == 0).all(axis=1)
-    return set(map(tuple, region.rows[keep].tolist()))
+    return admitted[region.cls] & (region.rows[:, off_support] == 0).all(axis=1)
 
 
 class _CosetRegion:
@@ -169,7 +187,12 @@ class _CosetRegion:
     two box weights, coordinates at most 2 * bound, has adjugate coordinates
     at most det * 189 * 2 * bound < 2 * 10^6 * 10^6 * 189 < 2^63.  The rows
     of ``cocenter.proj_rows`` have entries at most 38 up to rank 19 (D19),
-    so the class coordinates stay far smaller.
+    so the class coordinates stay far smaller.  Any three box weights also
+    pass ``tensor._check_coefficient``, whose bound is max(h, Cartan entry,
+    a) * h * (3 * bound + 2), with h <= 37 the height of the highest coroot
+    up to rank 19 (B19, C19) and a <= 189 * det the largest row sum of
+    det C^-1: at most 189 * 10^6 * 37 * (3 * 10^6 + 2) < 2^63.  So the
+    closure's coefficient batches are asked for unchecked.
     """
 
     def __init__(self, datum: RootDatum, box: Box):
@@ -218,15 +241,27 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
     member b (see the module docstring), in which the in-box summands of
     each flagged pair join the members.  Members only grow, so a pair the
     row test settles stays settled.  ``members`` holds 0, which is at
-    region index 0 and so first in the member list."""
+    region index 0 and so first in the member list.
+
+    Only the reach set R of the given members is ever missing: the box
+    weights vanishing on every simple factor where all of them vanish,
+    whose class lies in the subgroup of P/Q their classes generate.  A sum
+    a + b and every summand of L(a) (x) L(b) lie in a + b - Q+, so they
+    have the class of a + b, and on a factor where a and b vanish the
+    product is trivial, so they vanish there too: members never leave R.
+    A box weight outside R is never below a total in its class, so leaving
+    it out of the mask flags the same pairs.  Once every weight of R is a
+    member, the pairs of the rows left cannot add one; they are counted as
+    settled, and their rows as ``closure_rows_skipped``."""
     region = _coset_region(datum, box)
     adj, cls, cocenter = region.adj, region.cls, datum.cocenter
     strides = (box.bound + 1) ** np.arange(datum.rank - 1, -1, -1)
-    missing = np.ones(len(region.rows), dtype=bool)
+    missing = _in_descriptor(datum, _descriptor(datum, members), region)
     at = np.empty(len(region.rows), dtype=np.int64)   # region index of each member
     n = len(members)
     at[:n] = np.sort(np.array(list(members), dtype=np.int64).reshape(n, -1) @ strides)
     missing[at[:n]] = False
+    left = int(missing.sum())  # weights of R not yet members
 
     open_ = {}  # class -> region indices of its missing weights, until one joins
 
@@ -241,19 +276,19 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
         """Per member in ``row`` (region indices), whether its total with the
         member at region index b has a missing weight below it.  The class of
         a + b is a bijection of the class of a, so the row is grouped by the
-        class of a."""
-        totals, row_cls, d = adj[row] + adj[b], cls[row], int(cls[b])
+        class of a, and totals are formed only for a class with open weights."""
+        row_cls, d = cls[row], int(cls[b])
         flagged = np.zeros(len(row), dtype=bool)
         for c in set(row_cls.tolist()):
             below = adj[open_rows(cocenter.add_at(c, d))]
             if len(below):
                 sel = row_cls == c
-                flagged[sel] = _dominates_any(totals[sel], below)
+                flagged[sel] = _dominates_any(adj[row[sel]] + adj[b], below)
         return flagged
 
     stats = datum.stats
     j = 0
-    while j < n:
+    while j < n and left:
         b = at[j]
         # at[0] is the zero weight, and L(a) (x) L(0) = L(a) adds nothing
         flagged = (1 + np.flatnonzero(row_test(at[1:j + 1], b))).tolist()
@@ -280,10 +315,16 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
             new = below[joins]
             if len(new):
                 missing[new] = False
+                left -= len(new)
                 del open_[t]
             at[n:n + len(new)] = new
             n += len(new)
         j += 1
+    # R is full: the pairs of rows j..n-1 have nothing missing below them
+    rest = (n * (n + 1) - j * (j + 1)) // 2
+    stats["closure_pairs"] += rest
+    stats["closure_settled"] += rest
+    stats["closure_rows_skipped"] += n - j
     return set(map(tuple, region.rows[at[:n]].tolist()))
 
 

@@ -244,16 +244,25 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     norm ball, which no bound limits (one E8 coefficient with lam, mu in
     {0,1}^8 walks 565,826), plus the partial table it reads, whose weights
     ``charcalc.MAX_DOMINANT_WEIGHTS`` bounds.  Refused with ``ValueError``
-    outside the documented int64 range (see ``_check_coefficient``).
+    for a weight that is not dominant and outside the documented int64
+    range (see ``_check_coefficient``); both checks run here, once, before
+    :func:`_coefficients`, which trusts its caller.
     """
+    lam, mu, nu = (datum.check_dominant(w) for w in (lam, mu, nu))
+    _check_coefficient(datum, lam, mu, nu)
     return _coefficients(datum, lam, mu, (nu,))[0]
 
 
 def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
-    """``tensor_multiplicity(datum, lam, mu, nu)`` for each nu of ``nus``.
-    What lam and mu fix is done once: the checks, the shift and the steps
-    of t, B(mu, mu), det C^-1 mu, which the class test and the dominance
-    test compare against, and the fetch of mu's partial table.  When a walk
+    """``tensor_multiplicity(datum, lam, mu, nu)`` for each nu of ``nus``,
+    unchecked: every weight is a dominant tuple of ints and each triple
+    passes ``_check_coefficient``.  ``tensor_multiplicity`` checks its input
+    before it calls this; a box closure calls it directly, as its candidates
+    and factors are dominant box weights, and any three weights of a box
+    the region cap admits pass the int64 guard (see ``_CosetRegion``).
+    What lam and mu fix is done once: the shift and the steps of t,
+    B(mu, mu), det C^-1 mu, which the class test and the dominance test
+    compare against, and the fetch of mu's partial table.  When a walk
     visits a point or two, as for the candidates of a box closure, that is
     most of the cost.  A folded p != mu is a weight of L(mu) iff the table
     holds it once its floor is as deep as mu - p: the top's class test puts
@@ -261,10 +270,6 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
     positive multiplicity.  So a p the table holds is read at once, and
     only one it lacks runs the dominance test p <= mu, which, when it
     holds, extends the table to the depth of mu - p."""
-    lam, mu = datum.check_dominant(lam), datum.check_dominant(mu)
-    nus = [datum.check_dominant(nu) for nu in nus]
-    for nu in nus:
-        _check_coefficient(datum, lam, mu, nu)
     det, adjugate = datum._det, datum._adjugate
     shift = wadd(lam, datum.weyl_vector)
     step = [2 * det * a * b for a, b in zip(datum.symmetrizer, shift)]

@@ -9,6 +9,7 @@ from weightlab import (Box, LatticeSpec, MonoidSpec, RootDataError, bounded_perf
                        enumerate_perfect, is_perfect_in_box, is_saturated_monoid,
                        predicted_members, root_coordinates, verify_classification)
 from weightlab import perfectmonoid
+from weightlab.tensor import _check_coefficient
 from conftest import get_datum
 from oracles import pairwise_perfect_closure
 
@@ -273,6 +274,51 @@ def test_closure_settles_each_pair_once():
         + stats["closure_coefficients"] == stats["closure_pairs"]
     # a flagged pair is settled by coefficients or decomposed, by its size
     assert stats["closure_coefficients"] > 0 and stats["closure_decomposed"] > 0
+
+
+def test_closure_stops_once_its_reach_set_is_full():
+    # D5 (0,0,0,1,0) box 3 reaches every predicted weight early; the rows
+    # it skips are counted as settled, so the CLI test's pins hold
+    d5 = build_root_datum("D5")
+    report = verify_classification(MonoidSpec(d5, ((0, 0, 0, 1, 0),)), Box(3))
+    assert report.equal and d5.stats["closure_rows_skipped"] > 0
+    assert {k: d5.stats[k] for k in ("closure_pairs", "closure_settled", "closure_rechecked",
+                                     "closure_coefficients", "closure_decomposed",
+                                     "coefficient_points")} == {
+        "closure_pairs": 524800, "closure_settled": 524291, "closure_rechecked": 413,
+        "closure_coefficients": 94, "closure_decomposed": 2, "coefficient_points": 11410}
+    # G2 (0,1) box 1 never reaches two predicted weights, so it skips no row
+    g2 = build_root_datum("G2")
+    report = verify_classification(MonoidSpec(g2, ((0, 1),)), Box(1))
+    assert len(report.unreached_in_box) == 2 and g2.stats["closure_rows_skipped"] == 0
+    # {0} reaches only itself: its one row is skipped, before any row test
+    a2 = build_root_datum("A2")
+    assert is_perfect_in_box(a2, {(0, 0)}, Box(3))
+    assert a2.stats["closure_rows_skipped"] == a2.stats["closure_pairs"] \
+        == a2.stats["closure_settled"] == 1
+
+
+# every simple type of a rank at which the region cap admits a box
+SIMPLE_BOX_TYPES = ([f"{family}{rank}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                     for rank in range(low, 20)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def test_any_three_box_weights_pass_the_coefficient_guard():
+    # the closure asks for its coefficients unchecked: at the largest bound
+    # the cap admits, the box's top corner, taken three times, passes
+    for type_string in SIMPLE_BOX_TYPES:
+        datum = build_root_datum(type_string)
+        side = int(perfectmonoid.MAX_REGION ** (1 / datum.rank))
+        while side ** datum.rank > perfectmonoid.MAX_REGION:
+            side -= 1
+        while (side + 1) ** datum.rank <= perfectmonoid.MAX_REGION:
+            side += 1
+        bound = side - 1
+        assert bound >= 1, type_string
+        with pytest.raises(ValueError, match="spans"):
+            Box(bound + 1).region(datum)
+        top = (bound,) * datum.rank
+        _check_coefficient(datum, top, top, top)
 
 
 @pytest.mark.parametrize("bound", [2, 3])

@@ -853,6 +853,20 @@ def test_perfectness_matches_pairwise_oracle(type_string, mode, factor, data):
 
 @pytest.mark.parametrize("type_string, mode, factor", ROW_TEST_STRATA)
 @given(data=st.data())
+def test_closure_stops_only_at_the_prediction(type_string, mode, factor, data):
+    # for generators in the lattice, the closure's reach set is the
+    # prediction: no member leaves it, and rows are skipped exactly when
+    # every predicted weight is a member
+    spec, box = closure_spec(data, type_string, mode, factor)
+    before = spec.datum.stats["closure_rows_skipped"]
+    report = verify_classification(spec, box)
+    skipped = spec.datum.stats["closure_rows_skipped"] - before
+    assert not report.missing_from_prediction
+    assert (skipped > 0) == (not report.unreached_in_box)
+
+
+@pytest.mark.parametrize("type_string, mode, factor", ROW_TEST_STRATA)
+@given(data=st.data())
 def test_kept_region_holds_no_closure_state(type_string, mode, factor, data):
     # one datum runs closures at B, B + 1 and B again, the perfectness test
     # and a verify on its kept regions; each matches a fresh datum's result

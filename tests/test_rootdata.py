@@ -284,6 +284,7 @@ DOMINANT_ENTRY_POINTS = {
     "tensor_decompose-lhs": lambda d, w: tensor_decompose(d, w, (1, 0)),
     "tensor_decompose-rhs": lambda d, w: tensor_decompose(d, (1, 0), w),
     "tensor_multiplicity-lam": lambda d, w: tensor_multiplicity(d, w, (1, 0), (1, 1)),
+    "tensor_multiplicity-mu": lambda d, w: tensor_multiplicity(d, (1, 0), w, (1, 1)),
     "tensor_multiplicity-nu": lambda d, w: tensor_multiplicity(d, (1, 0), (0, 1), w),
     "orbit_size": orbit_size,
     "dual_weight": dual_weight,
