@@ -6,10 +6,10 @@ explicitly only where needed (tensor decomposition, brute-force checks).
 The expansion walks one orbit per zero pattern J among the dominant weights
 (per simple factor), that of one weight encoding the free coordinates, which
 gives w omega_i for every coset w W_J and free i; the rows of a pattern are
-then one integer product of its weights with those images.  A single
-tensor coefficient reads only the multiplicities between a weight and the
-highest weight, from one partial table per highest weight, kept on the
-datum and extended downward on demand (``_interval``).
+then one integer product of its weights with those images.  Each highest
+weight has one multiplicity table, kept on the datum and extended downward
+on demand (``_interval``): a tensor coefficient reads it down to a weight,
+``dominant_weights_below`` and ``character`` to the bottom.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class Character:
 
 def dominant_weights_below(datum: RootDatum, lam: Weight) -> list[Weight]:
     """All dominant mu with mu <= lam and lam - mu in the root lattice,
-    sorted by decreasing height then lexicographically."""
-    return [w for w, _ in _below_with_depth(datum, datum.check_dominant(lam))]
+    sorted by decreasing height then lexicographically: lam's table, walked."""
+    return [w for _, w in sorted((sum(d), w) for w, d in _walked(datum, lam).seen.items())]
 
 
 def _below_count_bound(datum: RootDatum, lam: Weight) -> int:
@@ -94,22 +94,22 @@ def _below_count_bound(datum: RootDatum, lam: Weight) -> int:
     return counts.get(tuple(sum(map(mul, row, lam)) % det for row in adjugate), 0)
 
 
-@memoized
-def _below_with_depth(datum: RootDatum, lam: Weight) -> list[tuple[Weight, tuple[int, ...]]]:
-    """Dominant weights below lam, each with the root coordinates of lam - mu,
-    sorted by total depth (decreasing height of mu), then by weight: the
-    walk of ``_walk`` with no floor.  Refused with ``ValueError`` before the
-    walk when ``_below_count_bound`` already exceeds ``MAX_DOMINANT_WEIGHTS``;
-    that bound is read only when prod_i (lam_i + 1), which it never
-    exceeds, does, so an ordinary character never eliminates C."""
+def _walked(datum: RootDatum, lam: Weight) -> _Interval:
+    """lam's table, walked to the bottom; refused with ``ValueError`` before
+    any walk when ``_below_count_bound`` exceeds ``MAX_DOMINANT_WEIGHTS``,
+    read only when prod_i (lam_i + 1), which it never exceeds, does, so an
+    ordinary character never eliminates C."""
+    lam = datum.check_dominant(lam)
     if (prod(x + 1 for x in lam) > MAX_DOMINANT_WEIGHTS
             and _below_count_bound(datum, lam) > MAX_DOMINANT_WEIGHTS):
         raise ValueError(f"more than {MAX_DOMINANT_WEIGHTS} dominant weights below {lam}")
-    return _walk(datum, {}, {lam: (0,) * datum.rank})
+    table = _interval(datum, lam)
+    table.walk(datum, None)
+    return table
 
 
-def _walk(datum: RootDatum, seen: dict, start: dict, floor=None,
-          cut=None) -> list[tuple[Weight, tuple[int, ...]]]:
+def _walk(datum: RootDatum, seen: dict, start: dict, floor,
+          cut: dict) -> list[tuple[Weight, tuple[int, ...]]]:
     """Add the dominant weights of ``start`` to ``seen`` and walk down from
     them, adding each dominant weight reached; both map a weight mu to the
     root coordinates of lam - mu, its depth, with lam the first key of
@@ -125,7 +125,7 @@ def _walk(datum: RootDatum, seen: dict, start: dict, floor=None,
     Math. 136, 1998): when one dominant weight covers another in dominance
     order, the two differ by a positive root, so every dominant mu <= lam is
     reached from lam through dominant weights, each deeper than the last in
-    every coordinate.  So a walk cut at a depth ``floor`` still reaches
+    every coordinate.  So a walk cut at a depth ``floor`` (None: uncut) reaches
     every dominant weight whose depth is at most ``floor``: a weight it
     reaches deeper than that is put in ``cut`` instead, from where a lower
     floor resumes the walk.  Refused with ``ValueError``, ``seen`` as it
@@ -216,17 +216,7 @@ def character(datum: RootDatum, lam: Weight) -> Character:
     nu = mu + alpha, and reads S_alpha(nu) as the stored sum of the folded
     root at the dominant representative of nu; see ``_freudenthal``.
     """
-    return _character(datum, datum.check_dominant(lam))
-
-
-@memoized
-def _character(datum: RootDatum, lam: Weight) -> Character:
-    """The recursion of ``character`` on a checked lam, over the whole walk
-    below it: ``_freudenthal`` with no floor."""
-    below = _below_with_depth(datum, lam)
-    table: dict[Weight, int] = {lam: 1}
-    _freudenthal(datum, lam, {w for w, _ in below}, table, defaultdict(dict), below[1:])
-    return Character(datum, table)
+    return Character(datum, _walked(datum, lam).extend(datum, None))
 
 
 def _freudenthal(datum: RootDatum, lam: Weight, members, table: dict, sums: defaultdict,
@@ -356,43 +346,53 @@ def _fold_string(datum: RootDatum, nu: Weight, fund: Weight) -> tuple[Weight, We
 class _Interval:
     """The multiplicities of L(``lam``) on the dominant weights mu below lam
     whose depth, the root coordinates of lam - mu, is at most ``floor`` in
-    every coordinate: ``seen`` maps them to their depths and ``table`` to
-    their multiplicities.  ``cut`` holds the weights the walk reached past
-    the floor, and ``sums`` the string sums of the recursion."""
+    every coordinate (all once it is None): ``seen`` maps them to their
+    depths and ``table``, bar the ``queue`` walked but not computed, to
+    their multiplicities.  ``cut`` holds the weights reached past the
+    floor, and ``sums`` the recursion's string sums until it is complete."""
 
     lam: Weight
-    floor: tuple[int, ...]
+    floor: tuple[int, ...] | None
     seen: dict[Weight, tuple[int, ...]]
     cut: dict[Weight, tuple[int, ...]]
     table: dict[Weight, int]
-    sums: defaultdict
+    sums: defaultdict | None
+    queue: list[tuple[Weight, tuple[int, ...]]] = field(default_factory=list)
+
+    def walk(self, datum: RootDatum, depth) -> None:
+        """Resume the walk from the weights of ``cut`` within the floor that
+        covers the old one and ``depth``, or all of them when ``depth`` is
+        None, and queue the weights added.  Refused with ``ValueError``, the
+        table as it was, past ``MAX_DOMINANT_WEIGHTS`` weights."""
+        if self.floor is None or depth is not None and all(map(le, depth, self.floor)):
+            return
+        floor = None if depth is None else tuple(map(max, self.floor, depth))
+        grown = {w: d for w, d in self.cut.items() if floor is None or all(map(le, d, floor))}
+        self.queue += _walk(datum, self.seen, grown, floor, self.cut)
+        self.cut = {w: d for w, d in self.cut.items() if w not in grown}
+        self.floor = floor
 
     def extend(self, datum: RootDatum, depth) -> dict[Weight, int]:
-        """The table, extended first, when ``depth`` is not within the
-        floor, to the floor that covers both: the weights of ``cut`` within
-        it resume the walk, and the recursion runs on the weights added.
-        Counted as ``interval_extensions`` in ``datum.stats``.  Refused with
-        ``ValueError``, the table as it was, when it would hold more than
-        ``MAX_DOMINANT_WEIGHTS`` weights."""
-        if all(map(le, depth, self.floor)):
-            return self.table
-        floor = tuple(map(max, self.floor, depth))
-        grown = {w: d for w, d in self.cut.items() if all(map(le, d, floor))}
-        added = _walk(datum, self.seen, grown, floor, self.cut)
-        for w in grown:
-            del self.cut[w]
-        self.floor = floor
-        _freudenthal(datum, self.lam, self.seen, self.table, self.sums, added)
-        datum.stats["interval_extensions"] += 1
+        """The table, walked as ``walk`` does and computed on its queue in
+        order: a weight above a queued one is no deeper in any coordinate,
+        so an earlier walk or the same one, sorted by total depth, took it
+        first.  Each run is counted as ``interval_extensions``."""
+        self.walk(datum, depth)
+        if self.queue:
+            _freudenthal(datum, self.lam, self.seen, self.table, self.sums, self.queue)
+            self.queue = []
+            datum.stats["interval_extensions"] += 1
+        if self.floor is None:
+            self.sums = None
         return self.table
 
 
 @memoized
 def _interval(datum: RootDatum, lam: Weight) -> _Interval:
-    """The partial table of a checked lam, kept on the datum and extended
-    downward on demand: the multiplicities of L(lam) between a depth floor
-    and lam, which is all that m_lam(p) reads.  It starts at floor 0, lam
-    alone, with lam's children cut."""
+    """The table of a checked lam, kept on the datum and extended downward
+    on demand: the multiplicities of L(lam) between a depth floor and lam,
+    which is all that m_lam(p) reads, or all of them.  It starts at floor
+    0, lam alone, with lam's children cut."""
     zero = (0,) * datum.rank
     seen: dict[Weight, tuple[int, ...]] = {}
     cut: dict[Weight, tuple[int, ...]] = {}

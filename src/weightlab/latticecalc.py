@@ -251,6 +251,8 @@ class Subgroup:
         return self._member_set <= other._member_set
 
     def to_json(self) -> dict:
+        """The members, and under "invariants" the coordinate moduli
+        ``group.orders`` (A2xA1: [3, 2]), not ``group.invariants`` ((6,))."""
         return {"invariants": list(self.group.orders),
                 "elements": [list(e) for e in self.members]}
 

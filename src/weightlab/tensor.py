@@ -229,23 +229,22 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     B(nu + rho - s, nu + rho - s) can count (the norm test).  s_i raises t
     by x_i step_i with step_i = 2 B(alpha_i, s) = 2 det d_i s_i > 0, the
     walk's step, so it cuts every subtree that fails the test and walks
-    only points that pass.  The sum is 0 without a walk when
-    the top fails the test, and when det C^-1 (nu - lam - mu) is not
-    divisible by det: W acts trivially on P/Q, so then no point minus s
-    lies in the root class of mu.  Every point walked passes and is folded,
-    minus s, to its dominant representative p, which carries a
-    multiplicity only if p <= mu: 1 when p = mu, otherwise m_mu(p), which
-    reads only the dominant weights between p and mu.  It is read from
-    mu's partial table (``charcalc._interval``), kept on the datum and
-    extended down to the depth of mu - p on the first p it lacks.  The
-    points walked are counted as ``coefficient_points`` in ``datum.stats``,
-    and again as ``coefficient_folds``.  There is no bound on |W|: the
-    walk's memory is one stack.  Its cost is every orbit point inside the
-    norm ball, which no bound limits (one E8 coefficient with lam, mu in
-    {0,1}^8 walks 565,826), plus the partial table it reads, whose weights
+    only points that pass.  The sum is 0 without a walk when the top fails
+    the test, and when det C^-1 (nu - lam - mu) is not divisible by det: W
+    acts trivially on P/Q, so then no point minus s lies in the root class
+    of mu.  Every point walked passes and is folded, minus s, to its
+    dominant representative p, which carries a multiplicity only if p <= mu:
+    1 when p = mu, otherwise m_mu(p), which reads only the dominant weights
+    between p and mu.  It is read from mu's table (``charcalc._interval``),
+    kept on the datum and extended down to the depth of mu - p on the first
+    p it lacks.  The points walked, all folded, are ``coefficient_points``
+    in ``datum.stats``.  There is no bound on |W|: the walk's memory is one
+    stack.  Its cost is every orbit point inside the norm ball, which no
+    bound limits (one E8 coefficient with lam, mu in {0,1}^8 walks 565,826),
+    plus the part of the table it reads, whose weights
     ``charcalc.MAX_DOMINANT_WEIGHTS`` bounds.  Refused with ``ValueError``
-    for a weight that is not dominant and outside the documented int64
-    range (see ``_check_coefficient``); both checks run here, once, before
+    for a weight that is not dominant and outside the documented int64 range
+    (see ``_check_coefficient``); both checks run here, once, before
     :func:`_coefficients`, which trusts its caller.
     """
     lam, mu, nu = (datum.check_dominant(w) for w in (lam, mu, nu))
@@ -309,7 +308,6 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
         assert total >= 0, "negative tensor coefficient"
         out.append(total)
     datum.stats["coefficient_points"] += points
-    datum.stats["coefficient_folds"] += points
     return out
 
 

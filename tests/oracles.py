@@ -39,9 +39,9 @@ from math import factorial, floor
 
 import numpy as np
 
-from weightlab import (apply_word, character, in_lattice, latticecalc, orbit, reflect,
-                       root_coordinates, weyl)
-from weightlab.charcalc import _below_with_depth, expanded_weight_table
+from weightlab import (apply_word, character, dominant_weights_below, in_lattice, latticecalc,
+                       orbit, reflect, root_coordinates, weyl)
+from weightlab.charcalc import expanded_weight_table
 from weightlab.perfectmonoid import Box
 from weightlab.rootdata import PositiveRoot, RootDatum, Weight, wadd, wsub
 from weightlab.tensor import _check_coefficient, tensor_decompose
@@ -128,9 +128,9 @@ def per_root_freudenthal(datum, lam) -> dict[Weight, int]:
     """Dominant weight -> multiplicity of L(lam) by the Freudenthal
     recursion with one root string per positive root for every mu."""
     lam = datum.check_weight(lam)
-    below = _below_with_depth(datum, lam)
+    below = dominant_weights_below(datum, lam)
     table: dict[Weight, int] = {lam: 1}
-    dom_set = {w for w, _ in below}
+    dom_set = set(below)
     sym = datum.symmetrizer
     # per positive root: its fundamental coordinates, the vector v with
     # v . nu = (alpha, nu), and (alpha, alpha) = v . alpha
@@ -139,7 +139,10 @@ def per_root_freudenthal(datum, lam) -> dict[Weight, int]:
         pair = tuple(r * d for r, d in zip(alpha.rc, sym))
         strings.append((alpha.fund, pair, sum(p * a for p, a in zip(pair, alpha.fund))))
     dominant_of: dict[Weight, Weight] = {}
-    for mu, depth in below[1:]:
+    for mu in below[1:]:
+        depth = root_coordinates(datum, wsub(lam, mu))
+        assert all(k.denominator == 1 for k in depth)
+        depth = tuple(map(int, depth))
         # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
         mid = tuple(a + b + 2 for a, b in zip(lam, mu))
         denom = sum(k * d * f for k, d, f in zip(depth, sym, mid))

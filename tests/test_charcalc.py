@@ -66,9 +66,11 @@ def test_freudenthal_walks_one_string_per_stabilizer_orbit():
     assert d5.stats["freudenthal_strings"] == 4651
     # the per-root recursion walks every positive root from each mu < lam
     assert (len(dominant_weights_below(d5, lam)) - 1) * len(d5.positive_roots) == 8740
-    assert (d5.stats["character_misses"], d5.stats["character_hits"]) == (1, 0)
-    assert character(d5, lam) is char
-    assert (d5.stats["character_misses"], d5.stats["character_hits"]) == (1, 1)
+    # one table, read again by the oracle, the walk and the second call
+    table = ("interval_misses", "interval_hits", "interval_extensions")
+    assert tuple(d5.stats[k] for k in table) == (1, 2, 1)
+    assert character(d5, lam).entries is char.entries
+    assert tuple(d5.stats[k] for k in table) == (1, 3, 1)
     assert d5.stats["freudenthal_strings"] == 4651
 
 
@@ -199,9 +201,10 @@ def test_walk_bound_is_exact(monkeypatch):
                  lambda d, w: tensor_decompose(d, w, w)):
         with pytest.raises(ValueError, match="more than 5 dominant weights"):
             call(a1, (10,))
-    # refused before the recursion, and nothing is kept
+    # refused before the recursion, and lam's table holds lam alone
     assert a1.stats["freudenthal_strings"] == 0
-    assert not a1.memo["below_with_depth"] and not a1.memo["character"]
+    part = a1.memo["interval"][(10,)]
+    assert part.seen == {(10,): (0,)} and part.table == {(10,): 1} and not part.queue
 
 
 def test_walk_bound_refuses_e8_without_walking(monkeypatch):
@@ -251,6 +254,8 @@ def test_partial_table_refusal_keeps_the_table(monkeypatch):
     monkeypatch.setattr(charcalc, "MAX_DOMINANT_WEIGHTS", 6)
     assert part.extend(a1, (5,)) == character(a1, (10,)).entries
     assert a1.stats["interval_extensions"] == 2
+    # the character found nothing left to compute, and the table is complete
+    assert part.floor is None and part.sums is None and not part.cut
 
 
 def test_weyl_dimension_examples():

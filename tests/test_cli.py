@@ -197,8 +197,7 @@ def test_chain_check_folds_only_points_that_count(capsys):
     status, _, err = run_cli(capsys, "--stats", "construct", "--type", "D5", "--check")
     assert status == 0
     stats = json.loads(err)
-    assert stats["coefficient_folds"] == stats["prv_confirmed"] == 2
-    assert stats["coefficient_points"] == stats["coefficient_folds"]
+    assert stats["coefficient_points"] == stats["prv_confirmed"] == 2
 
 
 def test_verify_closure_counts_are_pinned(capsys):
@@ -215,13 +214,12 @@ def test_verify_closure_counts_are_pinned(capsys):
 
 
 def test_chain_check_from_rho_reads_no_character(capsys):
-    # every walked point that counts folds onto mu itself, so no partial
-    # table, walk or character is built
+    # every walked point that counts folds onto mu itself, so no table,
+    # walk or character is built
     status, _, err = run_cli(capsys, "--stats", "construct", "--type", "D5", "--check")
     assert status == 0
     stats = json.loads(err)
-    assert not any(key.startswith(("interval_", "character_", "below_with_depth_"))
-                   for key in stats)
+    assert not any(key.startswith("interval_") for key in stats)
 
 
 def test_prv_check_deterministic(capsys):
@@ -412,9 +410,8 @@ def test_stats_count_one_miss_per_memo_entry(capsys, monkeypatch):
     assert run_cli(capsys, "--stats", "verify", "--type", "A2", "--generators", "1,0",
                    "--box", "4")[0] == 0
     (datum,) = built
-    assert set(datum.memo) == {"parabolic_order", "root_strings", "below_with_depth",
-                               "character", "weyl_dimension", "expanded_table", "coset_region",
-                               "coset_images"}
+    assert set(datum.memo) == {"parabolic_order", "root_strings", "interval", "weyl_dimension",
+                               "expanded_table", "coset_region", "coset_images"}
     misses = {key[:-len("_misses")] for key in datum.stats if key.endswith("_misses")}
     assert misses == set(datum.memo)
     for name, values in datum.memo.items():

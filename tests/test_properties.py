@@ -37,7 +37,7 @@ from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescript
                        support_regular_weight, tensor_decompose, tensor_multiplicity,
                        verify_classification, w0_antifixed_weight, weyl_dimension,
                        weyl_group_elements, apply_word)
-from weightlab.charcalc import _below_with_depth, _root_strings, expanded_weight_table
+from weightlab.charcalc import _root_strings, expanded_weight_table
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.rootdata import pairing, wadd, wsub
 from weightlab.tensor import _big_and_small, _coefficients, _expanded_table, _form, _klimyk
@@ -98,8 +98,10 @@ def dominant_weights(datum, max_coord: int = 3, max_box: int = 5000):
 def test_walk_matches_box_oracle(type_string, data):
     datum = get_datum(type_string)
     lam = data.draw(dominant_weights(datum), label="lam")
-    # same weights, same root coordinates, same order
-    assert _below_with_depth(datum, lam) == box_below_with_depth(datum, lam)
+    # same weights, same order, and lam's table holds the same root coordinates
+    below = box_below_with_depth(datum, lam)
+    assert dominant_weights_below(datum, lam) == [w for w, _ in below]
+    assert charcalc._interval(datum, lam).seen == dict(below)
 
 
 def oracle_root_coordinates(datum, lam) -> tuple:
@@ -146,7 +148,9 @@ def test_dominance_matches_fraction_inverse(type_string, data):
     ("C6", (0, 1, 0, 0, 0, 1)), ("D6", (1, 0, 0, 1, 0, 1))])
 def test_walk_matches_box_oracle_beyond_drawn_boxes(type_string, lam):
     datum = get_datum(type_string)
-    assert _below_with_depth(datum, lam) == box_below_with_depth(datum, lam)
+    below = box_below_with_depth(datum, lam)
+    assert dominant_weights_below(datum, lam) == [w for w, _ in below]
+    assert charcalc._interval(datum, lam).seen == dict(below)
 
 
 @pytest.mark.parametrize("type_string", RANK4)
@@ -169,13 +173,15 @@ def test_floored_walk_matches_box_oracle(type_string, data):
 @pytest.mark.parametrize("type_string", RANK4)
 @given(data=st.data())
 def test_partial_table_grows_to_the_full_character(type_string, data):
-    # a fresh datum, so that the table starts from lam alone; each extension
-    # asks for the depth of a drawn weight below lam, in drawn order
+    # a fresh datum, so that the table starts from lam alone, and a second
+    # one for the whole character; each extension asks for the depth of a
+    # drawn weight below lam, in drawn order
     datum = build_root_datum(type_string)
     lam = data.draw(dominant_weights(datum), label="lam")
     below = dict(box_below_with_depth(datum, lam))
-    full = character(datum, lam).entries
-    assert full == per_root_freudenthal(datum, lam)
+    other = build_root_datum(type_string)
+    full = character(other, lam).entries
+    assert full == per_root_freudenthal(other, lam)
     part = charcalc._interval(datum, lam)
     floor = (0,) * datum.rank
     for mu in data.draw(st.lists(st.sampled_from(sorted(below)), min_size=2, max_size=3),
@@ -186,6 +192,10 @@ def test_partial_table_grows_to_the_full_character(type_string, data):
         assert part.floor == floor
         assert part.seen == {w: below[w] for w in within}
         assert table == {w: full[w] for w in within}
+    # the character completes the same table, which then keeps no sums
+    assert character(datum, lam).entries == full
+    assert part.floor is None and part.sums is None and not part.cut and not part.queue
+    assert datum.stats["interval_misses"] == 1
 
 
 @pytest.mark.parametrize("type_string", RANK4)
@@ -634,12 +644,8 @@ def test_pruned_coefficient_matches_unpruned_oracle(type_string, data):
     assert datum._det == 1 or any(not dominance_leq(datum, nu, top)
                                   and not dominance_leq(datum, top, nu) for nu in shifted)
     for nu in nus + shifted:
-        points, folds = datum.stats["coefficient_points"], datum.stats["coefficient_folds"]
         assert tensor_multiplicity(datum, lam, mu, nu) \
             == oracles.unpruned_tensor_multiplicity(datum, lam, mu, nu), nu
-        # every point walked passes the norm test and is folded
-        assert datum.stats["coefficient_points"] - points \
-            == datum.stats["coefficient_folds"] - folds, nu
 
 
 @pytest.mark.parametrize("type_string", RANK4)
@@ -649,9 +655,9 @@ def test_coefficient_folds_every_weight_and_nothing_outside_the_norm_ball(type_s
     lam, mu = data.draw(dominant_pairs(datum, 3, 3, 10 ** 4), label="pair")
     top = tuple(a + b for a, b in zip(lam, mu))
     nu = data.draw(st.sampled_from(dominant_weights_below(datum, top)), label="nu")
-    folds = datum.stats["coefficient_folds"]
+    folds = datum.stats["coefficient_points"]
     tensor_multiplicity(datum, lam, mu, nu)
-    folds = datum.stats["coefficient_folds"] - folds
+    folds = datum.stats["coefficient_points"] - folds
     # each point x of W(nu + rho) with x - lam - rho a weight of L(mu) is
     # walked and folded; a point outside |x - lam - rho| <= |mu| is not folded
     weights = expanded(datum, mu)
@@ -680,8 +686,9 @@ def test_orbit_tree_yields_the_points_inside_its_cut_once_each(type_string, data
             for nu in dominant_weights_below(datum, wadd(lam, mu))]
     top = data.draw(st.sampled_from([x for x in tops if slack(x) >= 0]), label="top")
     coroots = np.array([alpha.coroot for alpha in datum.positive_roots])
-    cases = [(mu, (), bfs_orbit(datum, mu)), (top, (), bfs_orbit(datum, top)),
-             (top, (step, slack(top)), {x for x in bfs_orbit(datum, top)
+    top_orbit = bfs_orbit(datum, top)
+    cases = [(mu, (), bfs_orbit(datum, mu)), (top, (), top_orbit),
+             (top, (step, slack(top)), {x for x in top_orbit
                                         if 2 * _form(datum, wsub(top, x), shift) <= slack(top)})]
     for start, cut, points in cases:
         walked = list(orbit_tree(datum, start, *cut))

@@ -13,7 +13,8 @@ from weightlab.charcalc import character, expanded_weight_table
 from weightlab.rootdata import RootDatum, build_root_datum
 from weightlab.tensor import INT64_MAX, _expanded_table, _fold_dtype
 from conftest import get_datum
-from oracles import brute_tensor, cg_closed_form, random_dominant, unique_klimyk
+from oracles import (brute_tensor, cg_closed_form, per_root_freudenthal, random_dominant,
+                     unique_klimyk)
 
 
 def test_clebsch_gordan_examples():
@@ -167,7 +168,7 @@ def test_int64_guard_precedes_the_expansion():
     a1 = get_datum("A1")
     with pytest.raises(ValueError, match="int64"):
         tensor_decompose(a1, (2 ** 63,), (2 ** 64,))
-    assert (2 ** 63,) not in a1.memo["character"]
+    assert (2 ** 63,) not in a1.memo["interval"]
 
 
 def test_coefficient_examples():
@@ -183,11 +184,28 @@ def test_coefficient_examples():
         tensor_multiplicity(a2, (1, 0), (1, 0), (-1, 2))
 
 
+def test_character_completes_the_table_a_coefficient_began():
+    # the coefficient of (1,5) in (1,1) x (2,2) reads mu = (2,2)'s table down
+    # to depth (1,0) only; the character of mu then walks and computes the
+    # rest of that same table
+    b2 = build_root_datum("B2")
+    mu = (2, 2)
+    assert tensor_multiplicity(b2, (1, 1), mu, (1, 5)) == 1
+    part = b2.memo["interval"][mu]
+    assert part.floor == (1, 0) and len(part.table) == 2 and part.cut
+    full = character(b2, mu).entries
+    assert full is part.table
+    assert full == character(build_root_datum("B2"), mu).entries \
+        == per_root_freudenthal(build_root_datum("B2"), mu)
+    assert part.floor is None and part.sums is None and not part.cut and not part.queue
+    assert b2.stats["interval_misses"] == 1 and b2.stats["interval_extensions"] == 2
+
+
 def test_zero_at_the_top_walks_nothing():
     # nu + rho - lam - rho = (4,) misses the norm ball |y| <= |mu| = 2
     a1 = build_root_datum("A1")
     assert tensor_multiplicity(a1, (0,), (2,), (4,)) == 0
-    assert a1.stats["coefficient_points"] == a1.stats["coefficient_folds"] == 0
+    assert a1.stats["coefficient_points"] == 0
 
 
 def test_coefficient_ignores_the_weyl_cap(monkeypatch):
