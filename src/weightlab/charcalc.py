@@ -23,7 +23,7 @@ from operator import add, gt, le, mul, sub
 import numpy as np
 
 from .rootdata import RootDatum, Weight, memoized, parabolic_order
-from .weyl import _climb, orbit, orbit_size
+from .weyl import _climb, orbit
 
 # most rows an expanded weight table may hold: its row count, the sum of the
 # orbit sizes of the character's dominant weights, is checked before any
@@ -44,8 +44,7 @@ class Character:
 
     def __post_init__(self):
         for w, m in self.entries.items():
-            if any(x < 0 for x in w):
-                raise ValueError(f"character key {w} is not dominant")
+            self.datum.check_dominant(w)
             if m < 1:
                 raise ValueError(f"multiplicity {m} at {w} must be positive")
 
@@ -267,7 +266,9 @@ def _freudenthal(datum: RootDatum, lam: Weight, members, table: dict, sums: defa
         # denominator (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
         mid = tuple(a + b + 2 for a, b in zip(lam, mu))
         denom = sum(k * d * f for k, d, f in zip(depth, sym, mid))
-        assert denom > 0
+        if not denom:  # mu = lam, the one weight at depth 0
+            table[mu] = 1
+            continue
         strings = _root_strings(datum, sum(1 << i for i, x in enumerate(mu) if x == 0))
         walked += len(strings)
         total = 0
@@ -349,7 +350,7 @@ class _Interval:
     every coordinate (all once it is None): ``seen`` maps them to their
     depths and ``table``, bar the ``queue`` walked but not computed, to
     their multiplicities.  ``cut`` holds the weights reached past the
-    floor, and ``sums`` the recursion's string sums until it is complete."""
+    floor (lam, before any walk), ``sums`` the string sums until complete."""
 
     lam: Weight
     floor: tuple[int, ...] | None
@@ -391,13 +392,10 @@ class _Interval:
 def _interval(datum: RootDatum, lam: Weight) -> _Interval:
     """The table of a checked lam, kept on the datum and extended downward
     on demand: the multiplicities of L(lam) between a depth floor and lam,
-    which is all that m_lam(p) reads, or all of them.  It starts at floor
-    0, lam alone, with lam's children cut."""
-    zero = (0,) * datum.rank
-    seen: dict[Weight, tuple[int, ...]] = {}
-    cut: dict[Weight, tuple[int, ...]] = {}
-    _walk(datum, seen, {lam: zero}, zero, cut)
-    return _Interval(lam, zero, seen, cut, {lam: 1}, defaultdict(dict))
+    which is all that m_lam(p) reads, or all of them.  It starts unwalked,
+    its floor below every depth and lam alone cut at depth 0, so its first
+    walk, like every later one, resumes from ``cut``."""
+    return _Interval(lam, (-1,) * datum.rank, {}, {lam: (0,) * datum.rank}, {}, defaultdict(dict))
 
 
 def weyl_dimension(datum: RootDatum, lam: Weight) -> int:
@@ -437,7 +435,11 @@ def expanded_weight_table(datum: RootDatum, char: Character):
     a coordinate could leave int64: each is <lam, beta^vee> for a coroot
     beta^vee, at most the height of the highest coroot times max lam.
     """
-    size = sum(orbit_size(datum, w) for w in char.entries)
+    patterns = defaultdict(list)
+    for k, w in enumerate(char.entries):
+        patterns[sum(1 << i for i, x in enumerate(w) if x == 0)].append(k)
+    order = datum.weyl_order
+    size = sum(len(at) * (order // parabolic_order(datum, z)) for z, at in patterns.items())
     if size > MAX_EXPANDED_ROWS:
         raise ValueError(f"expanded weight system of {size} weights exceeds bound "
                          f"{MAX_EXPANDED_ROWS}")
@@ -448,9 +450,6 @@ def expanded_weight_table(datum: RootDatum, char: Character):
         raise ValueError("expanded weight system is out of int64 range")
     lams = np.array(list(char.entries), dtype=np.int64)
     mults = np.fromiter(char.entries.values(), dtype=np.int64, count=len(lams))
-    patterns = defaultdict(list)
-    for k, w in enumerate(char.entries):
-        patterns[sum(1 << i for i, x in enumerate(w) if x == 0)].append(k)
     full = (1 << rank) - 1
     rows, reps = [], []
     for zeros, at in patterns.items():

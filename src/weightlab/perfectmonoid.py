@@ -400,9 +400,11 @@ def verify_classification(spec: MonoidSpec, box: Box) -> ClassificationReport:
 def enumerate_perfect(datum: RootDatum, support) -> list[PerfectDescriptor]:
     """All perfect submonoids with the given component support, one
     descriptor per admissible cocenter subgroup (those whose classes the
-    chosen lattice actually contains)."""
+    lattice contains); a factor index must be an int (``RootDataError``)."""
     support = frozenset(support)
     for k in support:
+        if type(k) is not int:
+            raise RootDataError(f"factor index {k!r} is not an int")
         if not 1 <= k <= datum.n_factors:
             raise ValueError(f"factor index {k} out of range")
     cocenter = datum.cocenter

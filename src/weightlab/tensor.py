@@ -234,10 +234,10 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     acts trivially on P/Q, so then no point minus s lies in the root class
     of mu.  Every point walked passes and is folded, minus s, to its
     dominant representative p, which carries a multiplicity only if p <= mu:
-    1 when p = mu, otherwise m_mu(p), which reads only the dominant weights
-    between p and mu.  It is read from mu's table (``charcalc._interval``),
-    kept on the datum and extended down to the depth of mu - p on the first
-    p it lacks.  The points walked, all folded, are ``coefficient_points``
+    m_mu(p), which reads only the dominant weights between p and mu.  It is
+    read from mu's table (``charcalc._interval``), kept on the datum and
+    extended down to the depth of mu - p on the first p it lacks.  The
+    points walked, all folded, are ``coefficient_points``
     in ``datum.stats``.  There is no bound on |W|: the walk's memory is one
     stack.  Its cost is every orbit point inside the norm ball, which no
     bound limits (one E8 coefficient with lam, mu in {0,1}^8 walks 565,826),
@@ -263,19 +263,19 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
     B(mu, mu), det C^-1 mu, which the class test and the dominance test
     compare against, and the fetch of mu's partial table.  When a walk
     visits a point or two, as for the candidates of a box closure, that is
-    most of the cost.  A folded p != mu is a weight of L(mu) iff the table
-    holds it once its floor is as deep as mu - p: the top's class test puts
-    p in mu's class, and every dominant weight below mu in that class has
-    positive multiplicity.  So a p the table holds is read at once, and
-    only one it lacks runs the dominance test p <= mu, which, when it
-    holds, extends the table to the depth of mu - p."""
+    most of the cost.  A folded p is a weight of L(mu) iff the table holds
+    it once its floor is as deep as mu - p: the top's class test puts p in
+    mu's class, and every dominant weight below mu in that class has
+    positive multiplicity.  So each p is one lookup, in {mu: 1} until a p
+    below mu fetches mu's table; only a p it lacks runs the dominance test
+    p <= mu, which, when it holds, extends the table to the depth of mu - p."""
     det, adjugate = datum._det, datum._adjugate
     shift = wadd(lam, datum.weyl_vector)
     step = [2 * det * a * b for a, b in zip(datum.symmetrizer, shift)]
     mu_adj = [sum(map(mul, row, mu)) for row in adjugate]
     mu_norm = _form(datum, mu, mu)
     # mu's partial table, fetched on the first point that folds below mu
-    part, table = None, {}
+    part, table = None, {mu: 1}
     out = []
     points = 0
     for nu in nus:
@@ -293,18 +293,17 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
             p = list(map(sub, x, shift))
             _climb(datum, p)
             p = tuple(p)
-            if p == mu:
-                total += sign
-            elif p in table:
-                total += sign * table[p]
-            else:
+            n = table.get(p)
+            if n is None:
                 # p lies in mu's class, so det C^-1 (mu - p) = det * depth
                 gap = [m - sum(map(mul, row, p)) for row, m in zip(adjugate, mu_adj)]
-                if min(gap) >= 0:
-                    if part is None:
-                        part = _interval(datum, mu)
-                    table = part.extend(datum, [g // det for g in gap])
-                    total += sign * table[p]
+                if min(gap) < 0:
+                    continue
+                if part is None:
+                    part = _interval(datum, mu)
+                table = part.extend(datum, [g // det for g in gap])
+                n = table[p]
+            total += sign * n
         assert total >= 0, "negative tensor coefficient"
         out.append(total)
     datum.stats["coefficient_points"] += points

@@ -171,6 +171,35 @@ def test_product_expands_factor_by_factor():
     assert all(images.shape == (1, 2 * n) for images in datum.memo["coset_images"].values())
 
 
+def test_character_refuses_a_key_of_the_wrong_length_and_a_zero_multiplicity():
+    # a key must be a weight of the datum: (1,) is no weight of A2
+    a2 = build_root_datum("A2")
+    with pytest.raises(RootDataError, match="expected rank 2"):
+        charcalc.Character(a2, {(1,): 1})
+    with pytest.raises(ValueError, match="multiplicity 0 at \\(1, 0\\) must be positive"):
+        charcalc.Character(a2, {(1, 0): 0})
+
+
+@pytest.mark.parametrize("type_string, lam", [("A2", (2, 1)), ("A1xA2", (0, 0, 0))])
+@pytest.mark.parametrize("call", [character, dominant_weights_below],
+                         ids=["character", "dominant_weights_below"])
+def test_fresh_table_is_walked_once(monkeypatch, call, type_string, lam):
+    # a fresh table starts unwalked, lam alone cut at depth 0, so one walk
+    # to the bottom reaches every dominant weight below lam
+    floors = []
+    walk = charcalc._walk
+
+    def counted(datum, seen, start, floor, cut):
+        floors.append(floor)
+        return walk(datum, seen, start, floor, cut)
+    monkeypatch.setattr(charcalc, "_walk", counted)
+    datum = build_root_datum(type_string)
+    call(datum, lam)
+    assert floors == [None]
+    # the one depth-0 weight, lam, counts as one run of the recursion
+    assert datum.stats["interval_extensions"] == (1 if call is character else 0)
+
+
 def test_empty_character_expands_to_an_empty_table():
     a2 = build_root_datum("A2")
     rows, mults = expanded_weight_table(a2, charcalc.Character(a2, {}))
@@ -201,10 +230,11 @@ def test_walk_bound_is_exact(monkeypatch):
                  lambda d, w: tensor_decompose(d, w, w)):
         with pytest.raises(ValueError, match="more than 5 dominant weights"):
             call(a1, (10,))
-    # refused before the recursion, and lam's table holds lam alone
+    # refused before the recursion, and lam's table is as it started:
+    # nothing walked, lam alone cut at depth 0
     assert a1.stats["freudenthal_strings"] == 0
     part = a1.memo["interval"][(10,)]
-    assert part.seen == {(10,): (0,)} and part.table == {(10,): 1} and not part.queue
+    assert not part.seen and part.cut == {(10,): (0,)} and not part.table and not part.queue
 
 
 def test_walk_bound_refuses_e8_without_walking(monkeypatch):

@@ -156,6 +156,14 @@ def test_enumerate_perfect_counts():
     assert len(enumerate_perfect(get_datum("A1xA1"), (1, 2))) == 5
 
 
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_enumerate_perfect_refuses_a_factor_index_that_is_not_an_int(bad):
+    # True == 1.0 == 1, so either would pass the range test and reach a
+    # descriptor's support, whose JSON would print it as given
+    with pytest.raises(RootDataError, match="not an int"):
+        enumerate_perfect(build_root_datum("A1xA2"), [bad])
+
+
 def test_enumerate_perfect_respects_lattice():
     # adjoint lattice: only the trivial class survives
     adj = get_datum("A3", "adjoint")

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from weightlab import (CartanType, LatticeSpec, MonoidSpec, RootDataError, TraceStep,
-                       build_root_datum, character, dominant_weights_below, dual_weight,
+from weightlab import (CartanType, Character, LatticeSpec, MonoidSpec, RootDataError,
+                       TraceStep, build_root_datum, character, dominant_weights_below, dual_weight,
                        in_lattice, orbit_size, root_coordinates, tensor_decompose,
                        tensor_multiplicity, weyl_dimension)
 from weightlab import cli
@@ -289,6 +289,7 @@ DOMINANT_ENTRY_POINTS = {
     "orbit_size": orbit_size,
     "dual_weight": dual_weight,
     "MonoidSpec": lambda d, w: MonoidSpec(d, (w,)),
+    "Character": lambda d, w: Character(d, {w: 1}),
 }
 
 

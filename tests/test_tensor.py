@@ -294,8 +294,8 @@ def test_fold_counts_rows_and_sweeps():
 
 def test_cold_decomposition_checks_its_weights_once(monkeypatch):
     # tensor_decompose checks both factors itself; past it only the
-    # character of the expanded factor and the orbit size of its one
-    # dominant weight go through the public check
+    # character of the expanded factor goes through the public check, at
+    # its entry and for its one key, and the expansion checks nothing
     datum = build_root_datum("A2")
     calls = []
     check = RootDatum.check_dominant
@@ -308,6 +308,11 @@ def test_cold_decomposition_checks_its_weights_once(monkeypatch):
     assert calls == [(2, 1), (1, 0), (1, 0), (1, 0)]
     assert datum.stats["weyl_dimension_misses"] == 2
     assert datum.stats["weyl_dimension_hits"] == 1
+    # the row count comes from the zero patterns, with no check per key
+    char = character(datum, (2, 1))
+    calls.clear()
+    expanded_weight_table(datum, char)
+    assert calls == []
 
 
 def test_decompositions_are_not_kept_on_the_datum():
