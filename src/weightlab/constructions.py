@@ -157,6 +157,8 @@ def support_regular_weight(datum: RootDatum, lam: Weight) -> ConstructionTrace:
 
 
 def _factor_data(datum: RootDatum, factor: int):
+    if type(factor) is not int:
+        raise RootDataError(f"factor index {factor!r} is not an int")
     if not 1 <= factor <= datum.n_factors:
         raise ConstructionError(
             f"factor index {factor} out of range 1..{datum.n_factors}")

@@ -4,7 +4,9 @@ The cocenter is presented factor by factor from the Smith normal form of
 each Cartan block; coordinates with unit modulus are dropped.  The center of
 the simply connected group is identified with the dual of P/Q: subgroups of
 the center are stored as subgroups on the dual side and probed through the
-perfect pairing sum(x_i y_i / d_i) mod 1.
+perfect pairing sum(x_i y_i / d_i) mod 1.  Subgroups are enumerated by
+their Hermite normal forms, each once, under a budget on the elements they
+list in all.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from .rootdata import RootDatum, Weight
 
-# largest group whose subgroups enumerate_subgroups lists
-MAX_SUBGROUP_ORDER = 256
+# most elements the subgroups enumerate_subgroups lists may hold in all
+MAX_SUBGROUP_ELEMENTS = 10 ** 6
 
 
 def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -257,28 +259,61 @@ class Subgroup:
                 "elements": [list(e) for e in self.members]}
 
 
-def enumerate_subgroups(group: FinAbGroup) -> list[Subgroup]:
-    """Every subgroup exactly once, canonically ordered."""
-    if group.order > MAX_SUBGROUP_ORDER:
-        raise ValueError(f"group of order {group.order} exceeds bound {MAX_SUBGROUP_ORDER}")
-    elements = group.elements()
-    found: dict[tuple, Subgroup] = {}
-    trivial = Subgroup.generated(group, ())
-    found[trivial.members] = trivial
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            have = set(sub.members)
-            for g in elements:
-                if g in have:
-                    continue
-                bigger = Subgroup.generated(group, tuple(have) + (g,))
-                if bigger.members not in found:
-                    found[bigger.members] = bigger
-                    nxt.append(bigger)
-        frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.order, s.members))
+def enumerate_subgroups(group: FinAbGroup, ambient: Subgroup | None = None) -> list[Subgroup]:
+    """Every subgroup exactly once, or every subgroup of ``ambient`` when it
+    is given, ordered by order, then members.
+
+    A subgroup is the image of a lattice L with diag(d)·Z^n ⊆ L ⊆ L_A, where
+    d = ``orders`` and L_A is the preimage of ``ambient`` (Z^n when none is
+    given).  L_A has an echelon basis b: b_i is the least member of the
+    ambient, lexicographically, that is zero before coordinate i and not at
+    it, or d_i·e_i when no member is; its i-th coordinate g_i is the least
+    that a vector of L_A zero before i has there.  In that basis L has
+    exactly one Hermite normal form (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4.2): row i of L is
+    (h_i/g_i)·b_i + sum_{j>i} x_j·b_j, with g_i | h_i | d_i and
+    0 <= x_j < h_j/g_j.  The walk builds these rows from the last up and
+    keeps a row when d_i·e_i lies in the span of the row and the rows below
+    it, so only subgroups of the ambient are walked, each once.  A form's
+    subgroup has prod d_i/h_i elements; once the forms found would list
+    more than MAX_SUBGROUP_ELEMENTS elements in all, the walk refuses with
+    ``ValueError``, before any element is listed."""
+    orders, n = group.orders, len(group.orders)
+    axes = [(0,) * i + (d,) + (0,) * (n - 1 - i) for i, d in enumerate(orders)]  # d_i·e_i
+    # in the whole group the least member at each level is a unit vector
+    members = [tuple(min(x, 1) for x in a) for a in axes] if ambient is None else ambient.members
+    basis = [min(a for a in (*members, axes[i]) if not any(a[:i]) and a[i]) for i in range(n)]
+    forms, listed = [], 0
+
+    def walk(i: int, rows: tuple, size: int) -> None:
+        nonlocal listed
+        if i < 0:
+            listed += size
+            if listed > MAX_SUBGROUP_ELEMENTS:
+                raise ValueError(f"the subgroups list more than {MAX_SUBGROUP_ELEMENTS} elements")
+            # a row with h_i = d_i is d_i·e_i plus rows below, so it generates nothing new
+            forms.append([r for k, r in enumerate(rows) if r[k] < orders[k]])
+            return
+        # row i is (h_i/g_i)·b_i + sum_{j>i} x_j·b_j, for each h_i and each x
+        d, b = orders[i], basis[i]
+        cands = [tuple(h // b[i] * p for p in b) for h in range(b[i], d + 1, b[i]) if d % h == 0]
+        for j, (r, bj) in enumerate(zip(rows, basis[i + 1:]), i + 1):
+            cands = [tuple(p + x * q for p, q in zip(c, bj))
+                     for c in cands for x in range(r[j] // bj[j])]
+        for row in cands:
+            # (d/h_i)·row - d·e_i, reduced mod d and then by the rows below,
+            # which span every d_j·e_j with j > i
+            v = group.reduce([d // row[i] * y for y in row])
+            for j, r in enumerate(rows, i + 1):
+                if v[j] % r[j]:
+                    break
+                v = group.reduce([y - v[j] // r[j] * z for y, z in zip(v, r)]) if v[j] else v
+            else:
+                walk(i - 1, (row,) + rows, size * (d // row[i]))
+
+    walk(n - 1, (), 1)
+    return sorted((Subgroup.generated(group, rows) for rows in forms),
+                  key=lambda s: (s.order, s.members))
 
 
 def quotient_subgroups(group: FinAbGroup, zprime: Subgroup) -> list[Subgroup]:

@@ -415,8 +415,8 @@ def enumerate_perfect(datum: RootDatum, support) -> list[PerfectDescriptor]:
         if all(x == 0 for x in cocenter.restrict_element(
             h, frozenset(range(1, datum.n_factors + 1)) - support))}
     admissible = latticecalc.Subgroup(restricted, tuple(sorted(lattice_classes)))
-    subs = latticecalc.enumerate_subgroups(restricted)
-    return [PerfectDescriptor(support, s) for s in subs if s <= admissible]
+    return [PerfectDescriptor(support, s)
+            for s in latticecalc.enumerate_subgroups(restricted, admissible)]
 
 
 def is_saturated_monoid(datum: RootDatum, members, box: Box) -> bool:

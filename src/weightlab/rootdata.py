@@ -184,6 +184,10 @@ class LatticeSpec:
     def __post_init__(self):
         if self.mode not in ("sc", "adjoint", "subgroup"):
             raise RootDataError(f"unknown lattice mode {self.mode!r}")
+        if not (type(self.generators) is tuple and all(
+                type(g) is tuple and all(type(x) is int for x in g) for g in self.generators)):
+            raise RootDataError(
+                f"lattice generators must be tuples of integers, got {self.generators!r}")
 
     def to_json(self) -> dict:
         out = {"mode": self.mode}

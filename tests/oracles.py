@@ -24,7 +24,9 @@ projects every box weight to the cocenter, and the coset classes of a box
 from the earlier residues of its adjugate coordinates mod det.  The
 Freudenthal oracle folds weights by leftmost-negative reflections, apart
 from the library's fold.  The invariant factors of a finite abelian group
-come from the earlier prime-power bookkeeping.
+come from the earlier prime-power bookkeeping, and the subgroups of a
+cocenter from the earlier breadth-first search, which spans each subgroup
+found with each element outside it and drops the copies by member tuple.
 Root-string saturation of a weight set is checked here too; the library
 does not need it.
 """
@@ -712,3 +714,25 @@ def prime_power_invariants(orders) -> tuple[int, ...]:
                 d *= p ** exps_sorted[slot]
         chain.append(d)
     return tuple(sorted(chain))
+
+
+def bfs_subgroups(group: latticecalc.FinAbGroup) -> list[latticecalc.Subgroup]:
+    """Every subgroup once, ordered by order and then members: each subgroup
+    found is spanned with every element outside it, level by level, and the
+    copies are dropped by their member tuples."""
+    elements = group.elements()
+    trivial = latticecalc.Subgroup.generated(group, ())
+    found = {trivial.members: trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            have = set(sub.members)
+            for g in elements:
+                if g not in have:
+                    bigger = latticecalc.Subgroup.generated(group, tuple(have) + (g,))
+                    if bigger.members not in found:
+                        found[bigger.members] = bigger
+                        nxt.append(bigger)
+        frontier = nxt
+    return sorted(found.values(), key=lambda s: (s.order, s.members))

@@ -61,6 +61,14 @@ def test_enumerate_counts(capsys):
     assert json.loads(out)["count"] == 5
 
 
+def test_enumerate_refuses_past_the_subgroup_budget(capsys):
+    # the 417,199 subgroups of (Z/2)^8 list 7,866,259 elements
+    status, out, err = run_cli(capsys, "enumerate", "--type", "A1xA1xA1xA1xA1xA1xA1xA1")
+    assert (status, out) == (2, "")
+    assert json.loads(err) == {"error": "the subgroups list more than 1000000 elements",
+                               "kind": "input"}
+
+
 @pytest.mark.parametrize("type_string, support, factors", [
     ("D4", "1,1", [1]), ("A1xA3", "2,1,2", [1, 2]), ("A1xA3", "2", [2])])
 def test_enumerate_echoes_distinct_sorted_support(capsys, type_string, support, factors):

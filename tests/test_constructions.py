@@ -148,6 +148,10 @@ def test_factor_sequence_preconditions():
     prod = get_datum("A2xA1")
     with pytest.raises(ConstructionError):
         factor_antifixed_sequence(prod, 1, (1, 1, 1))  # supported outside factor
+    # a factor index that is not an int: True used to pass as 1, 1.0 raised TypeError
+    for factor in (True, 1.0):
+        with pytest.raises(RootDataError, match="is not an int"):
+            factor_antifixed_sequence(get_datum("A1xA2"), factor, (1, 0, 0))
 
 
 def test_chain_verification_small_types_full_tensor():

@@ -1,5 +1,6 @@
 import random
 from math import prod
+from unittest import mock
 
 import pytest
 
@@ -116,18 +117,22 @@ def test_cyclic_subgroup_count_is_divisor_count():
         assert len(enumerate_subgroups(group)) == tau(n + 1)
 
 
-def test_enumeration_bound(monkeypatch):
-    monkeypatch.setattr(latticecalc, "MAX_SUBGROUP_ORDER", 5)
-    with pytest.raises(ValueError):
-        enumerate_subgroups(get_datum("A6").cocenter)
+def test_enumeration_bound():
+    # (Z/2)^8 has 417,199 subgroups listing 7,866,259 elements in all; the
+    # walk refuses once it passes the budget, before any element list is built
+    group = get_datum("A1xA1xA1xA1xA1xA1xA1xA1").cocenter
+    with mock.patch.object(Subgroup, "generated", side_effect=AssertionError("listed")):
+        with pytest.raises(ValueError, match="^the subgroups list more than 1000000 elements$"):
+            enumerate_subgroups(group)
 
 
 def test_enumeration_bound_is_inclusive(monkeypatch):
-    # Z/7 has exactly the trivial group and itself
-    monkeypatch.setattr(latticecalc, "MAX_SUBGROUP_ORDER", 7)
-    assert len(enumerate_subgroups(get_datum("A6").cocenter)) == 2
+    # Z/7 has exactly the trivial group and itself: 1 + 7 = 8 elements listed
+    monkeypatch.setattr(latticecalc, "MAX_SUBGROUP_ELEMENTS", 8)
+    assert [s.order for s in enumerate_subgroups(get_datum("A6").cocenter)] == [1, 7]
+    monkeypatch.setattr(latticecalc, "MAX_SUBGROUP_ELEMENTS", 7)
     with pytest.raises(ValueError):
-        enumerate_subgroups(get_datum("A7").cocenter)
+        enumerate_subgroups(get_datum("A6").cocenter)
 
 
 def test_quotient_subgroups():

@@ -20,7 +20,7 @@ and lattice specs."""
 import json
 from collections import Counter
 from itertools import combinations
-from math import floor, lcm
+from math import floor, lcm, prod
 from operator import gt, le, mul
 from unittest import mock
 
@@ -36,7 +36,7 @@ from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescript
                        perfectmonoid, predicted_members, reflect, root_coordinates,
                        support_regular_weight, tensor_decompose, tensor_multiplicity,
                        verify_classification, w0_antifixed_weight, weyl_dimension,
-                       weyl_group_elements, apply_word)
+                       weyl_group_elements, apply_word, enumerate_subgroups)
 from weightlab.charcalc import _root_strings, expanded_weight_table
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.rootdata import pairing, wadd, wsub
@@ -47,7 +47,7 @@ from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, b
                      classifier_orbit_size, expanded, fraction_inverse_cartan, kostant_multiplicity,
                      pairwise_is_perfect_in_box, pairwise_perfect_closure, per_root_freudenthal,
                      per_weight_predicted_members, prime_power_invariants, sweep_perfect_closure,
-                     table_weyl_order, unique_klimyk)
+                     table_weyl_order, unique_klimyk, bfs_subgroups)
 
 # every simple type of rank <= 6, and two products
 TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 7)]
@@ -1020,3 +1020,27 @@ def test_cocenter_invariants_match_prime_power_oracle(type_string):
 def test_drawn_invariants_match_prime_power_oracle(orders):
     group = FinAbGroup(tuple(orders), (1,) * len(orders), ((0,),) * len(orders))
     assert group.invariants == prime_power_invariants(orders)
+
+
+# cocenters of order <= 64: RANK4, and products with repeated and mixed factors
+SUBGROUP_TYPES = [t for t in RANK4 + ["A1xA1xA1xA1xA1", "D4xD4", "A3xA3", "D6xA3xA1"]
+                  if get_datum(t).cocenter.order <= 64]
+
+
+@pytest.mark.parametrize("type_string", SUBGROUP_TYPES)
+def test_hermite_walk_matches_subgroup_bfs(type_string):
+    group = get_datum(type_string).cocenter
+    every = bfs_subgroups(group)
+    assert enumerate_subgroups(group) == every
+    # each subgroup as the ambient: its subgroups, as the filter over all picks them
+    for ambient in every:
+        assert enumerate_subgroups(group, ambient) == [s for s in every if s <= ambient]
+
+
+@given(orders=st.lists(st.integers(2, 9), max_size=3).filter(lambda o: prod(o) <= 64))
+def test_hermite_walk_matches_subgroup_bfs_on_drawn_groups(orders):
+    group = FinAbGroup(tuple(orders), (1,) * len(orders), ((0,),) * len(orders))
+    every = bfs_subgroups(group)
+    assert enumerate_subgroups(group) == every
+    ambient = every[len(every) // 2]
+    assert enumerate_subgroups(group, ambient) == [s for s in every if s <= ambient]

@@ -218,6 +218,13 @@ def test_bad_subgroup_generator_arity():
             build_root_datum(type_string, LatticeSpec("subgroup", (generator,)))
 
 
+@pytest.mark.parametrize("value", [2.0, 1.5, True, "1"])
+def test_lattice_spec_refuses_a_generator_coordinate_that_is_not_an_int(value):
+    # 2.0 used to build the float member (2.0,), and 1.5 fail with a bare AssertionError
+    with pytest.raises(RootDataError, match="^lattice generators must be tuples of integers"):
+        LatticeSpec("subgroup", ((value,),))
+
+
 def test_lattice_spec_json_round_trip():
     for spec in [LatticeSpec("sc"), LatticeSpec("adjoint"), LatticeSpec("subgroup", ((2,),)),
                  LatticeSpec("subgroup", ((1, 1), (0, 1)))]:
