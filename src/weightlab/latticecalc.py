@@ -166,14 +166,15 @@ class FinAbGroup:
 
     def restrict(self, factors) -> "FinAbGroup":
         """Subgroup of coordinates supported on the given 1-based factors."""
-        keep = [c for c, k in enumerate(self.coord_factor) if k in set(factors)]
+        factors = set(factors)
+        keep = [c for c, k in enumerate(self.coord_factor) if k in factors]
         return FinAbGroup(tuple(self.orders[c] for c in keep),
                           tuple(self.coord_factor[c] for c in keep),
                           tuple(self.proj_rows[c] for c in keep))
 
     def restrict_element(self, a, factors) -> tuple[int, ...]:
-        keep = [c for c, k in enumerate(self.coord_factor) if k in set(factors)]
-        return tuple(a[c] for c in keep)
+        factors = set(factors)
+        return tuple(a[c] for c, k in enumerate(self.coord_factor) if k in factors)
 
 
 def fundamental_group(datum: RootDatum) -> FinAbGroup:

@@ -241,7 +241,6 @@ class RootDatum:
                 assert symmetrizer[i] * cartan[i][j] == symmetrizer[j] * cartan[j][i]
         self.cartan_columns = tuple(
             tuple(cartan[i][j] for i in range(self.rank)) for j in range(self.rank))
-        self._np_cartan_cols = np.array(self.cartan, dtype=np.int64)  # [:, j] = alpha_j
         self.weyl_vector: Weight = (1,) * self.rank
         self.positive_roots = _generate_positive_roots(self)
         expected = sum(positive_root_count(f, r) for f, r in ctype.factors)

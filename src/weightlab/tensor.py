@@ -1,29 +1,35 @@
 """Tensor product decomposition, single tensor coefficients, PRV components
 and structural checks.
 
-The decomposition is a Brauer-Klimyk fold over the expanded weight system of
-the smaller factor.  Each weight nu gives x = nu + lam + rho.  A sweep
-reflects, for each i in turn, every row with x_i < 0 in place, and negates
-the multiplicity of every row it reflected an odd number of times; any
-order of reflections in negative coordinates takes a weight to its
-dominant representative, a regular one in exactly l(w) steps, so the sign
-is (-1)^l(w).  A reflection keeps a row in its W-orbit, and a row whose
+The decomposition is a Brauer-Klimyk fold over the expanded weight system
+of the smaller factor.  Each weight nu gives x = nu + lam + rho.  A sweep
+(``_sweep``, the one batch chamber fold) reflects, for each i in turn,
+every row with x_i < 0 in place, which moves only x_i and its Dynkin
+neighbours, and flips the row's parity; sweeps repeat until one reflects
+nothing.  Any order of reflections in negative coordinates takes a weight to
+its dominant representative, a regular one in exactly l(w) steps, so the
+sign is (-1)^l(w).  A reflection keeps a row in its W-orbit, and a row whose
 orbit meets a wall contributes nothing, so the rows with a zero coordinate
 are dropped once, after the last sweep, when each row is its dominant
-representative.  The rows left, minus rho, are ordered once with
-``np.lexsort``; a group of equal rows starts wherever one coordinate,
-gathered on its own in that order, changes, and each group's
-multiplicities are summed with ``np.add.reduceat``.  Only the first row of
-each summand is gathered whole.
+representative, and the multiplicities of the rows left are negated by
+their parity in one product.  The rows left, minus rho, are packed into one
+or two sort keys (``_packed_keys``: runs of coordinates read as mixed-radix
+digits of one 8- or 16-bit key) and ordered once with ``np.lexsort``; a
+group of equal rows starts wherever one key, gathered on its own in that
+order, changes, and each group's multiplicities are summed with
+``np.add.reduceat``.  Only the first row of each summand is gathered whole,
+and the summands come out in lexicographic order.
 
 A single coefficient, the multiplicity of L(nu) in L(lam) (x) L(mu), is the
 same alternating sum read from the other side (Racah-Speiser): one term per
 point of the regular orbit W(nu + rho).  It walks that orbit with
 ``weyl.orbit_tree``, cut wherever it lies too far from lam + rho, by the
 invariant form, to meet a weight of L(mu), so it visits only the points
-inside that norm ball, a part of the |W| points, and folds each one.  It is
-what a PRV chain check asks for, and what a box closure asks for each
-candidate of a pair, in one batch that shares what lam and mu fix.
+inside that norm ball, a part of the |W| points, and folds each one: a
+walk of a few points by ``weyl._climb``, a longer one in batches of
+``_sweep``.  It is what a PRV chain check asks for, and what a box closure
+asks for each candidate of a pair, in one batch that shares what lam and
+mu fix.
 
 Multiplicities are int64.  The fold's coordinates run in the narrowest
 signed dtype that holds their bound (``_fold_dtype``): int8 or int16 for
@@ -38,6 +44,8 @@ could leave int64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from math import prod
 from operator import mul, sub
 
 import numpy as np
@@ -125,34 +133,43 @@ def _fold_dtype(datum: RootDatum, lam: Weight, mu: Weight) -> np.dtype:
 
 
 def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
+    """The summands of L(lam) (x) L(mu), in lexicographic order, by the
+    fold over mu's expanded table that the module docstring describes;
+    the sweeps are counted in ``fold_sweeps`` and the rows in
+    ``fold_rows``."""
     dtype = _fold_dtype(datum, lam, mu)
     cols, mults = _expanded_table(datum, mu)
     # column k of x is table row k shifted by lam + rho; x[i] holds
     # coordinate i of every row, contiguous.  The table's dtype is never
-    # wider than the fold's, and x and signs are new arrays, so the cached
-    # table is never written
+    # wider than the fold's, and x is a new array, so the cached table is
+    # never written
     x = cols + np.array(wadd(lam, datum.weyl_vector), dtype=dtype)[:, None]
-    signs = mults.copy()
+    odd = np.zeros(x.shape[1], dtype=bool)
     sweeps = 0
-    while (x < 0).any():
-        _sweep(datum, x, signs)
+    while _sweep(datum, x, odd):
         sweeps += 1
-    datum.stats["fold_rows"] += len(signs)
+    datum.stats["fold_rows"] += len(odd)
     datum.stats["fold_sweeps"] += sweeps
-    # every row is its dominant representative now; one on a wall adds nothing
-    regular = (x != 0).all(axis=0)
-    x, signs = x.compress(regular, axis=1), signs.compress(regular)
-    dom = x - 1  # subtract rho
-    # nonnegative now; the narrowest dtype that holds them sorts fastest
-    dom = dom.astype(np.min_scalar_type(dom.max()))
-    order = np.lexsort(dom[::-1])
-    # a group of equal columns starts wherever some coordinate changes along
-    # the sorted order; one 1-D gather per coordinate, none of dom as a whole
+    # every row is its dominant representative now; one on a wall, its least
+    # coordinate 0, adds nothing
+    regular = x.min(axis=0) > 0
+    x = x.compress(regular, axis=1)
+    # a row reflected an odd number of times counts its multiplicity negated;
+    # the bool parity read as int8 makes this one in-place int64 product (a
+    # masked np.negative is several times slower)
+    signs = mults.compress(regular)
+    if sweeps:
+        signs *= 1 - 2 * odd.compress(regular).view(np.int8)
+    dom = x - 1  # subtract rho; nonnegative now
+    keys = _packed_keys(dom)
+    order = np.lexsort(keys[::-1])
+    # a group of equal columns starts wherever some key changes along the
+    # sorted order; one 1-D gather per key, none of dom as a whole
     changed = np.zeros(len(order), dtype=bool)
     changed[0] = True
-    for row in dom:
-        r = row[order]
-        changed[1:] |= r[1:] != r[:-1]
+    for key in keys:
+        k = key[order]
+        changed[1:] |= k[1:] != k[:-1]
     starts = np.flatnonzero(changed)
     totals = np.add.reduceat(signs[order], starts)
     assert (totals >= 0).all(), "negative accumulated tensor multiplicity"
@@ -161,20 +178,83 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     return dict(zip(zip(*dom[:, order[starts[kept]]].tolist()), totals[kept].tolist()))
 
 
-def _sweep(datum: RootDatum, x: np.ndarray, signs: np.ndarray) -> None:
+def _packed_keys(dom: np.ndarray) -> list[np.ndarray]:
+    """Sort keys for the nonnegative columns of dom, the first key most
+    significant: runs of consecutive coordinates packed mixed-radix, each
+    coordinate i a digit of radix max(dom[i]) + 1, into one unsigned key
+    while the product of the radices stays below 2^16 (uint8 below 2^8).
+    Two columns are equal iff all their keys are, and the keys order them
+    as their coordinates do, lexicographically.  ``np.lexsort`` sorts keys
+    of at most 16 bits by radix, so a few such keys sort faster than one
+    per coordinate; a coordinate wider than 16 bits is a key of its own.
+    A key's dtype holds the product itself, so each radix fits it too."""
+    radices = [top + 1 for top in dom.max(axis=1).tolist()]
+    runs, size = [], 1 << 16  # coordinate 0 opens the first run
+    for i, radix in enumerate(radices):
+        if size * radix < 1 << 16:
+            runs[-1].append(i)
+            size *= radix
+        else:
+            runs.append([i])
+            size = radix
+    digits = dom.view(f"u{dom.itemsize}")  # the same nonnegative values
+    keys = []
+    for run in runs:
+        key = digits[run[0]].astype(np.min_scalar_type(prod(radices[i] for i in run)))
+        for i in run[1:]:
+            key *= radices[i]
+            key += digits[i]
+        keys.append(key)
+    return keys
+
+
+def _sweep(datum: RootDatum, x: np.ndarray, odd: np.ndarray | None = None) -> bool:
     """One sweep over i = 1..rank: reflect in place every column of x (one
-    coordinate per array row) with x_i < 0.  Whether a column was reflected
-    an odd number of times is kept as one boolean per column, and signs is
-    negated once, where it is set, at the end of the sweep.  The arithmetic
-    runs in the dtype of x."""
-    cols = datum._np_cartan_cols.astype(x.dtype, copy=False)  # cols[:, i] = alpha_i
-    odd = np.zeros(x.shape[1], dtype=bool)
-    for i in range(datum.rank):
-        # s_i x = x - x_i alpha_i on the columns with x_i < 0
-        neg = x[i] < 0
-        odd ^= neg
-        x -= cols[:, i, None] * (x[i] * neg)
-    np.negative(signs, out=signs, where=odd)
+    coordinate per array row) with x_i < 0, and return whether any column
+    was reflected.  s_i x = x - x_i alpha_i sets x_i to |x_i| and moves only
+    the Dynkin neighbours j of i, by -C[j][i] x_i; an array with no
+    negative entry costs one scan, as does a coordinate with none, which
+    keeps the last sweep and small arrays cheap.  ``odd``, one boolean per
+    column when given, is flipped at every reflection of its column.  The
+    arithmetic runs in the dtype of x.
+
+    Each reflection is in a negative coordinate, so it inverts one positive
+    coroot that pairs negatively with the column: sweeping until none is
+    reflected takes each column to the dominant representative
+    ``weyl._climb`` reaches, in as many reflections, so ``odd`` ends as the
+    parity of l(w) for a regular column."""
+    if x.min(initial=0) == 0:
+        return False
+    # some column has a negative entry, so the sweep reflects it, at that
+    # coordinate or before
+    cartan, neighbors = datum.cartan, datum.neighbors
+    rows = list(x)  # views: an in-place update of rows[j] writes x[j]
+    for i, xi in enumerate(rows):
+        if xi.min(initial=0) == 0:
+            continue
+        neg = xi < 0
+        np.abs(xi, out=xi)
+        t = xi * neg  # -x_i where x_i < 0, else 0
+        for j in neighbors[i]:
+            # x_j -= C[j][i] x_i, and -C[j][i] is 1, 2 or 3
+            c = -cartan[j][i]
+            rows[j] -= t if c == 1 else c * t
+        if odd is not None:
+            odd ^= neg
+    return True
+
+
+# A coefficient walk is folded in batches of at most _BATCH_MAX points, so
+# its memory stays bounded, and a batch of at most _CLIMB_MAX points point by
+# point by weyl._climb.  On the walks of verify E8 omega4 box 1 and E7 omega7
+# box 2 (2-core host), a numpy batch cost 0.1-0.3 ms however short: walks of
+# 17-32 points took 124-139 us by _climb against 198-260 us as a batch,
+# walks of 33-64 points 269-286 us against 253-338 us, and walks of 65-128
+# points 532-637 us against 244-339 us.  For the 719,043 points of E8
+# c(rho, rho; rho), batches of 2^10, 2^12, 2^14 and 2^16 points took 7.5,
+# 5.9, 5.7 and 5.8 s CPU, at 75, 76, 82 and 112 MB peak RSS.
+_CLIMB_MAX = 32
+_BATCH_MAX = 1 << 12
 
 
 def _check_coefficient(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -> None:
@@ -237,10 +317,11 @@ def tensor_multiplicity(datum: RootDatum, lam: Weight, mu: Weight, nu: Weight) -
     m_mu(p), which reads only the dominant weights between p and mu.  It is
     read from mu's table (``charcalc._interval``), kept on the datum and
     extended down to the depth of mu - p on the first p it lacks.  The
-    points walked, all folded, are ``coefficient_points``
-    in ``datum.stats``.  There is no bound on |W|: the walk's memory is one
-    stack.  Its cost is every orbit point inside the norm ball, which no
-    bound limits (one E8 coefficient with lam, mu in {0,1}^8 walks 565,826),
+    points walked, all folded, are ``coefficient_points`` in
+    ``datum.stats``.  There is no bound on |W|: the walk's memory is one
+    stack and one batch of at most ``_BATCH_MAX`` points.  Its cost is every
+    orbit point inside the norm ball, which no bound limits (one E8
+    coefficient with lam, mu in {0,1}^8 walks 565,826),
     plus the part of the table it reads, whose weights
     ``charcalc.MAX_DOMINANT_WEIGHTS`` bounds.  Refused with ``ValueError``
     for a weight that is not dominant and outside the documented int64 range
@@ -268,7 +349,11 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
     mu's class, and every dominant weight below mu in that class has
     positive multiplicity.  So each p is one lookup, in {mu: 1} until a p
     below mu fetches mu's table; only a p it lacks runs the dominance test
-    p <= mu, which, when it holds, extends the table to the depth of mu - p."""
+    p <= mu, which, when it holds, extends the table to the depth of mu - p.
+    Each walk is folded in batches of at most ``_BATCH_MAX`` points
+    (``_fold_points``): a batch of more than ``_CLIMB_MAX`` points by
+    ``_sweep`` as one int64 array, and a shorter one, as a PRV check's one
+    or two points, by ``weyl._climb``."""
     det, adjugate = datum._det, datum._adjugate
     shift = wadd(lam, datum.weyl_vector)
     step = [2 * det * a * b for a, b in zip(datum.symmetrizer, shift)]
@@ -288,26 +373,48 @@ def _coefficients(datum: RootDatum, lam: Weight, mu: Weight, nus) -> list[int]:
             out.append(0)
             continue
         total = 0
-        for x, sign in orbit_tree(datum, top, step, slack):
-            points += 1
-            p = list(map(sub, x, shift))
-            _climb(datum, p)
-            p = tuple(p)
-            n = table.get(p)
-            if n is None:
-                # p lies in mu's class, so det C^-1 (mu - p) = det * depth
-                gap = [m - sum(map(mul, row, p)) for row, m in zip(adjugate, mu_adj)]
-                if min(gap) < 0:
-                    continue
-                if part is None:
-                    part = _interval(datum, mu)
-                table = part.extend(datum, [g // det for g in gap])
-                n = table[p]
-            total += sign * n
+        walk = orbit_tree(datum, top, step, slack)
+        batch = list(islice(walk, _BATCH_MAX))
+        while batch:
+            points += len(batch)
+            for p, (_, sign) in zip(_fold_points(datum, batch, shift), batch):
+                n = table.get(p)
+                if n is None:
+                    # p lies in mu's class, so det C^-1 (mu - p) = det * depth
+                    gap = [m - sum(map(mul, row, p)) for row, m in zip(adjugate, mu_adj)]
+                    if min(gap) < 0:
+                        continue
+                    if part is None:
+                        part = _interval(datum, mu)
+                    table = part.extend(datum, [g // det for g in gap])
+                    n = table[p]
+                total += sign * n
+            # a short batch ends the walk
+            batch = list(islice(walk, _BATCH_MAX)) if len(batch) == _BATCH_MAX else None
         assert total >= 0, "negative tensor coefficient"
         out.append(total)
     datum.stats["coefficient_points"] += points
     return out
+
+
+def _fold_points(datum: RootDatum, batch: list, shift: Weight):
+    """The dominant representative of x - shift for each (x, sign) of
+    ``batch``, in order: by ``weyl._climb`` point by point for a batch of at
+    most ``_CLIMB_MAX`` points, else by ``_sweep`` over one int64 array
+    read back with one ``tolist``.  ``_check_coefficient`` bounds every
+    coordinate the fold meets, times a Cartan entry, within int64."""
+    if len(batch) <= _CLIMB_MAX:
+        out = []
+        for x, _ in batch:
+            p = list(map(sub, x, shift))
+            _climb(datum, p)
+            out.append(tuple(p))
+        return out
+    x = np.subtract(np.array([x for x, _ in batch], dtype=np.int64).T,
+                    np.array(shift, dtype=np.int64)[:, None], order="C")
+    while _sweep(datum, x):
+        pass
+    return zip(*x.tolist())
 
 
 def prv_component(datum: RootDatum, lam: Weight, mu: Weight, word) -> Weight:

@@ -299,7 +299,7 @@ def batch_make_dominant(datum, arr: np.ndarray):
     Returns (dominant rows, signs) where sign = (-1)^(number of reflections).
     Rows are modified in place.
     """
-    cols = datum._np_cartan_cols  # cols[:, i] = alpha_i
+    cols = np.array(datum.cartan, dtype=np.int64)  # cols[:, i] = alpha_i
     sign = np.ones(len(arr), dtype=np.int64)
     active = np.arange(len(arr))
     while len(active):

@@ -40,7 +40,8 @@ from weightlab import (Box, FinAbGroup, LatticeSpec, MonoidSpec, PerfectDescript
 from weightlab.charcalc import _root_strings, expanded_weight_table
 from weightlab.constructions import ConstructionTrace, TraceStep
 from weightlab.rootdata import pairing, wadd, wsub
-from weightlab.tensor import _big_and_small, _coefficients, _expanded_table, _form, _klimyk
+from weightlab.tensor import (_big_and_small, _coefficients, _expanded_table, _form, _klimyk,
+                              _sweep)
 from weightlab.weyl import _climb, orbit_tree
 from conftest import get_datum
 from oracles import (bfs_orbit, bfs_weyl_group_elements, box_below_with_depth, brute_tensor,
@@ -390,6 +391,39 @@ def test_dominant_representative_matches_make_dominant(type_string, data):
     res = make_dominant(datum, lam)
     assert res.dominant == tuple(x)
     assert res.word == tuple(i + 1 for i in reversed(applied))
+
+
+@pytest.mark.parametrize("type_string", RANK8)
+@given(data=st.data())
+def test_batch_fold_matches_climb(type_string, data):
+    # the batch fold: looping tensor._sweep takes each column to the dominant
+    # representative _climb reaches, with the parity of its reflections
+    datum = get_datum(type_string)
+    weights = data.draw(st.lists(st.one_of(st.tuples(*[st.integers(-6, 6)] * datum.rank),
+                                           st.tuples(*[st.integers(0, 6)] * datum.rank)),
+                                 max_size=40), label="weights")
+    x = np.array(weights, dtype=np.int64).reshape(-1, datum.rank).T.copy()
+    odd = np.zeros(len(weights), dtype=bool)
+    while _sweep(datum, x, odd):
+        pass
+    for lam, col, parity in zip(weights, x.T.tolist(), odd.tolist()):
+        y = list(lam)
+        applied = _climb(datum, y)
+        assert col == y
+        assert parity == len(applied) % 2
+
+
+@pytest.mark.parametrize("type_string", RANK8)
+def test_batch_fold_leaves_a_dominant_array_alone(type_string):
+    datum = get_datum(type_string)
+    empty = np.zeros((datum.rank, 0), dtype=np.int64)
+    assert not _sweep(datum, empty, np.zeros(0, dtype=bool))
+    x = np.array([[0] * datum.rank, [1] * datum.rank, list(range(datum.rank))],
+                 dtype=np.int8).T.copy()
+    odd = np.array([False, True, False])
+    before = x.copy()
+    assert not _sweep(datum, x, odd)
+    assert np.array_equal(x, before) and odd.tolist() == [False, True, False]
 
 
 @pytest.mark.parametrize("type_string", RANK8)

@@ -1,17 +1,18 @@
 import gc
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from weightlab import weyl
-from weightlab import (DominanceRegimeError, prv_component, stable_multiplicity_check,
-                       tensor_decompose, tensor_multiplicity, weyl_dimension,
-                       weyl_group_elements)
+from weightlab import tensor, weyl
+from weightlab import (DominanceRegimeError, dominant_weights_below, prv_component,
+                       stable_multiplicity_check, tensor_decompose, tensor_multiplicity,
+                       weyl_dimension, weyl_group_elements)
 from weightlab.charcalc import character, expanded_weight_table
 from weightlab.rootdata import RootDatum, build_root_datum
-from weightlab.tensor import INT64_MAX, _expanded_table, _fold_dtype
+from weightlab.tensor import INT64_MAX, _expanded_table, _fold_dtype, _klimyk
 from conftest import get_datum
 from oracles import (brute_tensor, cg_closed_form, per_root_freudenthal, random_dominant,
                      unique_klimyk)
@@ -225,6 +226,31 @@ def test_e8_coefficients_above_the_weyl_cap():
             for omega in fundamental] == [3, 6, 17, 70, 38, 17, 5, 1]
 
 
+def test_coefficients_fold_alike_in_batches_and_by_climb(monkeypatch):
+    # every walk folded by _climb, as one numpy batch, or in batches of at
+    # most 5 points: the same coefficients, equal to the decomposition's,
+    # from the same points
+    # their walks reach 8, 4 and 30 points
+    cases = (("B3", (2, 1, 2), (2, 2, 1)), ("G2", (3, 2), (2, 3)), ("F4", (1, 0, 1, 1), (1, 1, 0, 1)))
+    runs = []
+    for climb_max, batch_max in ((10 ** 9, 10 ** 9), (0, 10 ** 9), (0, 5)):
+        monkeypatch.setattr(tensor, "_CLIMB_MAX", climb_max)
+        monkeypatch.setattr(tensor, "_BATCH_MAX", batch_max)
+        run = []
+        for type_string, lam, mu in cases:
+            datum = build_root_datum(type_string)
+            nus = dominant_weights_below(datum, tuple(a + b for a, b in zip(lam, mu)))
+            run.append(([tensor_multiplicity(datum, lam, mu, nu) for nu in nus],
+                        datum.stats["coefficient_points"]))
+        runs.append(run)
+    assert runs[0] == runs[1] == runs[2]
+    for (type_string, lam, mu), (coefficients, _) in zip(cases, runs[0]):
+        datum = build_root_datum(type_string)
+        summands = tensor_decompose(datum, lam, mu).summands
+        nus = dominant_weights_below(datum, tuple(a + b for a, b in zip(lam, mu)))
+        assert coefficients == [summands.get(nu, 0) for nu in nus]
+
+
 def test_coefficient_is_exact_up_to_the_int64_guard():
     a1 = get_datum("A1")
     # A1: coroot height 1, Cartan entry 2 and det C^-1 = (1), so the guard
@@ -283,13 +309,37 @@ def test_fold_counts_rows_and_sweeps():
     datum = build_root_datum("B4")
     tensor_decompose(datum, (2,) * 4, (2,) * 4)
     assert datum.stats["fold_rows"] == 30249
-    assert datum.stats["fold_sweeps"] >= 2
+    assert datum.stats["fold_sweeps"] == 3
     # the table's entries are at least -14, so lam + rho = 21 rho puts every
     # row in the dominant chamber, and the fold needs no sweep
     sweeps = datum.stats["fold_sweeps"]
     tensor_decompose(datum, (20,) * 4, (2,) * 4)
     assert datum.stats["fold_rows"] == 2 * 30249
     assert datum.stats["fold_sweeps"] == sweeps
+
+
+@pytest.mark.parametrize("type_string, lam, mu, widths", [
+    # a folded coordinate reaches 70,003 > 2^16: a key of its own
+    ("A1", (70000,), (3,), ["uint32"]),
+    # radices 303 and 5 multiply past 2^8, within 2^16
+    ("A2", (300, 2), (1, 1), ["uint16"]),
+    ("B2", (2, 2), (2, 2), ["uint8"]),
+    # eight radices multiply past 2^16: two keys
+    ("E8", (2,) * 8, (0,) * 7 + (1,), ["uint16", "uint8"]),
+    # radices 1 and 2^16: the second is a key of its own, as no 16-bit key
+    # holds it
+    ("A2", (0, 65535), (0, 0), ["uint8", "uint32"]),
+])
+def test_fold_sorts_on_packed_keys_of_every_width(type_string, lam, mu, widths):
+    # the regroup sorts on the keys _packed_keys builds, most significant
+    # first, and keeps the summands in lexicographic order
+    datum = get_datum(type_string)
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        summands = _klimyk(datum, lam, mu)
+    keys = lexsort.call_args.args[0][::-1]
+    assert [key.dtype.name for key in keys] == widths
+    assert summands == unique_klimyk(datum, lam, mu)
+    assert list(summands) == sorted(summands)
 
 
 def test_cold_decomposition_checks_its_weights_once(monkeypatch):
