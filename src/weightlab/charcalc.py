@@ -22,7 +22,7 @@ from operator import add, gt, le, mul, sub
 
 import numpy as np
 
-from .rootdata import RootDatum, Weight, memoized, parabolic_order
+from .rootdata import RootDatum, Weight, memoized, parabolic_order, weight_rows
 from .weyl import _climb, orbit
 
 # most rows an expanded weight table may hold: its row count, the sum of the
@@ -417,7 +417,7 @@ def _weyl_dimension(datum: RootDatum, lam: Weight) -> int:
 def expand_character(datum: RootDatum, char: Character) -> dict[Weight, int]:
     """Full W-invariant multiplicity map underlying a character."""
     rows, mults = expanded_weight_table(datum, char)
-    return dict(zip(map(tuple, rows.tolist()), mults.tolist()))
+    return dict(zip(weight_rows(rows), mults.tolist()))
 
 
 def expanded_weight_table(datum: RootDatum, char: Character):

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import latticecalc
 from .rootdata import (LatticeSpec, RootDataError, RootDatum, Weight, build_root_datum,
-                       in_lattice, is_int_list, memoized)
+                       in_lattice, is_int_list, memoized, weight_rows)
 from .charcalc import _weyl_dimension
 from .tensor import _big_and_small, _coefficients, tensor_decompose
 
@@ -149,7 +149,7 @@ def predicted_members(datum: RootDatum, desc: PerfectDescriptor, box: Box) -> se
     region = _coset_region(datum, box)
     lattice = np.array([c in datum.lattice_subgroup for c in datum.cocenter.elements()])
     keep = lattice[region.cls] & _in_descriptor(datum, desc, region)
-    return set(map(tuple, region.rows[keep].tolist()))
+    return set(weight_rows(region.rows[keep]))
 
 
 def _in_descriptor(datum: RootDatum, desc: PerfectDescriptor, region: _CosetRegion) -> np.ndarray:
@@ -325,7 +325,7 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
     stats["closure_pairs"] += rest
     stats["closure_settled"] += rest
     stats["closure_rows_skipped"] += n - j
-    return set(map(tuple, region.rows[at[:n]].tolist()))
+    return set(weight_rows(region.rows[at[:n]]))
 
 
 def _box_members(datum: RootDatum, weights, box: Box) -> set[Weight]:

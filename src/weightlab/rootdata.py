@@ -22,6 +22,7 @@ the one mode whose input can be invalid.
 from __future__ import annotations
 
 import re
+import struct
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -242,6 +243,10 @@ class RootDatum:
         self.cartan_columns = tuple(
             tuple(cartan[i][j] for i in range(self.rank)) for j in range(self.rank))
         self.weyl_vector: Weight = (1,) * self.rank
+        # adjacency of the Dynkin diagram (global coordinates)
+        self.neighbors = tuple(
+            tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
+            for i in range(self.rank))
         self.positive_roots = _generate_positive_roots(self)
         expected = sum(positive_root_count(f, r) for f, r in ctype.factors)
         assert len(self.positive_roots) == expected
@@ -259,10 +264,6 @@ class RootDatum:
         # paragraph lists every key
         self.stats: Counter = Counter()
         self.weyl_order = parabolic_order(self, (1 << self.rank) - 1)
-        # adjacency of the Dynkin diagram (global coordinates)
-        self.neighbors = tuple(
-            tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
-            for i in range(self.rank))
 
     # -- elimination of C, done on first read ------------------------------
 
@@ -421,39 +422,48 @@ class RootDatum:
 
 def _generate_positive_roots(datum: RootDatum) -> tuple[PositiveRoot, ...]:
     """Walk up from the simple roots.  s_i is applied to a positive root beta
-    only when <beta, alpha_i^vee> < 0, which gives the higher positive root
-    beta - <beta, alpha_i^vee> alpha_i; every non-simple positive root gamma
-    has an i with <gamma, alpha_i^vee> > 0 and s_i gamma positive and lower,
-    so the walk reaches it from s_i gamma."""
+    only when c = <beta, alpha_i^vee> < 0, which gives the higher positive
+    root beta - c alpha_i; every non-simple positive root gamma has an i
+    with <gamma, alpha_i^vee> > 0 and s_i gamma positive and lower, so the
+    walk reaches it from s_i gamma.  As in ``weyl._climb``, s_i sets
+    coordinate i to -c and moves only the Dynkin neighbours of i.  Each
+    root carries its height and d, the symmetrizer entry of the simple root
+    it was reached from: a reflection keeps the norm (beta, beta) = 2 d, so
+    coroot_j = 2 rc_j d_j / (beta, beta) = rc_j d_j / d."""
     rank = datum.rank
-    cols = datum.cartan_columns
-    seen: dict[Weight, tuple[int, ...]] = {}
+    cols, neighbors, symmetrizer = datum.cartan_columns, datum.neighbors, datum.symmetrizer
+    # fund -> (rc, height, d)
+    seen: dict[Weight, tuple[tuple[int, ...], int, int]] = {}
     frontier: list[Weight] = []
     for j in range(rank):
-        seen[cols[j]] = tuple(1 if i == j else 0 for i in range(rank))
+        seen[cols[j]] = (tuple(1 if i == j else 0 for i in range(rank)), 1, symmetrizer[j])
         frontier.append(cols[j])
     while frontier:
         nxt = []
         for fund in frontier:
-            rc = seen[fund]
+            rc, height, d = seen[fund]
             for i, c in enumerate(fund):
                 if c >= 0:
                     continue
-                rfund = tuple(f - c * a for f, a in zip(fund, cols[i]))
+                f = list(fund)
+                f[i] = -c
+                col = cols[i]
+                for j in neighbors[i]:
+                    f[j] -= c * col[j]
+                rfund = tuple(f)
                 if rfund in seen:
                     continue
-                seen[rfund] = rc[:i] + (rc[i] - c,) + rc[i + 1:]
+                seen[rfund] = (rc[:i] + (rc[i] - c,) + rc[i + 1:], height - c, d)
                 nxt.append(rfund)
         frontier = nxt
     roots = []
-    for fund, rc in seen.items():
-        norm = sum(r * d * f for r, d, f in zip(rc, datum.symmetrizer, fund))
+    for fund, (rc, height, d) in seen.items():
         coroot = []
-        for r, d in zip(rc, datum.symmetrizer):
-            num = 2 * r * d
-            assert num % norm == 0
-            coroot.append(num // norm)
-        roots.append(PositiveRoot(fund, rc, tuple(coroot), sum(rc)))
+        for r, dj in zip(rc, symmetrizer):
+            q, rest = divmod(r * dj, d)
+            assert rest == 0
+            coroot.append(q)
+        roots.append(PositiveRoot(fund, rc, tuple(coroot), height))
     roots.sort(key=lambda r: (r.height, r.rc))
     return tuple(roots)
 
@@ -513,6 +523,18 @@ def wadd(a: Weight, b: Weight) -> Weight:
 
 def wsub(a: Weight, b: Weight) -> Weight:
     return tuple(map(sub, a, b))
+
+
+# struct codes of the signed integers, by width in bytes; dtype.char would
+# give "l" for int64, which "=" reads as 4 bytes
+_INT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def weight_rows(a: np.ndarray) -> list[Weight]:
+    """The rows of a 2-D signed-int array as weight tuples of Python ints,
+    by one ``struct.iter_unpack`` over its bytes in native order."""
+    a = np.ascontiguousarray(a)
+    return list(struct.iter_unpack(f"={a.shape[1]}{_INT_CODES[a.itemsize]}", a))
 
 
 def wneg(a: Weight) -> Weight:

@@ -17,8 +17,10 @@ or two sort keys (``_packed_keys``: runs of coordinates read as mixed-radix
 digits of one 8- or 16-bit key) and ordered once with ``np.lexsort``; a
 group of equal rows starts wherever one key, gathered on its own in that
 order, changes, and each group's multiplicities are summed with
-``np.add.reduceat``.  Only the first row of each summand is gathered whole,
-and the summands come out in lexicographic order.
+``np.add.reduceat``.  Only the first row of each summand is gathered, as
+one row of an array that ``rootdata.weight_rows`` reads back as weight
+tuples in one ``struct`` unpack, and the summands come out in
+lexicographic order.
 
 A single coefficient, the multiplicity of L(nu) in L(lam) (x) L(mu), is the
 same alternating sum read from the other side (Racah-Speiser): one term per
@@ -52,7 +54,7 @@ import numpy as np
 
 from .charcalc import (_interval, _weyl_dimension, character, expanded_weight_table,
                        expand_character)
-from .rootdata import RootDatum, Weight, memoized, wadd, wsub
+from .rootdata import RootDatum, Weight, memoized, wadd, weight_rows, wsub
 from .weyl import _climb, apply_word, make_dominant, orbit_tree
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -134,9 +136,9 @@ def _fold_dtype(datum: RootDatum, lam: Weight, mu: Weight) -> np.dtype:
 
 def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     """The summands of L(lam) (x) L(mu), in lexicographic order, by the
-    fold over mu's expanded table that the module docstring describes;
-    the sweeps are counted in ``fold_sweeps`` and the rows in
-    ``fold_rows``."""
+    fold over mu's expanded table that the module docstring describes, read
+    back by one ``weight_rows``; the sweeps are counted in ``fold_sweeps``
+    and the rows in ``fold_rows``."""
     dtype = _fold_dtype(datum, lam, mu)
     cols, mults = _expanded_table(datum, mu)
     # column k of x is table row k shifted by lam + rho; x[i] holds
@@ -152,14 +154,14 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     datum.stats["fold_sweeps"] += sweeps
     # every row is its dominant representative now; one on a wall, its least
     # coordinate 0, adds nothing
-    regular = x.min(axis=0) > 0
-    x = x.compress(regular, axis=1)
+    regular = np.flatnonzero(x.min(axis=0) > 0)
+    x = x.take(regular, axis=1)
     # a row reflected an odd number of times counts its multiplicity negated;
     # the bool parity read as int8 makes this one in-place int64 product (a
     # masked np.negative is several times slower)
-    signs = mults.compress(regular)
+    signs = mults.take(regular)
     if sweeps:
-        signs *= 1 - 2 * odd.compress(regular).view(np.int8)
+        signs *= 1 - 2 * odd.take(regular).view(np.int8)
     dom = x - 1  # subtract rho; nonnegative now
     keys = _packed_keys(dom)
     order = np.lexsort(keys[::-1])
@@ -174,8 +176,7 @@ def _klimyk(datum: RootDatum, lam: Weight, mu: Weight) -> dict[Weight, int]:
     totals = np.add.reduceat(signs[order], starts)
     assert (totals >= 0).all(), "negative accumulated tensor multiplicity"
     kept = totals > 0
-    # zip(*rows) reads each summand column of dom as one weight tuple
-    return dict(zip(zip(*dom[:, order[starts[kept]]].tolist()), totals[kept].tolist()))
+    return dict(zip(weight_rows(dom.T[order[starts[kept]]]), totals[kept].tolist()))
 
 
 def _packed_keys(dom: np.ndarray) -> list[np.ndarray]:
@@ -401,7 +402,7 @@ def _fold_points(datum: RootDatum, batch: list, shift: Weight):
     """The dominant representative of x - shift for each (x, sign) of
     ``batch``, in order: by ``weyl._climb`` point by point for a batch of at
     most ``_CLIMB_MAX`` points, else by ``_sweep`` over one int64 array
-    read back with one ``tolist``.  ``_check_coefficient`` bounds every
+    read back by one ``weight_rows``.  ``_check_coefficient`` bounds every
     coordinate the fold meets, times a Cartan entry, within int64."""
     if len(batch) <= _CLIMB_MAX:
         out = []
@@ -414,7 +415,7 @@ def _fold_points(datum: RootDatum, batch: list, shift: Weight):
                     np.array(shift, dtype=np.int64)[:, None], order="C")
     while _sweep(datum, x):
         pass
-    return zip(*x.tolist())
+    return weight_rows(x.T)
 
 
 def prv_component(datum: RootDatum, lam: Weight, mu: Weight, word) -> Weight:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weightlab import (CartanType, Character, LatticeSpec, MonoidSpec, RootDataError,
@@ -7,7 +8,7 @@ from weightlab import (CartanType, Character, LatticeSpec, MonoidSpec, RootDataE
                        in_lattice, orbit_size, root_coordinates, tensor_decompose,
                        tensor_multiplicity, weyl_dimension)
 from weightlab import cli
-from weightlab.rootdata import pairing, positive_root_count
+from weightlab.rootdata import pairing, positive_root_count, weight_rows
 from conftest import get_datum
 from oracles import closure_positive_roots, fraction_inverse_cartan, int_det
 
@@ -382,3 +383,25 @@ def test_lazy_lattice_and_coordinates_match_eager_reads(type_string, mode):
     assert lazy.lattice_subgroup.members == eager_subgroup.members
     order = abs(int_det([list(row) for row in lazy.cartan]))
     assert len(eager_subgroup.members) == (order if mode == "sc" else 1)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_weight_rows_reads_every_width_at_its_limits(dtype):
+    # the struct code follows the item size: int64 read as 4 bytes would
+    # split each value beyond +-2^31 and halve the row
+    info = np.iinfo(dtype)
+    values = [info.min, info.max, -1, 0, 1]
+    if dtype == np.int64:
+        values += [2 ** 31, -2 ** 31 - 1, 4 * 10 ** 18]
+    a = np.array([values, values[::-1]], dtype=dtype)
+    rows = weight_rows(a)
+    assert rows == [tuple(values), tuple(values[::-1])]
+    assert all(type(x) is int for row in rows for x in row)
+
+
+def test_weight_rows_reads_any_layout():
+    a = np.arange(-12, 12, dtype=np.int64).reshape(4, 6)
+    for view in (a, a[:0], a[1:2], a.T, a[[3, 0, 3]], a[:, ::2], a.T[[5, 1]]):
+        rows = weight_rows(view)
+        assert rows == [tuple(r) for r in view.tolist()]
+        assert all(type(row) is tuple for row in rows)

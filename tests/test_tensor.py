@@ -12,7 +12,7 @@ from weightlab import (DominanceRegimeError, dominant_weights_below, prv_compone
                        weyl_dimension, weyl_group_elements)
 from weightlab.charcalc import character, expanded_weight_table
 from weightlab.rootdata import RootDatum, build_root_datum
-from weightlab.tensor import INT64_MAX, _expanded_table, _fold_dtype, _klimyk
+from weightlab.tensor import INT64_MAX, _expanded_table, _fold_dtype, _fold_points, _klimyk
 from conftest import get_datum
 from oracles import (brute_tensor, cg_closed_form, per_root_freudenthal, random_dominant,
                      unique_klimyk)
@@ -294,6 +294,40 @@ def test_narrow_fold_matches_int64_oracle(type_string, mu, limit, side):
     assert rows.dtype == np.int64 and np.array_equal(cols.T, rows)
     assert cols.flags.c_contiguous and np.can_cast(cols.dtype, dtype, "safe")
     assert np.array_equal(cols, saved[0]) and np.array_equal(mults, saved[1])
+
+
+@pytest.mark.parametrize("type_string, lam, mu, dtype", [
+    ("A2", (1, 1), (1, 1), np.int8), ("A1", (100,), (3,), np.int16),
+    ("A1", (40000,), (3,), np.int32), ("A1", (4 * 10 ** 18,), (1,), np.int64)])
+def test_summands_are_python_ints_at_every_fold_dtype(type_string, lam, mu, dtype):
+    # check_weight refuses numpy scalars, and a closure reads summands back
+    # as weights
+    datum = build_root_datum(type_string)
+    assert _fold_dtype(datum, lam, mu) == dtype
+    summands = tensor_decompose(datum, lam, mu).summands
+    assert summands == unique_klimyk(datum, lam, mu)
+    for weight, mult in summands.items():
+        assert type(weight) is tuple and all(type(x) is int for x in weight)
+        assert type(mult) is int and datum.check_weight(weight) == weight
+
+
+@pytest.mark.parametrize("count", [tensor._CLIMB_MAX, tensor._CLIMB_MAX + 1])
+def test_fold_points_are_python_ints_by_climb_and_by_batch(count):
+    # a batch of at most _CLIMB_MAX points folds by _climb, a longer one as
+    # one int64 array; both give tuples of ints, beyond 2^31 too
+    datum = get_datum("B3")
+    rng = random.Random(count)
+    big = 2 ** 40
+    batch = [(tuple(rng.randint(-big, big) for _ in range(3)), 1) for _ in range(count)]
+    shift = (big, 1, 2)
+    points = list(_fold_points(datum, batch, shift))
+    expected = []
+    for x, _ in batch:
+        p = [a - b for a, b in zip(x, shift)]
+        weyl._climb(datum, p)
+        expected.append(tuple(p))
+    assert points == expected
+    assert all(type(p) is tuple and all(type(x) is int for x in p) for p in points)
 
 
 def test_expanded_table_is_narrowest_that_holds_it():
