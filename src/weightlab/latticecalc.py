@@ -4,21 +4,25 @@ The cocenter is presented factor by factor from the Smith normal form of
 each Cartan block; coordinates with unit modulus are dropped.  The center of
 the simply connected group is identified with the dual of P/Q: subgroups of
 the center are stored as subgroups on the dual side and probed through the
-perfect pairing sum(x_i y_i / d_i) mod 1.  Subgroups are enumerated by
-their Hermite normal forms, each once, under a budget on the elements they
-list in all.
+perfect pairing sum(x_i y_i / d_i) mod 1.  A subgroup is kept as its
+reduced Hermite rows: its order, membership, inclusion, equality and
+restriction to a support are read from them, and its elements are listed
+only for output.  Subgroups are enumerated by their Hermite normal forms,
+each once, under a budget on the elements they list in all.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import prod
 
 import numpy as np
 
-from .rootdata import RootDatum, Weight
+from .rootdata import RootDataError, RootDatum, Weight
 
 # most elements the subgroups enumerate_subgroups lists may hold in all
 MAX_SUBGROUP_ELEMENTS = 10 ** 6
@@ -129,13 +133,7 @@ class FinAbGroup:
         return (0,) * len(self.orders)
 
     def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.orders))
-
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % d for x, d in zip(a, self.orders))
-
-    def reduce(self, a) -> tuple[int, ...]:
-        return tuple(x % d for x, d in zip(a, self.orders))
+        return tuple(map(operator.mod, map(operator.add, a, b), self.orders))
 
     def elements(self) -> list[tuple[int, ...]]:
         return [tuple(e) for e in product(*(range(d) for d in self.orders))]
@@ -203,55 +201,107 @@ def fundamental_group(datum: RootDatum) -> FinAbGroup:
 
 
 def project_to_cocenter(group: FinAbGroup, lam: Weight) -> tuple[int, ...]:
-    """Class of a weight in the cocenter; additive, kills the root lattice."""
+    """Class of a weight in the cocenter; additive, kills the root lattice.
+    A coordinate that is not a plain int, or a length other than the
+    projection rows', is refused (``RootDataError``)."""
+    if not all(type(x) is int for x in lam) or any(len(r) != len(lam) for r in group.proj_rows):
+        raise RootDataError(f"weight {lam!r} is not a weight of the cocenter's rank in ints")
     return tuple(sum(r * x for r, x in zip(row, lam)) % d
                  for row, d in zip(group.proj_rows, group.orders))
 
 
+def _hermite(orders, vectors) -> tuple[tuple[int, ...], ...]:
+    """Reduced Hermite rows of the subgroup of ⊕ Z/d_i the vectors generate,
+    d = ``orders`` (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.2).  Row i is zero before i; its pivot h_i divides d_i, and
+    h_i = d_i where the subgroup adds nothing at i; its entry j after i lies
+    in [0, h_j).  Equal subgroups have equal rows.
+
+    Column i merges d_i·e_i and every pooled vector into the pivot row by
+    Euclid's algorithm on coordinate i; the remainders, zero at i, stay in
+    the pool for the later columns.  Euclid's steps are unimodular, so the
+    remainders span every vector of the lattice that is zero at i, among
+    them (d_i/h_i)·row - d_i·e_i.  Entries are kept reduced mod d, and the
+    rows above are reduced at i by the new row."""
+    pool, rows = [[x % d for x, d in zip(v, orders)] for v in vectors], []
+    for i, d in enumerate(orders):
+        pivot = [d * (k == i) for k in range(len(orders))]
+        for k, v in enumerate(pool):
+            while v[i]:
+                pivot, v = v, [(x - pivot[i] // v[i] * y) % e for x, y, e in zip(pivot, v, orders)]
+            pool[k] = v
+        # a row d_k·e_k is 0 at i, so its pivot d_k is never taken mod d_k
+        rows = [[(x - r[i] // pivot[i] * y) % e for x, y, e in zip(r, pivot, orders)]
+                if r[i] >= pivot[i] else r for r in rows] + [pivot]
+    return tuple(map(tuple, rows))
+
+
+def _reduces(orders, rows, element) -> bool:
+    """Whether ``element``, zero mod ``orders`` before the last len(rows)
+    coordinates, reduces to 0 mod ``orders`` by echelon rows whose pivots
+    sit on those coordinates, first row first."""
+    v = [x % d for x, d in zip(element, orders)]
+    for j, r in enumerate(rows, len(orders) - len(rows)):
+        q, rest = divmod(v[j], r[j])
+        if rest:
+            return False
+        if q:
+            v = [(x - q * y) % d for x, y, d in zip(v, r, orders)]
+    return True
+
+
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup given by its full sorted element list."""
+    """Subgroup given by its reduced Hermite rows (see :func:`_hermite`), one
+    per coordinate; its elements are listed only on demand."""
 
     group: FinAbGroup
-    members: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        elems = frozenset(self.members)
-        assert self.group.zero() in elems
-        for a in elems:
-            assert self.group.neg(a) in elems
-        assert self.group.order % len(elems) == 0
-        object.__setattr__(self, "_member_set", elems)
+    rows: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def generated(group: FinAbGroup, generators) -> "Subgroup":
-        gens = [group.reduce(g) for g in generators]
-        closure = {group.zero()}
-        frontier = [group.zero()]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = group.add(a, g)
-                    if b not in closure:
-                        closure.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return Subgroup(group, tuple(sorted(closure)))
+        """The subgroup the generators span; each must be a tuple of plain
+        ints of the group's arity (``RootDataError``)."""
+        n, generators = len(group.orders), tuple(generators)
+        for g in generators:
+            if not (type(g) is tuple and len(g) == n and all(type(x) is int for x in g)):
+                raise RootDataError(f"subgroup generator {g!r} is not a tuple of {n} ints")
+        return Subgroup(group, _hermite(group.orders, generators))
 
     @staticmethod
     def full(group: FinAbGroup) -> "Subgroup":
-        return Subgroup(group, tuple(sorted(group.elements())))
+        return Subgroup(group, tuple(map(tuple, np.eye(len(group.orders), dtype=int).tolist())))
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return prod(d // r[i] for i, (r, d) in enumerate(zip(self.rows, self.group.orders)))
+
+    @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted elements: each sum_i x_i·row_i with 0 <= x_i < d_i/h_i,
+        which lists every element once."""
+        out = [self.group.zero()]
+        for i, (r, d) in enumerate(zip(self.rows, self.group.orders)):
+            if r[i] < d:
+                steps = [[x * y for y in r] for x in range(d // r[i])]
+                out = [self.group.add(a, step) for step in steps for a in out]
+        return tuple(sorted(out))
 
     def __contains__(self, element) -> bool:
-        return tuple(element) in self._member_set
+        return len(element) == len(self.rows) and _reduces(self.group.orders, self.rows, element)
 
     def __le__(self, other: "Subgroup") -> bool:
-        return self._member_set <= other._member_set
+        return all(r in other for r in self.rows)
+
+    def restrict(self, factors) -> "Subgroup":
+        """The elements that vanish off the given 1-based factors, restricted
+        to them: the rows, with the factors' coordinates placed last, whose
+        pivot lies on those coordinates."""
+        kept = [k in factors for k in self.group.coord_factor]
+        perm, off = sorted(range(len(kept)), key=kept.__getitem__), kept.count(False)
+        rows = _hermite([self.group.orders[c] for c in perm],
+                        [[r[c] for c in perm] for r in self.rows])
+        return Subgroup(self.group.restrict(factors), tuple(r[off:] for r in rows[off:]))
 
     def to_json(self) -> dict:
         """The members, and under "invariants" the coordinate moduli
@@ -266,10 +316,9 @@ def enumerate_subgroups(group: FinAbGroup, ambient: Subgroup | None = None) -> l
 
     A subgroup is the image of a lattice L with diag(d)·Z^n ⊆ L ⊆ L_A, where
     d = ``orders`` and L_A is the preimage of ``ambient`` (Z^n when none is
-    given).  L_A has an echelon basis b: b_i is the least member of the
-    ambient, lexicographically, that is zero before coordinate i and not at
-    it, or d_i·e_i when no member is; its i-th coordinate g_i is the least
-    that a vector of L_A zero before i has there.  In that basis L has
+    given).  L_A has an echelon basis b, the ambient's Hermite rows: b_i is
+    zero before coordinate i, and its i-th coordinate g_i is the least that
+    a vector of L_A zero before i has there.  In that basis L has
     exactly one Hermite normal form (Cohen, A Course in Computational
     Algebraic Number Theory, 2.4.2): row i of L is
     (h_i/g_i)·b_i + sum_{j>i} x_j·b_j, with g_i | h_i | d_i and
@@ -280,10 +329,7 @@ def enumerate_subgroups(group: FinAbGroup, ambient: Subgroup | None = None) -> l
     more than MAX_SUBGROUP_ELEMENTS elements in all, the walk refuses with
     ``ValueError``, before any element is listed."""
     orders, n = group.orders, len(group.orders)
-    axes = [(0,) * i + (d,) + (0,) * (n - 1 - i) for i, d in enumerate(orders)]  # d_i·e_i
-    # in the whole group the least member at each level is a unit vector
-    members = [tuple(min(x, 1) for x in a) for a in axes] if ambient is None else ambient.members
-    basis = [min(a for a in (*members, axes[i]) if not any(a[:i]) and a[i]) for i in range(n)]
+    basis = (Subgroup.full(group) if ambient is None else ambient).rows
     forms, listed = [], 0
 
     def walk(i: int, rows: tuple, size: int) -> None:
@@ -292,8 +338,7 @@ def enumerate_subgroups(group: FinAbGroup, ambient: Subgroup | None = None) -> l
             listed += size
             if listed > MAX_SUBGROUP_ELEMENTS:
                 raise ValueError(f"the subgroups list more than {MAX_SUBGROUP_ELEMENTS} elements")
-            # a row with h_i = d_i is d_i·e_i plus rows below, so it generates nothing new
-            forms.append([r for k, r in enumerate(rows) if r[k] < orders[k]])
+            forms.append(rows)
             return
         # row i is (h_i/g_i)·b_i + sum_{j>i} x_j·b_j, for each h_i and each x
         d, b = orders[i], basis[i]
@@ -302,18 +347,13 @@ def enumerate_subgroups(group: FinAbGroup, ambient: Subgroup | None = None) -> l
             cands = [tuple(p + x * q for p, q in zip(c, bj))
                      for c in cands for x in range(r[j] // bj[j])]
         for row in cands:
-            # (d/h_i)·row - d·e_i, reduced mod d and then by the rows below,
-            # which span every d_j·e_j with j > i
-            v = group.reduce([d // row[i] * y for y in row])
-            for j, r in enumerate(rows, i + 1):
-                if v[j] % r[j]:
-                    break
-                v = group.reduce([y - v[j] // r[j] * z for y, z in zip(v, r)]) if v[j] else v
-            else:
+            # (d/h_i)·row - d·e_i, reduced by the rows below, which span
+            # every d_j·e_j with j > i
+            if _reduces(orders, rows, [d // row[i] * y for y in row]):
                 walk(i - 1, (row,) + rows, size * (d // row[i]))
 
     walk(n - 1, (), 1)
-    return sorted((Subgroup.generated(group, rows) for rows in forms),
+    return sorted((Subgroup(group, _hermite(orders, rows)) for rows in forms),
                   key=lambda s: (s.order, s.members))
 
 
@@ -326,11 +366,11 @@ def weight_kills_subgroup(group: FinAbGroup, lam: Weight, dual_subgroup: Subgrou
     """Whether lam restricts trivially to a subgroup of the center; the
     subgroup is given in dual coordinates and probed by the pairing."""
     cls = project_to_cocenter(group, lam)
-    return all(group.pairing(cls, h) == 0 for h in dual_subgroup.members)
+    return all(group.pairing(cls, r) == 0 for r in dual_subgroup.rows)
 
 
 def annihilator(group: FinAbGroup, dual_subgroup: Subgroup) -> Subgroup:
-    """Elements pairing trivially with every member of a dual-side subgroup."""
-    members = [a for a in group.elements()
-               if all(group.pairing(a, h) == 0 for h in dual_subgroup.members)]
-    return Subgroup(group, tuple(sorted(members)))
+    """Elements pairing trivially with every member of a dual-side subgroup,
+    so with its rows, the pairing being bilinear."""
+    return Subgroup.generated(group, [a for a in group.elements()
+                                      if all(group.pairing(a, r) == 0 for r in dual_subgroup.rows)])

@@ -401,22 +401,16 @@ def enumerate_perfect(datum: RootDatum, support) -> list[PerfectDescriptor]:
     """All perfect submonoids with the given component support, one
     descriptor per admissible cocenter subgroup (those whose classes the
     lattice contains); a factor index must be an int (``RootDataError``)."""
-    support = frozenset(support)
-    for k in support:
+    support = tuple(support)
+    for k in support:  # before a set merges True with 1, or 1.0 with 1
         if type(k) is not int:
             raise RootDataError(f"factor index {k!r} is not an int")
         if not 1 <= k <= datum.n_factors:
             raise ValueError(f"factor index {k} out of range")
-    cocenter = datum.cocenter
-    restricted = cocenter.restrict(support)
-    lattice_classes = {
-        cocenter.restrict_element(h, support)
-        for h in datum.lattice_subgroup.members
-        if all(x == 0 for x in cocenter.restrict_element(
-            h, frozenset(range(1, datum.n_factors + 1)) - support))}
-    admissible = latticecalc.Subgroup(restricted, tuple(sorted(lattice_classes)))
+    support = frozenset(support)
+    admissible = datum.lattice_subgroup.restrict(support)
     return [PerfectDescriptor(support, s)
-            for s in latticecalc.enumerate_subgroups(restricted, admissible)]
+            for s in latticecalc.enumerate_subgroups(admissible.group, admissible)]
 
 
 def is_saturated_monoid(datum: RootDatum, members, box: Box) -> bool:

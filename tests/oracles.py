@@ -27,6 +27,9 @@ from the library's fold.  The invariant factors of a finite abelian group
 come from the earlier prime-power bookkeeping, and the subgroups of a
 cocenter from the earlier breadth-first search, which spans each subgroup
 found with each element outside it and drops the copies by member tuple.
+A subgroup's members come from the earlier breadth-first closure under its
+generators, and the admissible subgroup of a support from the earlier
+element-by-element restriction of the lattice subgroup's members.
 Root-string saturation of a weight set is checked here too; the library
 does not need it.
 """
@@ -716,23 +719,61 @@ def prime_power_invariants(orders) -> tuple[int, ...]:
     return tuple(sorted(chain))
 
 
-def bfs_subgroups(group: latticecalc.FinAbGroup) -> list[latticecalc.Subgroup]:
-    """Every subgroup once, ordered by order and then members: each subgroup
-    found is spanned with every element outside it, level by level, and the
-    copies are dropped by their member tuples."""
+def bfs_closure(group: latticecalc.FinAbGroup, generators) -> tuple[tuple[int, ...], ...]:
+    """The sorted members of the subgroup the generators span: the earlier
+    breadth-first closure of 0 under adding each generator."""
+    gens = [tuple(x % d for x, d in zip(g, group.orders)) for g in generators]
+    closure = {group.zero()}
+    frontier = [group.zero()]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = group.add(a, g)
+                if b not in closure:
+                    closure.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return tuple(sorted(closure))
+
+
+@lru_cache(maxsize=None)
+def bfs_subgroup_members(group: latticecalc.FinAbGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The member tuple of every subgroup once, ordered by order and then
+    members: each subgroup found is spanned with every element outside it,
+    level by level, and the copies are dropped by their member tuples."""
     elements = group.elements()
-    trivial = latticecalc.Subgroup.generated(group, ())
-    found = {trivial.members: trivial}
+    trivial = bfs_closure(group, ())
+    found = {trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
-        for sub in frontier:
-            have = set(sub.members)
+        for have in frontier:
+            have_set = set(have)
             for g in elements:
-                if g not in have:
-                    bigger = latticecalc.Subgroup.generated(group, tuple(have) + (g,))
-                    if bigger.members not in found:
-                        found[bigger.members] = bigger
+                if g not in have_set:
+                    bigger = bfs_closure(group, have + (g,))
+                    if bigger not in found:
+                        found.add(bigger)
                         nxt.append(bigger)
         frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.order, s.members))
+    return tuple(sorted(found, key=lambda m: (len(m), m)))
+
+
+def bfs_subgroups(group: latticecalc.FinAbGroup) -> list[latticecalc.Subgroup]:
+    """The subgroups of :func:`bfs_subgroup_members`, in its order, each as
+    the library's subgroup spanned by its members."""
+    return [latticecalc.Subgroup.generated(group, m) for m in bfs_subgroup_members(group)]
+
+
+def admissible_members(datum: RootDatum, support) -> tuple[tuple[int, ...], ...]:
+    """The sorted classes of the lattice subgroup that vanish off the given
+    factors, restricted to them: the earlier element-by-element listing,
+    the lattice subgroup's members taken from its breadth-first closure."""
+    cocenter, mode = datum.cocenter, datum.lattice.mode
+    gens = (cocenter.elements() if mode == "sc" else () if mode == "adjoint"
+            else datum.lattice.generators)
+    off = frozenset(range(1, datum.n_factors + 1)) - frozenset(support)
+    return tuple(sorted({cocenter.restrict_element(h, support)
+                         for h in bfs_closure(cocenter, gens)
+                         if all(x == 0 for x in cocenter.restrict_element(h, off))}))

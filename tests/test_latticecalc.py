@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from weightlab import latticecalc
-from weightlab import (Subgroup, annihilator, enumerate_subgroups, fundamental_group,
+from weightlab import (RootDataError, Subgroup, annihilator, enumerate_subgroups, fundamental_group,
                        project_to_cocenter, quotient_subgroups, smith_normal_form,
                        weight_kills_subgroup)
 from conftest import get_datum
@@ -158,6 +158,54 @@ def test_weight_kills_subgroup_examples():
     assert weight_kills_subgroup(g, (1,), trivial)
     a2 = get_datum("A2")
     assert not weight_kills_subgroup(a2.cocenter, (1, 0), Subgroup.full(a2.cocenter))
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 0, 5), (1.5, 0), (True, 0), (1, 0.0)])
+def test_projection_refuses_a_malformed_weight(bad):
+    # each used to project: (1,) and (1, 0, 5) to (2,), (1.5, 0) to (0.0,)
+    g = get_datum("A2").cocenter
+    with pytest.raises(RootDataError, match="not a weight"):
+        project_to_cocenter(g, bad)
+    with pytest.raises(RootDataError, match="not a weight"):
+        weight_kills_subgroup(g, bad, Subgroup.full(g))
+
+
+def test_projection_onto_a_trivial_cocenter_checks_only_ints():
+    g = get_datum("G2").cocenter
+    assert project_to_cocenter(g, (1, 2)) == ()
+    with pytest.raises(RootDataError, match="not a weight"):
+        project_to_cocenter(g, (1, True))
+
+
+@pytest.mark.parametrize("bad", [(1.5,), (), (1, 0), [1], (True,), (1.0,)])
+def test_generated_refuses_a_malformed_generator(bad):
+    # (1.5,) and () ended in a bare AssertionError, and (1, 0) was cut to (1,)
+    z3 = get_datum("A2").cocenter
+    with pytest.raises(RootDataError, match="not a tuple of 1 ints"):
+        Subgroup.generated(z3, [(1,), bad])
+
+
+def test_membership_of_an_element_of_the_wrong_arity_is_false():
+    z3 = get_datum("A2").cocenter
+    for sub in (Subgroup.full(z3), Subgroup.generated(z3, ())):
+        assert (0,) in sub
+        assert (1, 0) not in sub
+        assert (0, 0) not in sub
+        assert () not in sub
+
+
+def test_subgroup_is_its_hermite_rows():
+    # Z/4 x Z/2: (1, 1) spans {(0,0), (1,1), (2,0), (3,1)}, with pivots 1 and 2 = d_2
+    group = get_datum("A3xA1").cocenter
+    assert group.orders == (4, 2)
+    sub = Subgroup.generated(group, [(5, -1)])
+    assert sub.rows == ((1, 1), (0, 2))
+    assert sub.order == 4
+    assert sub.members == ((0, 0), (1, 1), (2, 0), (3, 1))
+    assert Subgroup.generated(group, (g for g in [(1, 1)])) == sub  # read once
+    assert Subgroup.generated(group, ()).rows == ((4, 0), (0, 2))
+    assert Subgroup.full(group).rows == ((1, 0), (0, 1))
+    assert Subgroup.generated(group, [(2, 1)]).rows == ((2, 1), (0, 2))
 
 
 def test_kill_depends_only_on_class():

@@ -8,7 +8,7 @@ from weightlab import (Box, LatticeSpec, MonoidSpec, RootDataError, bounded_perf
                        build_root_datum, classify, component_support, dominant_weights_below,
                        enumerate_perfect, is_perfect_in_box, is_saturated_monoid,
                        predicted_members, root_coordinates, verify_classification)
-from weightlab import perfectmonoid
+from weightlab import latticecalc, perfectmonoid
 from weightlab.tensor import _check_coefficient
 from conftest import get_datum
 from oracles import pairwise_perfect_closure
@@ -156,12 +156,23 @@ def test_enumerate_perfect_counts():
     assert len(enumerate_perfect(get_datum("A1xA1"), (1, 2))) == 5
 
 
-@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("bad", [[True], [1.0], [1, True], [1, 1.0], [1.0, 1]],
+                         ids=["bool", "float", "int-bool", "int-float", "float-int"])
 def test_enumerate_perfect_refuses_a_factor_index_that_is_not_an_int(bad):
     # True == 1.0 == 1, so either would pass the range test and reach a
-    # descriptor's support, whose JSON would print it as given
+    # descriptor's support, whose JSON would print it as given; each index
+    # is checked before a set can merge it with an equal int
     with pytest.raises(RootDataError, match="not an int"):
-        enumerate_perfect(build_root_datum("A1xA2"), [bad])
+        enumerate_perfect(build_root_datum("A1xA2"), bad)
+
+
+def test_enumerate_perfect_refuses_before_listing_the_lattice_classes(monkeypatch):
+    # the sc lattice of A1^18 has 2^18 classes; the walk's budget refuses
+    # before any subgroup lists its elements
+    datum = build_root_datum("x".join(["A1"] * 18))
+    monkeypatch.setattr(latticecalc.Subgroup, "members", property(lambda s: pytest.fail("listed")))
+    with pytest.raises(ValueError, match="^the subgroups list more than 1000000 elements$"):
+        enumerate_perfect(datum, range(1, 19))
 
 
 def test_enumerate_perfect_respects_lattice():

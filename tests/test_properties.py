@@ -1078,3 +1078,49 @@ def test_hermite_walk_matches_subgroup_bfs_on_drawn_groups(orders):
     assert enumerate_subgroups(group) == every
     ambient = every[len(every) // 2]
     assert enumerate_subgroups(group, ambient) == [s for s in every if s <= ambient]
+
+
+@pytest.mark.parametrize("type_string", SUBGROUP_TYPES)
+@given(data=st.data())
+def test_generated_subgroup_matches_bfs_closure(type_string, data):
+    group = get_datum(type_string).cocenter
+    vector = st.tuples(*(st.integers(-2 * d, 2 * d) for d in group.orders))
+    gens = data.draw(st.lists(vector, max_size=4), label="generators")
+    members = oracles.bfs_closure(group, gens)
+    sub = Subgroup.generated(group, gens)
+    assert sub.members == members
+    assert sub.order == len(members)
+    # equal subgroups have equal rows, however they are generated
+    assert Subgroup.generated(group, members) == sub
+    assert Subgroup.generated(group, members[-2:] + tuple(reversed(gens))) == sub
+
+
+@pytest.mark.parametrize("type_string", SUBGROUP_TYPES)
+def test_subgroup_order_membership_and_inclusion_match_member_lists(type_string):
+    group = get_datum(type_string).cocenter
+    every = [set(m) for m in oracles.bfs_subgroup_members(group)]
+    subs = bfs_subgroups(group)
+    assert len({s.rows for s in subs}) == len(subs)
+    elements = group.elements()
+    for s, m in zip(subs, every):
+        assert s.order == len(m)
+        assert [e in s for e in elements] == [e in m for e in elements]
+    for s, a in zip(subs, every):
+        assert [s <= t for t in subs] == [a <= b for b in every]
+
+
+@pytest.mark.parametrize("type_string", SUBGROUP_TYPES)
+def test_admissible_subgroup_matches_element_listing(type_string):
+    cocenter = get_datum(type_string).cocenter
+    factors = range(1, get_datum(type_string).n_factors + 1)
+    supports = [c for k in range(len(factors) + 1) for c in combinations(factors, k)]
+    elements = cocenter.elements()[1:]
+    # cyclic lattice subgroups, and each spanned with the last element too
+    lattices = ([("sc", ()), ("adjoint", ())] + [("subgroup", (g,)) for g in elements]
+                + [("subgroup", (g, elements[-1])) for g in elements[:-1]])
+    for mode, gens in lattices:
+        datum = get_datum(type_string, mode, gens)
+        for support in supports:
+            admissible = datum.lattice_subgroup.restrict(support)
+            assert admissible.group == cocenter.restrict(support)
+            assert admissible.members == oracles.admissible_members(datum, support)
