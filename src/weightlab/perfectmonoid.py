@@ -20,11 +20,11 @@ is grouped by the class of a: for a fixed b, the class of a + b is a
 bijection of the class of a, so each group's totals share one class, found
 once per group by adding the positions of the two classes in P/Q's mixed
 radix.  One numpy test per group with open (missing) weights compares its
-totals a + b, formed only then, componentwise with those weights, listed
-once and kept until a member of the class joins; a pair with nothing
-missing below its total cannot add a member and is settled, and so is
-every pair with 0.  Once the reach set is full, no pair can add a member,
-and the rows left are skipped and their pairs counted as settled.  The
+totals a + b, formed only then, componentwise with those weights, read
+from the mask; a pair with nothing missing below its total cannot add a
+member and is settled, and so is every pair with 0.  Once the reach set
+is full, no pair can add a member, and the rows left are skipped and
+their pairs counted as settled.  The
 pairs the test flags are tested again, in order, against the members of
 that moment; the missing weights below the total of a pair still flagged
 are its candidates.  Each candidate is asked whether it is a summand, and
@@ -175,9 +175,9 @@ class _CosetRegion:
     each class, empty for a class the box misses.  mu lies below a total t
     exactly when both have the same class and adj(mu) <= adj(t)
     componentwise.  Memory is O(box + |P/Q|), and |P/Q| = det C <= 2^rank is
-    at most the box's size.  A closure adds O(box) for its mask, member list
-    and per-class open lists; class sums are computed as they are needed,
-    and nothing is kept per pair of classes.
+    at most the box's size.  A closure adds O(box) for its mask and member
+    list; class sums are computed as they are needed, and nothing is kept
+    per pair of classes.
 
     The coordinates stay inside int64.  A box within ``MAX_REGION`` has
     2^rank <= (bound + 1)^rank <= 10^6, so rank <= 19 and bound < 10^6.
@@ -263,14 +263,9 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
     missing[at[:n]] = False
     left = int(missing.sum())  # weights of R not yet members
 
-    open_ = {}  # class -> region indices of its missing weights, until one joins
-
     def open_rows(t: int) -> np.ndarray:
-        c = open_.get(t)
-        if c is None:
-            c = region.class_rows[t]
-            c = open_[t] = c[missing[c]]
-        return c
+        c = region.class_rows[t]
+        return c[missing[c]]
 
     def row_test(row: np.ndarray, b: int) -> np.ndarray:
         """Per member in ``row`` (region indices), whether its total with the
@@ -296,8 +291,7 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
         stats["closure_settled"] += j + 1 - len(flagged)
         for k in flagged:
             # the missing weights below the total of the pair
-            t = cocenter.add_at(int(cls[at[k]]), int(cls[b]))
-            below = open_rows(t)
+            below = open_rows(cocenter.add_at(int(cls[at[k]]), int(cls[b])))
             below = below[(adj[below] <= adj[at[k]] + adj[b]).all(axis=1)]
             if not len(below):  # members grew since the row test
                 stats["closure_rechecked"] += 1
@@ -316,7 +310,6 @@ def _settle_pairs(datum: RootDatum, box: Box, members) -> set[Weight]:
             if len(new):
                 missing[new] = False
                 left -= len(new)
-                del open_[t]
             at[n:n + len(new)] = new
             n += len(new)
         j += 1

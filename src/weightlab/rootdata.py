@@ -370,10 +370,6 @@ class RootDatum:
             return latticecalc.Subgroup.full(group)
         if self.lattice.mode == "adjoint":
             return latticecalc.Subgroup.generated(group, ())
-        for g in self.lattice.generators:
-            if len(g) != len(group.orders):
-                raise RootDataError(
-                    "lattice subgroup generator has wrong arity for the cocenter")
         return latticecalc.Subgroup.generated(group, self.lattice.generators)
 
     @cached_property
@@ -427,21 +423,23 @@ def _generate_positive_roots(datum: RootDatum) -> tuple[PositiveRoot, ...]:
     with <gamma, alpha_i^vee> > 0 and s_i gamma positive and lower, so the
     walk reaches it from s_i gamma.  As in ``weyl._climb``, s_i sets
     coordinate i to -c and moves only the Dynkin neighbours of i.  Each
-    root carries its height and d, the symmetrizer entry of the simple root
-    it was reached from: a reflection keeps the norm (beta, beta) = 2 d, so
-    coroot_j = 2 rc_j d_j / (beta, beta) = rc_j d_j / d."""
+    root carries its coroot, its height and d, the symmetrizer entry of the
+    simple root it was reached from: a reflection keeps the norm
+    (beta, beta) = 2 d, so coroot_j = 2 rc_j d_j / (beta, beta) = rc_j d_j / d,
+    and s_i moves only coroot coordinate i, by -c d_i / d."""
     rank = datum.rank
     cols, neighbors, symmetrizer = datum.cartan_columns, datum.neighbors, datum.symmetrizer
-    # fund -> (rc, height, d)
-    seen: dict[Weight, tuple[tuple[int, ...], int, int]] = {}
+    # fund -> (rc, coroot, height, d)
+    seen: dict[Weight, tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
     frontier: list[Weight] = []
     for j in range(rank):
-        seen[cols[j]] = (tuple(1 if i == j else 0 for i in range(rank)), 1, symmetrizer[j])
+        e_j = tuple(1 if i == j else 0 for i in range(rank))
+        seen[cols[j]] = (e_j, e_j, 1, symmetrizer[j])
         frontier.append(cols[j])
     while frontier:
         nxt = []
         for fund in frontier:
-            rc, height, d = seen[fund]
+            rc, co, height, d = seen[fund]
             for i, c in enumerate(fund):
                 if c >= 0:
                     continue
@@ -453,17 +451,13 @@ def _generate_positive_roots(datum: RootDatum) -> tuple[PositiveRoot, ...]:
                 rfund = tuple(f)
                 if rfund in seen:
                     continue
-                seen[rfund] = (rc[:i] + (rc[i] - c,) + rc[i + 1:], height - c, d)
+                q, rest = divmod(-c * symmetrizer[i], d)
+                assert rest == 0
+                seen[rfund] = (rc[:i] + (rc[i] - c,) + rc[i + 1:],
+                               co[:i] + (co[i] + q,) + co[i + 1:], height - c, d)
                 nxt.append(rfund)
         frontier = nxt
-    roots = []
-    for fund, (rc, height, d) in seen.items():
-        coroot = []
-        for r, dj in zip(rc, symmetrizer):
-            q, rest = divmod(r * dj, d)
-            assert rest == 0
-            coroot.append(q)
-        roots.append(PositiveRoot(fund, rc, tuple(coroot), height))
+    roots = [PositiveRoot(fund, rc, co, height) for fund, (rc, co, height, _) in seen.items()]
     roots.sort(key=lambda r: (r.height, r.rc))
     return tuple(roots)
 

@@ -215,7 +215,7 @@ def test_lattice_chain_consistency():
 def test_bad_subgroup_generator_arity():
     # A2 has a cyclic cocenter, A1xA3 one with two coordinates
     for type_string, generator in [("A2", (1, 0)), ("A1xA3", (1,))]:
-        with pytest.raises(RootDataError):
+        with pytest.raises(RootDataError, match="is not a tuple of"):
             build_root_datum(type_string, LatticeSpec("subgroup", (generator,)))
 
 
