@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .charcalc import character, expand_character
 from .rootdata import (RootDataError, RootDatum, Weight, is_int_list, wadd, wneg,
                        wzero)
-from .tensor import prv_component, tensor_multiplicity
+from .tensor import _check_coefficient, _coefficients, prv_component
 # unused here; the perfbench tracer wraps constructions.tensor_decompose by name
 from .tensor import tensor_decompose  # noqa: F401
 from .weyl import w0_action
@@ -313,20 +313,24 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
     """Replay a trace exactly: sums literal, PRV weights recomputed, and each
     PRV step confirmed as a tensor summand of its parents.
 
-    The confirmation is one coefficient, ``tensor_multiplicity``, which walks
-    the part of one regular orbit that lies high enough and folds only the
-    points of it that pass a norm test, at any rank, so every PRV step whose
-    replay matches is checked (``tensor_checked``); the steps confirmed are
-    counted as ``prv_confirmed`` in ``datum.stats``.  A step with a
-    malformed or non-dominant weight, kind, parent index or word raises
-    ``ValueError`` naming the step.
+    The confirmation is one coefficient, as ``tensor_multiplicity`` reads
+    it, which walks the part of one regular orbit that lies high enough and
+    folds only the points of it that pass a norm test, at any rank, so every
+    PRV step whose replay matches is checked (``tensor_checked``); the steps
+    confirmed are counted as ``prv_confirmed`` in ``datum.stats``.  Each
+    weight is checked dominant once, at its own step, so a coefficient runs
+    only the int64 guard, ``tensor._check_coefficient``, before
+    ``tensor._coefficients``.  A step with a malformed or non-dominant
+    weight, kind, parent index or word raises ``ValueError`` naming the
+    step.
     """
     failures: list[str] = []
     prv_steps = 0
     tensor_checked = 0
+    weights: list[Weight] = []  # each step's weight, checked
     for idx, step in enumerate(trace.steps):
         try:
-            datum.check_dominant(step.weight)
+            weights.append(datum.check_dominant(step.weight))
         except ValueError as exc:
             raise ValueError(f"step {idx}: {exc}") from None
         if step.kind == "generator":
@@ -335,8 +339,7 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
             raise ValueError(f"step {idx}: unknown kind {step.kind!r}")
         if step.left not in range(idx) or step.right not in range(idx):
             raise ValueError(f"step {idx}: malformed parent indices")
-        lw = trace.steps[step.left].weight
-        rw = trace.steps[step.right].weight
+        lw, rw = weights[step.left], weights[step.right]
         if step.kind == "sum":
             if step.weight != wadd(lw, rw):
                 failures.append(f"step {idx}: recorded sum {step.weight} != {wadd(lw, rw)}")
@@ -350,7 +353,8 @@ def check_prv_chain(datum: RootDatum, trace: ConstructionTrace) -> ChainReport:
             failures.append(f"step {idx}: recorded weight {step.weight} != replay {expected}")
             continue
         tensor_checked += 1
-        if tensor_multiplicity(datum, lw, rw, step.weight):
+        _check_coefficient(datum, lw, rw, expected)
+        if _coefficients(datum, lw, rw, (expected,))[0]:
             datum.stats["prv_confirmed"] += 1
         else:
             failures.append(

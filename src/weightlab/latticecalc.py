@@ -182,7 +182,7 @@ def fundamental_group(datum: RootDatum) -> FinAbGroup:
     orders: list[int] = []
     coord_factor: list[int] = []
     proj_rows: list[tuple[int, ...]] = []
-    for k, ((start, end), (diagonal, u, _)) in enumerate(
+    for k, ((start, end), (diagonal, u)) in enumerate(
             zip(datum.ctype.blocks, datum._smith), start=1):
         for d, urow in zip(diagonal, u):
             assert d > 0

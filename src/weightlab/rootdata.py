@@ -4,19 +4,22 @@ A weight is a plain tuple of ints: the fundamental-weight coordinates of the
 simply connected cover, concatenated over simple factors.  All arithmetic is
 exact -- ints for weights, ``fractions.Fraction`` for root coordinates.
 
-A datum is built with its Cartan matrix, its positive roots (walked up from
-the simple roots) and the Weyl group order.  Everything else is computed on
-first read and kept, never invalidated: a value of the datum alone as a
-``cached_property``, a value per key by :func:`memoized`.  The Cartan matrix
-C is eliminated once, by a Smith normal form of each simple factor, when the
-cocenter P/Q, det C^-1 or root coordinates are first asked for; both the
-cocenter and the integer matrix det C^-1 come from that form, and root
-coordinates are read from det C^-1 as Fractions over det.  Weight systems
-ask only past a size guard, for a highest weight whose coordinates alone
-promise more dominant weights below it than the walk bound allows, so a
-datum that only computes ordinary characters never eliminates C.  The
-lattice subgroup is checked at build time only for a ``subgroup`` lattice,
-the one mode whose input can be invalid.
+A datum is built with its Cartan matrix, its symmetrizer and the Dynkin
+neighbours alone.  Everything else is computed on first read and kept,
+never invalidated: a value of the datum alone as a ``cached_property``, a
+value per key by :func:`memoized`.  So a verb builds only what it reads: the
+positive roots (walked up from the simple roots) and the Weyl group order
+(Kostant's formula over them) on their first read, which a construction
+check, ``enumerate`` and ``classify`` never make.  The integer matrix
+det C^-1, and root coordinates read from it as Fractions over det, come
+from one fraction-free Gauss-Jordan pass over each simple factor (Bareiss);
+the cocenter P/Q comes from a Smith normal form of each factor, which
+nothing else reads.  Weight systems ask for det C^-1 only past a size guard,
+for a highest weight whose coordinates alone promise more dominant weights
+below it than the walk bound allows, so a datum that only computes
+ordinary characters never eliminates C.  The lattice subgroup is checked at
+build time only for a ``subgroup`` lattice, the one mode whose input can be
+invalid.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, sub
 
 import numpy as np
@@ -217,10 +220,13 @@ class PositiveRoot:
 class RootDatum:
     """Immutable root datum of a semisimple group with a chosen lattice.
 
-    Built once via :func:`build_root_datum`.  Derived values are kept on
-    it and never invalidated: per datum as ``cached_property``s, per key
-    (characters, dominant cones, expanded weight tables) in ``memo``.
-    Tensor decompositions are not kept."""
+    Built once via :func:`build_root_datum`, from its Cartan matrix alone.
+    Derived values are computed on first read and kept on it, never
+    invalidated: per datum as ``cached_property``s (the positive roots, the
+    Weyl group order, det C^-1 by a fraction-free pass, the Smith form that
+    serves the cocenter only), per key (characters, dominant cones,
+    expanded weight tables) in ``memo``.  Tensor decompositions are not
+    kept."""
 
     def __init__(self, ctype: CartanType, lattice: LatticeSpec):
         self.ctype = ctype
@@ -247,60 +253,101 @@ class RootDatum:
         self.neighbors = tuple(
             tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
             for i in range(self.rank))
-        self.positive_roots = _generate_positive_roots(self)
-        expected = sum(positive_root_count(f, r) for f, r in ctype.factors)
-        assert len(self.positive_roots) == expected
         # scales of the int64 guards in tensor and weyl: the height of the
-        # highest coroot and the largest absolute Cartan entry
-        self._coroot_height = max(sum(alpha.coroot) for alpha in self.positive_roots)
+        # highest coroot, h - 1 with h = 2 |Phi+| / rank the Coxeter number
+        # of a simple factor (Humphreys, Reflection Groups and Coxeter
+        # Groups, 3.18; the dual factor has the same h), and the largest
+        # absolute Cartan entry
+        self._coroot_height = max(2 * positive_root_count(f, r) // r - 1
+                                  for f, r in ctype.factors)
         self._cartan_entry = max(abs(a) for row in cartan for a in row)
-        # (support bitmask over the simple roots, height) of each positive root
-        self.root_supports = tuple(
-            (sum(1 << i for i, k in enumerate(alpha.rc) if k), alpha.height)
-            for alpha in self.positive_roots)
         # values of the memoized functions: memo[name][key]
         self.memo: defaultdict[str, dict] = defaultdict(dict)
         # work counts, as ``--stats`` prints them; the README's --stats
         # paragraph lists every key
         self.stats: Counter = Counter()
-        self.weyl_order = parabolic_order(self, (1 << self.rank) - 1)
+
+    # -- roots and the Weyl group order, built on first read ----------------
+
+    @cached_property
+    def positive_roots(self) -> tuple[PositiveRoot, ...]:
+        roots = _generate_positive_roots(self)
+        assert len(roots) == sum(positive_root_count(f, r) for f, r in self.ctype.factors)
+        return roots
+
+    @cached_property
+    def root_supports(self) -> tuple[tuple[int, int], ...]:
+        """(support bitmask over the simple roots, height) of each positive root."""
+        return tuple((sum(1 << i for i, k in enumerate(alpha.rc) if k), alpha.height)
+                     for alpha in self.positive_roots)
+
+    @cached_property
+    def weyl_order(self) -> int:
+        return parabolic_order(self, (1 << self.rank) - 1)
 
     # -- elimination of C, done on first read ------------------------------
 
     @cached_property
     def _smith(self) -> list:
-        """One Smith form S = U C V per factor, kept as (diagonal, U, V): the
-        cocenter reads the U rows, and C^-1 = V S^-1 U on the block."""
+        """One Smith form S = U C V per factor, kept as (diagonal, U): the
+        cocenter reads the U rows, and nothing else reads it."""
         from . import latticecalc
         out = []
         for start, end in self.ctype.blocks:
-            s, u, v = latticecalc.smith_normal_form(
+            s, u, _ = latticecalc.smith_normal_form(
                 [row[start:end] for row in self.cartan[start:end]])
-            out.append((tuple(s[i][i] for i in range(end - start)), u, v))
+            out.append((tuple(s[i][i] for i in range(end - start)), u))
+        return out
+
+    @cached_property
+    def _bareiss(self) -> list:
+        """(det C_k, adj C_k) per simple factor C_k, by one fraction-free
+        Gauss-Jordan pass over [C_k | I] (Bareiss, Math. Comp. 22, 1968):
+        step k replaces every other row r by (p r - r[k] row_k) / p', p the
+        pivot and p' the one before, a division that is exact.  After step
+        k the first k + 1 columns read p I, so the pass ends at
+        [det I | adj].  Every leading principal minor of a finite-type
+        Cartan matrix is positive, so no pivot is 0 and none is swapped."""
+        out = []
+        for start, end in self.ctype.blocks:
+            n = end - start
+            m = [list(row[start:end]) + [int(i == j) for j in range(n)]
+                 for i, row in enumerate(self.cartan[start:end])]
+            prev = 1
+            for k, pivot_row in enumerate(m):
+                p = pivot_row[k]
+                assert p > 0
+                for i, row in enumerate(m):
+                    if i != k:
+                        c = row[k]
+                        m[i] = [(p * x - c * y) // prev for x, y in zip(row, pivot_row)]
+                prev = p
+            out.append((prev, [row[n:] for row in m]))
         return out
 
     @cached_property
     def _det(self) -> int:
-        """The exponent of P/Q, the least common denominator of C^-1."""
-        return lcm(*(diagonal[-1] for diagonal, _, _ in self._smith))
-
-    @cached_property
-    def _np_adjugate(self) -> np.ndarray:
-        """det * C^-1 = V diag(det / d_i) U, an integer matrix: lam has root
-        coordinates (adjugate @ lam) / det."""
-        adjugate = [[0] * self.rank for _ in range(self.rank)]
-        for (start, end), (diagonal, u, v) in zip(self.ctype.blocks, self._smith):
-            # the columns of diag(det / d_i) U
-            cols = list(zip(*([self._det // d * x for x in row] for d, row in zip(diagonal, u))))
-            for i, vrow in enumerate(v, start):
-                adjugate[i][start:end] = [sum(a * b for a, b in zip(vrow, c)) for c in cols]
-        # built in Python ints, so an entry beyond int64 raises here
-        return np.array(adjugate, dtype=np.int64)
+        """The exponent of P/Q, the least common denominator of C^-1: the
+        lcm over the factors of det C_k / gcd(det C_k, entries of adj C_k)."""
+        return lcm(*(d // gcd(d, *(x for row in adj for x in row)) for d, adj in self._bareiss))
 
     @cached_property
     def _adjugate(self) -> tuple[tuple[int, ...], ...]:
-        """det C^-1 as rows of Python ints, for the loops that read it."""
-        return tuple(map(tuple, self._np_adjugate.tolist()))
+        """det * C^-1 as rows of Python ints: lam has root coordinates
+        (adjugate lam) / det.  Its block on factor k is adj C_k det / det C_k,
+        an exact division, as det C_k^-1 is integral."""
+        det = self._det
+        adjugate = [[0] * self.rank for _ in range(self.rank)]
+        for (start, end), (d, adj) in zip(self.ctype.blocks, self._bareiss):
+            for i, row in enumerate(adj, start):
+                adjugate[i][start:end] = [x * det // d for x in row]
+        return tuple(map(tuple, adjugate))
+
+    @cached_property
+    def _np_adjugate(self) -> np.ndarray:
+        """``_adjugate`` as int64, for the numpy callers; built from Python
+        ints, so an entry beyond int64 raises here."""
+        return np.array(self._adjugate, dtype=np.int64)
 
     @cached_property
     def _adjugate_row_sum(self) -> int:

@@ -48,14 +48,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from math import prod
-from operator import mul, sub
+from operator import add, mul, sub
 
 import numpy as np
 
 from .charcalc import (_interval, _weyl_dimension, character, expanded_weight_table,
                        expand_character)
 from .rootdata import RootDatum, Weight, memoized, wadd, weight_rows, wsub
-from .weyl import _climb, apply_word, make_dominant, orbit_tree
+from .weyl import _climb, apply_word, orbit_tree
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -419,10 +419,13 @@ def _fold_points(datum: RootDatum, batch: list, shift: Weight):
 
 
 def prv_component(datum: RootDatum, lam: Weight, mu: Weight, word) -> Weight:
-    """Dominant representative of lam + w(mu); always a summand of the
-    tensor product (exercised as a tested invariant, not assumed here)."""
-    shifted = apply_word(datum, word, datum.check_weight(mu))
-    return make_dominant(datum, wadd(datum.check_weight(lam), shifted)).dominant
+    """Dominant representative of lam + w(mu), folded by ``weyl._climb``;
+    always a summand of the tensor product (exercised as a tested
+    invariant, not assumed here)."""
+    shifted = apply_word(datum, word, mu)
+    x = list(map(add, datum.check_weight(lam), shifted))
+    _climb(datum, x)
+    return tuple(x)
 
 
 def stable_multiplicity_check(datum: RootDatum, lam: Weight, mu: Weight) -> bool:

@@ -43,7 +43,9 @@ def reflect(datum: RootDatum, i: int, lam: Weight) -> Weight:
 
 
 def apply_word(datum: RootDatum, word, lam: Weight) -> Weight:
-    """Apply a Weyl word; the last letter acts first."""
+    """Apply a Weyl word; the last letter acts first.  lam is checked
+    once, so the empty word refuses what a letter would."""
+    lam = datum.check_weight(lam)
     for i in reversed(tuple(word)):
         lam = reflect(datum, i, lam)
     return lam

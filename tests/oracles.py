@@ -504,6 +504,12 @@ def closure_positive_roots(datum) -> tuple[PositiveRoot, ...]:
     return tuple(roots)
 
 
+def max_coroot_height(datum) -> int:
+    """Height of the highest coroot: the largest sum of coroot coordinates
+    over the positive roots the datum walks."""
+    return max(sum(alpha.coroot) for alpha in datum.positive_roots)
+
+
 def int_det(matrix) -> int:
     """Exact determinant by fraction-free expansion (small matrices only)."""
     n = len(matrix)

@@ -119,6 +119,15 @@ def test_adjugate_matches_fraction_inverse(type_string):
     assert datum._np_adjugate.tolist() == [[k * datum._det for k in row] for row in inverse]
 
 
+@pytest.mark.parametrize("type_string", RANK8 + ["A2xB2", "A3xD5xE6"])
+def test_coroot_height_and_exponent_match_roots_and_smith_form(type_string):
+    # h - 1 from the root count against the highest coroot walked, and the
+    # fraction-free exponent of P/Q against the Smith invariant factors
+    datum = get_datum(type_string)
+    assert datum._coroot_height == oracles.max_coroot_height(datum)
+    assert datum._det == lcm(*datum.cocenter.orders)
+
+
 @pytest.mark.parametrize("type_string", INVERSE_TYPES)
 @given(data=st.data())
 def test_root_coordinates_match_fraction_inverse(type_string, data):

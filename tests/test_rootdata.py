@@ -7,7 +7,7 @@ from weightlab import (CartanType, Character, LatticeSpec, MonoidSpec, RootDataE
                        TraceStep, build_root_datum, character, dominant_weights_below, dual_weight,
                        in_lattice, orbit_size, root_coordinates, tensor_decompose,
                        tensor_multiplicity, weyl_dimension)
-from weightlab import cli
+from weightlab import cli, rootdata
 from weightlab.rootdata import pairing, positive_root_count, weight_rows
 from conftest import get_datum
 from oracles import closure_positive_roots, fraction_inverse_cartan, int_det
@@ -364,6 +364,23 @@ def test_character_never_eliminates_cartan(monkeypatch, capsys, type_string, wei
     (datum,) = built
     assert "_smith" not in vars(datum)
     assert "cocenter" not in vars(datum)
+    assert "_adjugate" not in vars(datum) and "_det" not in vars(datum)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--type", "D5", "--check"],
+    ["construct", "--type", "D7", "--check"],
+    ["construct", "--type", "A3", "--omega", "2,1,2", "--check"],
+    ["enumerate", "--type", "A1xA1xD4"],
+    ["classify", "--type", "A60", "--generators", ",".join(["1"] + ["0"] * 59)],
+])
+def test_verbs_that_read_no_roots_build_none(monkeypatch, capsys, argv):
+    # the chain check, enumerate and classify read neither a root nor |W|
+    def no_roots(datum):
+        raise AssertionError(f"{datum} built its positive roots")
+    monkeypatch.setattr(rootdata, "_generate_positive_roots", no_roots)
+    assert cli.run(argv) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("type_string", ["A3", "D4", "E6", "A1xB3xG2"])

@@ -56,6 +56,19 @@ def test_words_with_a_letter_that_is_not_an_int_are_refused():
         apply_word(datum, (1, 3), (1, 0))
 
 
+def test_empty_word_checks_its_weight():
+    # as a one-letter word does: a wrong length or a float is refused, and a
+    # list comes back as a tuple
+    datum = get_datum("A2")
+    for lam in [(1,), (1.5, 2)]:
+        with pytest.raises(RootDataError):
+            apply_word(datum, (), lam)
+        with pytest.raises(RootDataError):
+            apply_word(datum, (1,), lam)
+    assert apply_word(datum, (), [1, 2]) == (1, 2)
+    assert type(apply_word(datum, (), [1, 2])) is tuple
+
+
 def test_make_dominant_examples():
     a1 = get_datum("A1")
     res = make_dominant(a1, (-3,))
