@@ -22,7 +22,7 @@ from operator import add, gt, le, mul, sub
 
 import numpy as np
 
-from .rootdata import RootDatum, Weight, memoized, parabolic_order, weight_rows
+from .rootdata import RootDataError, RootDatum, Weight, memoized, parabolic_order, weight_rows
 from .weyl import _climb, orbit
 
 # most rows an expanded weight table may hold: its row count, the sum of the
@@ -45,6 +45,9 @@ class Character:
     def __post_init__(self):
         for w, m in self.entries.items():
             self.datum.check_dominant(w)
+            # bool is a subclass of int, and a float would make dimension() a float
+            if type(m) is not int:
+                raise RootDataError(f"multiplicity {m!r} at {w} is not an int")
             if m < 1:
                 raise ValueError(f"multiplicity {m} at {w} must be positive")
 

@@ -8,9 +8,14 @@ A datum is built with its Cartan matrix, its symmetrizer and the Dynkin
 neighbours alone.  Everything else is computed on first read and kept,
 never invalidated: a value of the datum alone as a ``cached_property``, a
 value per key by :func:`memoized`.  So a verb builds only what it reads: the
-positive roots (walked up from the simple roots) and the Weyl group order
-(Kostant's formula over them) on their first read, which a construction
-check, ``enumerate`` and ``classify`` never make.  The integer matrix
+positive roots and the Weyl group order (Kostant's formula over them) on
+their first read, which a construction check, ``enumerate`` and
+``classify`` never make.  One walk up from the simple roots makes a record
+per root, (fund, rc, positive, support, height); the dominant walk's table
+and the root supports are projections of it, the Freudenthal strings'
+table is one more pass on their first read, and the ``PositiveRoot``s,
+each with its coroot, are made from it only when ``positive_roots`` is
+read, which a weight system never does.  The integer matrix
 det C^-1, and root coordinates read from it as Fractions over det, come
 from one fraction-free Gauss-Jordan pass over each simple factor (Bareiss);
 the cocenter P/Q comes from a Smith normal form of each factor, which
@@ -222,11 +227,12 @@ class RootDatum:
 
     Built once via :func:`build_root_datum`, from its Cartan matrix alone.
     Derived values are computed on first read and kept on it, never
-    invalidated: per datum as ``cached_property``s (the positive roots, the
-    Weyl group order, det C^-1 by a fraction-free pass, the Smith form that
-    serves the cocenter only), per key (characters, dominant cones,
-    expanded weight tables) in ``memo``.  Tensor decompositions are not
-    kept."""
+    invalidated: per datum as ``cached_property``s (the root walk's
+    records and the per-root tables read off them, the ``PositiveRoot``s
+    with their coroots, the Weyl group order, det C^-1 by a fraction-free
+    pass, the Smith form that serves the cocenter only), per key
+    (characters, dominant cones, expanded weight tables) in ``memo``.
+    Tensor decompositions are not kept."""
 
     def __init__(self, ctype: CartanType, lattice: LatticeSpec):
         self.ctype = ctype
@@ -270,16 +276,36 @@ class RootDatum:
     # -- roots and the Weyl group order, built on first read ----------------
 
     @cached_property
+    def _root_records(self) -> tuple:
+        """(fund, rc, positive, support, height) per positive root, from the
+        one walk ``_generate_positive_roots``."""
+        return _generate_positive_roots(self)
+
+    @cached_property
     def positive_roots(self) -> tuple[PositiveRoot, ...]:
-        roots = _generate_positive_roots(self)
-        assert len(roots) == sum(positive_root_count(f, r) for f, r in self.ctype.factors)
-        return roots
+        """The records as ``PositiveRoot``s, each with its coroot:
+        coroot_j = 2 rc_j d_j / (beta, beta), where
+        (beta, beta) = sum_j rc_j d_j fund_j, an exact division.  A root of
+        norm 2 has coroot rc_j d_j, and when every d_j is 1 (every factor
+        simply laced) every root has norm 2 and coroot rc."""
+        simply_laced = max(self.symmetrizer) == 1
+        roots = []
+        for fund, rc, _, _, height in self._root_records:
+            coroot = rc
+            if not simply_laced:
+                coroot = weighted = tuple(map(mul, rc, self.symmetrizer))
+                half = sum(map(mul, weighted, fund)) // 2
+                if half > 1:
+                    coroot = tuple([x // half for x in weighted])
+                    # quotients of nonnegative ints, floored: equal sums mean exact ones
+                    assert sum(coroot) * half == sum(weighted)
+            roots.append(PositiveRoot(fund, rc, coroot, height))
+        return tuple(roots)
 
     @cached_property
     def root_supports(self) -> tuple[tuple[int, int], ...]:
         """(support bitmask over the simple roots, height) of each positive root."""
-        return tuple((sum(1 << i for i, k in enumerate(alpha.rc) if k), alpha.height)
-                     for alpha in self.positive_roots)
+        return tuple((support, height) for _, _, _, support, height in self._root_records)
 
     @cached_property
     def weyl_order(self) -> int:
@@ -363,10 +389,11 @@ class RootDatum:
         ``charcalc`` read, as (fund, pair, negative, zero, support, coords):
         pair . nu = (alpha, nu); negative, zero and support are the bitmasks
         of the negative and the zero fundamental coordinates and of the
-        simple roots in alpha; coords lists (j, rc_j) over the support."""
+        simple roots in alpha; coords lists (j, rc_j) over the support.
+        Built apart from the walk, on the first string read: a character
+        with one dominant weight reads none."""
         table = []
-        for alpha, (support, _) in zip(self.positive_roots, self.root_supports):
-            fund, rc = alpha.fund, alpha.rc
+        for fund, rc, _, support, _ in self._root_records:
             negative = zero = 0
             for j, f in enumerate(fund):
                 if f < 0:
@@ -383,9 +410,7 @@ class RootDatum:
         """Per positive root alpha, what the dominant walk of ``charcalc``
         reads, as (fund, rc, positive): positive lists (j, fund_j) over the
         positive fundamental coordinates of alpha."""
-        return tuple(
-            (alpha.fund, alpha.rc, tuple((j, f) for j, f in enumerate(alpha.fund) if f > 0))
-            for alpha in self.positive_roots)
+        return tuple((fund, rc, positive) for fund, rc, positive, _, _ in self._root_records)
 
     # -- factor bookkeeping -------------------------------------------------
 
@@ -463,32 +488,39 @@ class RootDatum:
         return f"RootDatum({self.ctype}, {self.lattice.mode})"
 
 
-def _generate_positive_roots(datum: RootDatum) -> tuple[PositiveRoot, ...]:
+def _generate_positive_roots(datum: RootDatum) -> tuple:
     """Walk up from the simple roots.  s_i is applied to a positive root beta
     only when c = <beta, alpha_i^vee> < 0, which gives the higher positive
     root beta - c alpha_i; every non-simple positive root gamma has an i
     with <gamma, alpha_i^vee> > 0 and s_i gamma positive and lower, so the
     walk reaches it from s_i gamma.  As in ``weyl._climb``, s_i sets
     coordinate i to -c and moves only the Dynkin neighbours of i.  Each
-    root carries its coroot, its height and d, the symmetrizer entry of the
-    simple root it was reached from: a reflection keeps the norm
-    (beta, beta) = 2 d, so coroot_j = 2 rc_j d_j / (beta, beta) = rc_j d_j / d,
-    and s_i moves only coroot coordinate i, by -c d_i / d."""
+    root carries its root coordinates rc, its support bitmask and its
+    height through the walk, and s_i moves only rc_i, bit i and the height.
+    The scan of beta's coordinates for a negative c also collects the
+    positive ones, (j, fund_j).  Returns one record
+    (fund, rc, positive, support, height) per root, sorted by
+    (height, rc); no record carries a coroot, which ``positive_roots``
+    derives on its first read."""
     rank = datum.rank
-    cols, neighbors, symmetrizer = datum.cartan_columns, datum.neighbors, datum.symmetrizer
-    # fund -> (rc, coroot, height, d)
-    seen: dict[Weight, tuple[tuple[int, ...], tuple[int, ...], int, int]] = {}
+    cols, neighbors = datum.cartan_columns, datum.neighbors
+    # fund -> (rc, support, height), for every root reached
+    seen: dict[Weight, tuple[tuple[int, ...], int, int]] = {}
     frontier: list[Weight] = []
     for j in range(rank):
-        e_j = tuple(1 if i == j else 0 for i in range(rank))
-        seen[cols[j]] = (e_j, e_j, 1, symmetrizer[j])
+        seen[cols[j]] = (tuple(1 if i == j else 0 for i in range(rank)), 1 << j, 1)
         frontier.append(cols[j])
+    records = []
     while frontier:
         nxt = []
         for fund in frontier:
-            rc, co, height, d = seen[fund]
+            rc, support, height = seen[fund]
+            positive = []
             for i, c in enumerate(fund):
-                if c >= 0:
+                if not c:
+                    continue
+                if c > 0:
+                    positive.append((i, c))
                     continue
                 f = list(fund)
                 f[i] = -c
@@ -498,15 +530,13 @@ def _generate_positive_roots(datum: RootDatum) -> tuple[PositiveRoot, ...]:
                 rfund = tuple(f)
                 if rfund in seen:
                     continue
-                q, rest = divmod(-c * symmetrizer[i], d)
-                assert rest == 0
-                seen[rfund] = (rc[:i] + (rc[i] - c,) + rc[i + 1:],
-                               co[:i] + (co[i] + q,) + co[i + 1:], height - c, d)
+                seen[rfund] = (rc[:i] + (rc[i] - c,) + rc[i + 1:], support | 1 << i, height - c)
                 nxt.append(rfund)
+            records.append((fund, rc, tuple(positive), support, height))
         frontier = nxt
-    roots = [PositiveRoot(fund, rc, co, height) for fund, (rc, co, height, _) in seen.items()]
-    roots.sort(key=lambda r: (r.height, r.rc))
-    return tuple(roots)
+    assert len(records) == sum(positive_root_count(f, r) for f, r in datum.ctype.factors)
+    records.sort(key=lambda r: (r[4], r[1]))
+    return tuple(records)
 
 
 def memoized(fn):
@@ -596,7 +626,7 @@ def root_coordinates(datum: RootDatum, lam: Weight) -> tuple[Fraction, ...]:
 def pairing(datum: RootDatum, lam: Weight, mu: Weight):
     """Invariant form (lam, mu), short roots of each factor at length 2."""
     rc = root_coordinates(datum, lam)
-    return sum(r * d * m for r, d, m in zip(rc, datum.symmetrizer, mu))
+    return sum(r * d * m for r, d, m in zip(rc, datum.symmetrizer, datum.check_weight(mu)))
 
 
 def in_lattice(datum: RootDatum, lam: Weight) -> bool:

@@ -504,6 +504,34 @@ def closure_positive_roots(datum) -> tuple[PositiveRoot, ...]:
     return tuple(roots)
 
 
+def closure_walk_table(datum) -> tuple:
+    """``RootDatum._walk_table`` read off the closure's roots: (fund, rc,
+    positive) per root, positive the (j, fund_j) with fund_j > 0."""
+    return tuple((alpha.fund, alpha.rc, tuple((j, f) for j, f in enumerate(alpha.fund) if f > 0))
+                 for alpha in closure_positive_roots(datum))
+
+
+def closure_root_supports(datum) -> tuple:
+    """``RootDatum.root_supports`` read off the closure's roots: (support
+    bitmask, height) per root."""
+    return tuple((sum(1 << i for i, k in enumerate(alpha.rc) if k), alpha.height)
+                 for alpha in closure_positive_roots(datum))
+
+
+def closure_root_table(datum) -> tuple:
+    """``RootDatum._root_table`` read off the closure's roots: (fund, pair,
+    negative, zero, support, coords) per root."""
+    table = []
+    for alpha in closure_positive_roots(datum):
+        negative = sum(1 << j for j, f in enumerate(alpha.fund) if f < 0)
+        zero = sum(1 << j for j, f in enumerate(alpha.fund) if f == 0)
+        support = sum(1 << j for j, r in enumerate(alpha.rc) if r)
+        pair = tuple(r * d for r, d in zip(alpha.rc, datum.symmetrizer))
+        table.append((alpha.fund, pair, negative, zero, support,
+                      tuple((j, r) for j, r in enumerate(alpha.rc) if r)))
+    return tuple(table)
+
+
 def max_coroot_height(datum) -> int:
     """Height of the highest coroot: the largest sum of coroot coordinates
     over the positive roots the datum walks."""

@@ -180,6 +180,16 @@ def test_character_refuses_a_key_of_the_wrong_length_and_a_zero_multiplicity():
         charcalc.Character(a2, {(1, 0): 0})
 
 
+@pytest.mark.parametrize("mult", [True, 1.5, 2.0, "1"])
+def test_character_refuses_a_multiplicity_that_is_not_an_int(mult):
+    # True would print as "mult": true, and 1.5 or 2.0 would make the
+    # dimension a float
+    a2 = build_root_datum("A2")
+    with pytest.raises(RootDataError, match="is not an int"):
+        charcalc.Character(a2, {(1, 1): mult})
+    assert charcalc.Character(a2, {(1, 1): 1}).dimension() == 6
+
+
 @pytest.mark.parametrize("type_string, lam", [("A2", (2, 1)), ("A1xA2", (0, 0, 0))])
 @pytest.mark.parametrize("call", [character, dominant_weights_below],
                          ids=["character", "dominant_weights_below"])

@@ -10,7 +10,8 @@ from weightlab import (CartanType, Character, LatticeSpec, MonoidSpec, RootDataE
 from weightlab import cli, rootdata
 from weightlab.rootdata import pairing, positive_root_count, weight_rows
 from conftest import get_datum
-from oracles import closure_positive_roots, fraction_inverse_cartan, int_det
+from oracles import (closure_positive_roots, closure_root_supports, closure_root_table,
+                     closure_walk_table, fraction_inverse_cartan, int_det)
 
 SIMPLE_TYPES = (["A%d" % n for n in range(1, 7)]
                 + ["B%d" % n for n in range(2, 7)]
@@ -171,6 +172,16 @@ def test_pairing_symmetric_and_short_roots_normalized():
         w1 = datum.cartan_columns[0]
         w2 = datum.cartan_columns[-1]
         assert pairing(datum, w1, w2) == pairing(datum, w2, w1)
+
+
+def test_pairing_refuses_a_second_weight_of_the_wrong_length_or_type():
+    # zip would truncate (1,) and (1, 0, 7), and 1.5 would give a float
+    a2 = get_datum("A2")
+    for mu in [(1,), (1, 0, 7)]:
+        with pytest.raises(RootDataError, match="expected rank 2"):
+            pairing(a2, (1, 0), mu)
+    with pytest.raises(RootDataError, match="not an int"):
+        pairing(a2, (1, 0), (1.5, 0))
 
 
 def test_in_lattice_modes():
@@ -348,14 +359,20 @@ RANK_8_TYPES = (["A%d" % n for n in range(1, 9)]
 
 @pytest.mark.parametrize("type_string", RANK_8_TYPES)
 def test_root_walk_matches_closure_oracle(type_string):
-    # same fund, rc, coroot and height, in the same order
-    datum = get_datum(type_string)
+    # same fund, rc, coroot and height, in the same order, and the same
+    # per-root tables; the tables are read first, from the walk's records
+    datum = build_root_datum(type_string)
+    assert datum._walk_table == closure_walk_table(datum)
+    assert datum.root_supports == closure_root_supports(datum)
+    assert datum._root_table == closure_root_table(datum)
     assert datum.positive_roots == closure_positive_roots(datum)
 
 
 @pytest.mark.parametrize("type_string, weight", [("E6", "1,0,0,0,0,1"),
-                                                 ("D5", "2,1,0,1,0")])
+                                                 ("D5", "2,1,0,1,0"),
+                                                 ("A8", "1,0,0,0,0,0,0,0")])
 def test_character_never_eliminates_cartan(monkeypatch, capsys, type_string, weight):
+    # nor builds a PositiveRoot: the walk and the strings read the records
     built = []
     monkeypatch.setattr(cli, "build_root_datum",
                         lambda *a: built.append(build_root_datum(*a)) or built[-1])
@@ -365,6 +382,10 @@ def test_character_never_eliminates_cartan(monkeypatch, capsys, type_string, wei
     assert "_smith" not in vars(datum)
     assert "cocenter" not in vars(datum)
     assert "_adjugate" not in vars(datum) and "_det" not in vars(datum)
+    assert "positive_roots" not in vars(datum)
+    if type_string == "A8":
+        # omega_1 has one dominant weight, so no root string is walked
+        assert "_root_table" not in vars(datum)
 
 
 @pytest.mark.parametrize("argv", [
